@@ -1,9 +1,8 @@
 //! Serving benchmark for `facile-server`: round-trip latency and
-//! served throughput through a live in-process daemon, and the
-//! warm-from-snapshot speedup of the persistent annotation cache.
-//! Writes `BENCH_server.json`.
+//! served throughput through a live in-process daemon. Writes
+//! `BENCH_server.json`.
 //!
-//! Three sections:
+//! Main sections:
 //!
 //! * **round_trip** — single-block requests over TCP against the
 //!   default server configuration, for 1 client and for 8 concurrent
@@ -15,10 +14,10 @@
 //! * **batch_stream** — the 2000-block suite streamed as chunked batch
 //!   requests through one connection (how `facile client --batch`
 //!   drives the daemon): served blocks/second end to end.
-//! * **snapshot** — the same suite cold (fresh engine) vs
-//!   warm-from-snapshot (fresh engine + restored annotation cache):
-//!   first-batch seconds for each and the speedup, which the roadmap
-//!   gates at ≥1.5×.
+//! * **availability** — the batch stream under 1% injected predictor
+//!   panics vs a clean server (when fault injection is compiled in).
+//! * **governance** — the batch stream under a 4 MiB cache budget, with
+//!   the eviction/shed/breaker counters the `stats` op reports.
 //!
 //! ```text
 //! cargo run --release -p facile-bench --bin bench_server -- --blocks 1000
@@ -26,9 +25,8 @@
 
 use facile_bench::Args;
 use facile_bhive::generate_suite;
-use facile_engine::{host_threads, BatchItem, CacheBudget, Engine};
-use facile_server::{snapshot, BoundAddr, Endpoint, Server, ServerConfig};
-use facile_uarch::Uarch;
+use facile_engine::{host_threads, CacheBudget};
+use facile_server::{BoundAddr, Endpoint, Server, ServerConfig};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -285,60 +283,6 @@ fn measure_governance(hexes: &[String], budget_mb: usize) -> Governance {
     gov
 }
 
-struct SnapshotNumbers {
-    cold_secs: f64,
-    warm_secs: f64,
-    speedup: f64,
-    load_secs: f64,
-    file_bytes: usize,
-}
-
-/// Cold first batch vs warm-from-snapshot first batch, each on a fresh
-/// engine — the restart scenario the snapshot exists for. Best of
-/// `REPS` fresh runs per side, so a stray scheduler hiccup on either
-/// side doesn't decide the gate.
-fn measure_snapshot(hexes: &[String]) -> SnapshotNumbers {
-    const REPS: usize = 3;
-    let items: Vec<BatchItem> = hexes
-        .iter()
-        .map(|h| BatchItem::hex(h.clone(), Uarch::Skl))
-        .collect();
-    let path = std::env::temp_dir().join(format!("facile-bench-snap-{}.bin", std::process::id()));
-
-    let mut cold_secs = f64::INFINITY;
-    let mut file_bytes = 0;
-    for _ in 0..REPS {
-        let cold = Engine::with_builtins().with_threads(host_threads());
-        let t0 = Instant::now();
-        cold.predict_batch(&items, "facile").expect("facile runs");
-        cold_secs = cold_secs.min(t0.elapsed().as_secs_f64());
-        file_bytes = snapshot::save(&path, cold.cache())
-            .expect("snapshot saves")
-            .file_bytes;
-    }
-
-    let mut warm_secs = f64::INFINITY;
-    let mut load_secs = f64::INFINITY;
-    for _ in 0..REPS {
-        let warm = Engine::with_builtins().with_threads(host_threads());
-        let t0 = Instant::now();
-        snapshot::load(&path, warm.cache()).expect("snapshot loads");
-        load_secs = load_secs.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        warm.predict_batch(&items, "facile").expect("facile runs");
-        warm_secs = warm_secs.min(t0.elapsed().as_secs_f64());
-    }
-    std::fs::remove_file(&path).ok();
-
-    SnapshotNumbers {
-        cold_secs,
-        warm_secs,
-        speedup: cold_secs / warm_secs,
-        load_secs,
-        file_bytes,
-    }
-}
-
 fn main() {
     let args = Args::parse();
     let blocks = args.blocks.max(2);
@@ -379,9 +323,6 @@ fn main() {
     eprintln!("bench_server: governance under a 4 MiB cache budget");
     let gov = measure_governance(&hexes, 4);
 
-    eprintln!("bench_server: snapshot warm-vs-cold");
-    let snap = measure_snapshot(&hexes);
-
     eprintln!("bench_server: availability under 1% injected predictor panics");
     let availability = match measure_availability(&hexes) {
         None => "{ \"compiled\": false }".to_string(),
@@ -408,7 +349,7 @@ fn main() {
         batched_items as f64 / batches as f64
     };
     let json = format!(
-        "{{\n  \"benchmark\": \"server_round_trip_and_snapshot\",\n  \"blocks\": {},\n  \
+        "{{\n  \"benchmark\": \"server_round_trip\",\n  \"blocks\": {},\n  \
          \"seed\": {},\n  \"host_cpus\": {},\n  \"gather_window_us\": 500,\n  \
          \"round_trip\": {{\n    \
          \"clients_1\": {{ \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"blocks_per_sec\": {:.1} }},\n    \
@@ -421,11 +362,7 @@ fn main() {
          \"bounded_blocks_per_sec\": {:.1},\n    \"cache_bytes\": {},\n    \
          \"cache_evictions\": {},\n    \"budget_bytes\": {},\n    \
          \"shed_batch\": {},\n    \"shed_predict\": {},\n    \
-         \"rejected_conn_limit\": {},\n    \"breaker_trips\": {}\n  }},\n  \
-         \"snapshot\": {{\n    \"cold_first_batch_secs\": {:.6},\n    \
-         \"warm_first_batch_secs\": {:.6},\n    \"load_secs\": {:.6},\n    \
-         \"file_bytes\": {},\n    \"warm_over_cold_speedup\": {:.3},\n    \
-         \"gate_speedup_min\": 1.5,\n    \"gate_met\": {}\n  }}\n}}\n",
+         \"rejected_conn_limit\": {},\n    \"breaker_trips\": {}\n  }}\n}}\n",
         hexes.len(),
         args.seed,
         host_threads(),
@@ -444,12 +381,6 @@ fn main() {
         gov.shed_predict,
         gov.rejected_conn_limit,
         gov.breaker_trips,
-        snap.cold_secs,
-        snap.warm_secs,
-        snap.load_secs,
-        snap.file_bytes,
-        snap.speedup,
-        snap.speedup >= 1.5,
     );
     std::fs::write(OUT_PATH, &json).expect("bench output writes");
     print!("{json}");

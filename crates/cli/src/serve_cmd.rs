@@ -4,7 +4,7 @@
 //! accepting — `{"serving":"<address>"}` — so scripts can wait for
 //! readiness (and, with `--tcp host:0`, learn the ephemeral port). The
 //! daemon then parks until SIGTERM/SIGINT, drains in-flight requests,
-//! writes the annotation snapshot when one is configured, and exits 0.
+//! and exits 0.
 
 use facile_server::{Endpoint, Server, ServerConfig};
 use std::io::Write;
@@ -55,11 +55,6 @@ OPTIONS:
                               (default 500)
     --max-batch <N>           largest gathered engine batch, in items
                               (default 8192)
-    --snapshot <FILE>         persistent annotation cache: loaded at
-                              startup (stale/corrupt files are ignored),
-                              written on shutdown
-    --snapshot-interval-secs <N>  additionally write the snapshot every
-                              N seconds while serving
     --faults <SPEC>           arm deterministic fault injection (chaos
                               testing; also read from the FACILE_FAULTS
                               env var). Ignored with a warning unless
@@ -69,8 +64,7 @@ OPTIONS:
 
 The daemon serves newline-delimited JSON requests; see the protocol
 section of the README. Stop it with SIGTERM or SIGINT: it stops
-accepting, answers everything already admitted, saves the snapshot, and
-exits.
+accepting, answers everything already admitted, and exits.
 ";
 
 fn parse(args: Vec<String>) -> Result<Option<ServerConfig>, String> {
@@ -80,8 +74,6 @@ fn parse(args: Vec<String>) -> Result<Option<ServerConfig>, String> {
     let mut queue_cap = 65_536usize;
     let mut gather_us = 500u64;
     let mut max_batch = 8_192usize;
-    let mut snapshot = None;
-    let mut snapshot_interval = None;
     let mut faults = None;
     let mut ext_config = None;
     let mut cache_budget_mb = None;
@@ -121,13 +113,6 @@ fn parse(args: Vec<String>) -> Result<Option<ServerConfig>, String> {
                 max_batch = val("--max-batch")?
                     .parse()
                     .map_err(|_| "numeric --max-batch".to_string())?;
-            }
-            "--snapshot" => snapshot = Some(std::path::PathBuf::from(val("--snapshot")?)),
-            "--snapshot-interval-secs" => {
-                let secs: u64 = val("--snapshot-interval-secs")?
-                    .parse()
-                    .map_err(|_| "numeric --snapshot-interval-secs".to_string())?;
-                snapshot_interval = Some(Duration::from_secs(secs));
             }
             "--faults" => faults = Some(val("--faults")?),
             "--ext-config" => ext_config = Some(val("--ext-config")?),
@@ -180,8 +165,6 @@ fn parse(args: Vec<String>) -> Result<Option<ServerConfig>, String> {
     cfg.queue_cap = queue_cap;
     cfg.gather_window = Duration::from_micros(gather_us);
     cfg.max_batch_items = max_batch;
-    cfg.snapshot = snapshot;
-    cfg.snapshot_interval = snapshot_interval;
     cfg.faults = faults;
     cfg.cache_budget = cache_budget_mb.map(facile_engine::CacheBudget::from_total_mb);
     cfg.conn_max_items = conn_max_items;
@@ -230,23 +213,8 @@ pub fn main(args: Vec<String>) -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    match &server.snapshot_loaded {
-        Some(Ok(info)) => eprintln!(
-            "snapshot: loaded {} blocks / {} annotations ({} bytes)",
-            info.blocks, info.annotations, info.file_bytes
-        ),
-        Some(Err(e)) => eprintln!("snapshot: starting cold ({e})"),
-        None => {}
-    }
     println!("{{\"serving\":\"{}\"}}", server.bound());
     let _ = std::io::stdout().flush();
-    match server.run_until_signal() {
-        Some(Ok(info)) => eprintln!(
-            "snapshot: saved {} blocks / {} annotations ({} bytes)",
-            info.blocks, info.annotations, info.file_bytes
-        ),
-        Some(Err(e)) => eprintln!("snapshot: save failed ({e})"),
-        None => {}
-    }
+    server.run_until_signal();
     ExitCode::SUCCESS
 }

@@ -56,10 +56,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// One exported cache entry: the shared decoded block and its resident
-/// per-uarch annotations (see [`AnnotationCache::export`]).
-pub type ExportedBlock = (Arc<Block>, Vec<(Uarch, Arc<AnnotatedBlock>)>);
-
 /// One level-1 entry: the decoded block, its canonical hex rendering
 /// (batch rows carry it; rendering once per distinct bytes beats
 /// re-formatting it per row), and the per-uarch annotations (an array
@@ -284,47 +280,6 @@ impl AnnotationCache {
             // The clone happens only when the bytes were never registered.
             Probe::Miss => self.finish_annotation(bytes, Arc::new(block.clone()), ui),
         }
-    }
-
-    /// Export every resident entry: the shared decoded block plus its
-    /// per-uarch annotations, sorted by block bytes so the export (and
-    /// anything serialized from it, like the server's on-disk snapshot)
-    /// is deterministic regardless of shard hash order.
-    #[must_use]
-    pub fn export(&self) -> Vec<ExportedBlock> {
-        let mut out: Vec<ExportedBlock> = Vec::new();
-        self.table.for_each(|_, e| {
-            let annos: Vec<(Uarch, Arc<AnnotatedBlock>)> = e
-                .annos
-                .iter()
-                .enumerate()
-                .filter_map(|(ui, a)| a.as_ref().map(|a| (ui_uarch(ui), Arc::clone(a))))
-                .collect();
-            if !annos.is_empty() {
-                out.push((Arc::clone(&e.block), annos));
-            }
-        });
-        out.sort_by(|a, b| a.0.bytes().cmp(b.0.bytes()));
-        out
-    }
-
-    /// Seed the cache with an externally reconstructed entry (the
-    /// snapshot-restore path). Counters are untouched: imported entries
-    /// are neither hits nor misses, they simply become resident. An
-    /// already-present annotation is kept (first writer wins, matching
-    /// the live annotate paths).
-    pub fn import(&self, block: Arc<Block>, annos: Vec<(Uarch, Arc<AnnotatedBlock>)>) {
-        let bytes = block.bytes().to_vec();
-        self.table.get_or_insert_with(
-            &bytes[..],
-            || bytes[..].into(),
-            move || ByteEntry::new(block),
-            move |e| {
-                for (uarch, ab) in annos {
-                    e.annos[uarch as usize].get_or_insert(ab);
-                }
-            },
-        );
     }
 
     /// Current counters.

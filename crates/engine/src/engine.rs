@@ -478,9 +478,8 @@ impl Engine {
         self.cache.clear();
     }
 
-    /// The engine's two-level annotation cache. Exposed so the
-    /// persistent-snapshot layer (`facile-server`) can export resident
-    /// entries on shutdown and re-seed them at startup.
+    /// The engine's two-level annotation cache (for inspecting its
+    /// counters or resizing it).
     #[must_use]
     pub fn cache(&self) -> &AnnotationCache {
         &self.cache

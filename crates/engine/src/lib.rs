@@ -39,7 +39,7 @@ pub mod registry;
 pub mod render;
 
 pub use adapters::{Baseline, FacileAdapter, LazyLearned, TrainConfig};
-pub use cache::{AnnotationCache, CacheStats, ExportedBlock};
+pub use cache::{AnnotationCache, CacheStats};
 pub use engine::{
     host_threads, panic_payload, parallel_map_indexed, BatchItem, BlockInput, CacheBudget, Engine,
     EngineStats, ItemResult, PlannerStats,

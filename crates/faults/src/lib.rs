@@ -1,9 +1,9 @@
 //! # facile-faults
 //!
 //! Deterministic, seeded fault injection for chaos-testing the facile
-//! pipeline. The engine, server, and snapshot layers call the hooks in
-//! this crate at well-known *injection points* (decode, annotate,
-//! predict, snapshot save, connection handling, batcher loop); each hook
+//! pipeline. The engine and server layers call the hooks in this crate
+//! at well-known *injection points* (decode, annotate, predict,
+//! connection handling, batcher loop, external tools); each hook
 //! decides — purely as a function of the configured seed and the item
 //! being processed — whether to inject a fault at that point.
 //!
@@ -16,7 +16,7 @@
 //!   to a fault-free run over the non-faulted items.
 //! * **Occurrence-keyed** ([`decide_seq`]): the verdict hashes `(seed,
 //!   point, n)` for the n-th arrival at that point. Used where there is
-//!   no stable content key (connection drops, snapshot saves) and where
+//!   no stable content key (connection drops, batcher panics) and where
 //!   content keying would be wrong — a content-keyed connection drop
 //!   would make every retry of the same request fail forever.
 //!
@@ -64,8 +64,6 @@ pub enum Point {
     PredictError,
     /// A predictor call is delayed by `slow-ms` milliseconds.
     SlowPredict,
-    /// A snapshot save fails with an injected I/O error.
-    SnapshotFail,
     /// The server drops a connection before processing a request line.
     ConnDrop,
     /// The server's batcher thread panics between batches.
@@ -81,13 +79,12 @@ pub enum Point {
 
 impl Point {
     /// All injection points, in spec-key order.
-    pub const ALL: [Point; 10] = [
+    pub const ALL: [Point; 9] = [
         Point::DecodePanic,
         Point::AnnotatePanic,
         Point::PredictPanic,
         Point::PredictError,
         Point::SlowPredict,
-        Point::SnapshotFail,
         Point::ConnDrop,
         Point::BatcherPanic,
         Point::ExtTimeout,
@@ -102,7 +99,6 @@ impl Point {
             Point::PredictPanic => "predict-panic",
             Point::PredictError => "predict-error",
             Point::SlowPredict => "slow-predict",
-            Point::SnapshotFail => "snapshot-fail",
             Point::ConnDrop => "conn-drop",
             Point::BatcherPanic => "batcher-panic",
             Point::ExtTimeout => "ext-timeout",

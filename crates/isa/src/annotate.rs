@@ -40,8 +40,8 @@ static FUSED_TAIL_DESC: InstrDesc = InstrDesc {
 #[derive(Debug, Clone)]
 enum DescEntry {
     /// A shared entry in the process-wide descriptor intern table: the
-    /// runtime-classified fallback for forms outside the static tables,
-    /// the uninterned reference path, and snapshot restore.
+    /// runtime-classified fallback for forms outside the static tables
+    /// and the uninterned reference path.
     Interned(Arc<InternedInst>),
     /// Served from the build-time static tables: the descriptor is a
     /// `&'static` borrow — no classifier run, no interner hashing or
@@ -126,7 +126,7 @@ impl AnnotatedInst {
     /// paths never call this — they consume the precomputed
     /// [`AnnotatedBlock::columns`] instead — so the annotation doesn't
     /// retain a per-instruction `Effects` just to answer occasional
-    /// queries (detail rendering, simulation, snapshots).
+    /// queries (detail rendering, simulation).
     #[must_use]
     pub fn effects(&self) -> Effects {
         match &self.entry {
@@ -139,22 +139,6 @@ impl AnnotatedInst {
     #[must_use]
     pub fn end(&self) -> usize {
         self.start + self.inst().len as usize
-    }
-
-    /// Build an annotated instruction from an externally constructed
-    /// interned entry (the snapshot-restore path; live annotation goes
-    /// through [`AnnotatedBlock::new`]).
-    #[must_use]
-    pub fn from_parts(
-        entry: Arc<InternedInst>,
-        start: usize,
-        fused_with_prev: bool,
-    ) -> AnnotatedInst {
-        AnnotatedInst {
-            entry: DescEntry::Interned(entry),
-            start,
-            fused_with_prev,
-        }
     }
 
     /// Heap bytes owned by this instruction's descriptor entry.
@@ -334,34 +318,6 @@ impl AnnotatedBlock {
         if let Some(t) = t_annotate {
             cols::record_annotate(t.elapsed());
         }
-        AnnotatedBlock {
-            uarch,
-            block,
-            insts,
-            cols,
-            total_fused,
-            total_issue,
-            total_unfused,
-        }
-    }
-
-    /// Assemble an annotated block from externally reconstructed
-    /// instructions (the snapshot-restore path). µop totals are
-    /// recomputed from the supplied descriptors exactly as
-    /// [`AnnotatedBlock::new`] computes them, so a faithfully
-    /// round-tripped block predicts bit-identically to a live-annotated
-    /// one.
-    #[must_use]
-    pub fn from_parts(
-        block: Arc<Block>,
-        uarch: Uarch,
-        insts: Vec<AnnotatedInst>,
-    ) -> AnnotatedBlock {
-        let effs: Vec<Effects> = insts.iter().map(AnnotatedInst::effects).collect();
-        let cols = BlockColumns::build(&insts, &effs);
-        let total_fused = insts.iter().map(|a| u32::from(a.desc().fused_uops)).sum();
-        let total_issue = insts.iter().map(|a| u32::from(a.desc().issue_uops)).sum();
-        let total_unfused = insts.iter().map(|a| a.desc().unfused_uops() as u32).sum();
         AnnotatedBlock {
             uarch,
             block,

@@ -89,19 +89,6 @@ impl InternedInst {
             desc,
         }
     }
-
-    /// Build an entry from fully materialized parts, bypassing both the
-    /// table and effect extraction. This is the snapshot-restore path:
-    /// a deserialized `(effects, desc)` pair is paired with the
-    /// re-decoded instruction, so reconstruction pays neither
-    /// [`Inst::effects`] nor classification.
-    #[must_use]
-    pub fn from_parts(inst: Inst, effects: Effects, desc: InstrDesc) -> InternedInst {
-        InternedInst {
-            core: Arc::new(InternedCore { inst, effects }),
-            desc,
-        }
-    }
 }
 
 /// Hit/miss/entry counters of the two-level intern table.

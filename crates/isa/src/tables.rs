@@ -67,8 +67,8 @@ mod generated {
 
 /// Content hash of the generated tables (FNV-1a over the generated
 /// source). Changes whenever the classifier, the form enumeration, or
-/// the key packing changes — snapshot files embed it so a stale
-/// annotation cache is detected instead of silently reused.
+/// the key packing changes; `crates/isa/tables.lock` pins it so such a
+/// change is a deliberate update.
 pub const TABLE_HASH: u64 = generated::TABLE_HASH;
 
 /// Total number of `(mnemonic group, shape key)` rows in the tables.

@@ -255,8 +255,15 @@ impl Parser<'_> {
             }
             p.pos > s
         };
+        let int_start = self.pos;
         if !digits(self) {
             return Err(self.err("expected digits"));
+        }
+        if self.bytes[int_start] == b'0' && self.pos - int_start > 1 {
+            return Err(ParseError {
+                at: int_start,
+                reason: "leading zero in number",
+            });
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -360,9 +367,15 @@ impl Parser<'_> {
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let cp = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Exactly four hex digits: `u32::from_str_radix` would also take
+        // a leading `+`.
+        let mut cp = 0;
+        for &b in &self.bytes[self.pos..end] {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            cp = cp * 16 + digit;
+        }
         self.pos = end;
         Ok(cp)
     }
@@ -411,6 +424,10 @@ mod tests {
             "{\"a\":}",
             "\"\\ud800\"",
             "1e999",
+            "\"\\u+041\"",
+            "01",
+            "-01",
+            "00",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }

@@ -4,7 +4,7 @@
 //! prediction engine (`facile-engine`), speaking newline-delimited JSON
 //! over a Unix-domain socket or TCP.
 //!
-//! Three properties define the design:
+//! Two properties define the design:
 //!
 //! * **Cross-connection batching.** Requests from concurrent
 //!   connections gather into shared engine batches (a thread per
@@ -16,17 +16,11 @@
 //!   same `facile_engine::render` functions the CLI uses, so a row
 //!   served over a socket is byte-for-byte the row `facile --batch`
 //!   prints for the same input. See [`protocol`].
-//! * **Persistent warmth.** The annotation cache can be written to a
-//!   versioned, checksummed on-disk snapshot at shutdown and reloaded
-//!   at startup, so a restarted daemon serves its first batch at
-//!   warm-cache speed. Stale or damaged snapshots are detected and
-//!   ignored — the server falls back to a cold start, never to wrong
-//!   rows. See [`snapshot`].
 //!
 //! The `facile serve` and `facile client` CLI subcommands are thin
 //! wrappers over this crate.
 //!
-//! A fourth property — **fault containment** — is layered across all of
+//! A third property — **fault containment** — is layered across all of
 //! the above: per-item panics become `internal-panic` error rows (the
 //! engine's `catch_unwind` isolation), every shared lock recovers from
 //! poisoning, a supervisor restarts a dead batcher thread, and the
@@ -41,8 +35,6 @@ pub use facile_faults as faults;
 pub mod json;
 pub mod protocol;
 pub mod server;
-pub mod snapshot;
 
 pub use protocol::{error_reply, parse_request, Parsed, ProtoError, Render, Request, Work};
 pub use server::{sig, BoundAddr, Endpoint, Server, ServerConfig, ServerCounters};
-pub use snapshot::{uarch_table_hash, SnapshotError, SnapshotInfo};

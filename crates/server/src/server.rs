@@ -27,12 +27,10 @@
 //!
 //! Shutdown ([`Server::stop`], or a signal via [`sig`]) is a drain, not
 //! an abort: listeners stop accepting, idle connections close, admitted
-//! requests run to completion and their replies are written, the queue
-//! empties, and — when configured — the annotation cache is written to
-//! its snapshot file.
+//! requests run to completion and their replies are written, and the
+//! queue empties.
 
 use crate::protocol::{self, Parsed, ProtoError, Request};
-use crate::snapshot::{self, SnapshotError, SnapshotInfo};
 use facile_engine::{
     panic_payload, BatchItem, BreakerSpec, CacheBudget, Engine, ExternalPredictor, ExternalSpec,
     ItemResult, Predictor,
@@ -43,6 +41,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+#[cfg(unix)]
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -77,11 +76,6 @@ pub struct ServerConfig {
     pub max_batch_items: usize,
     /// Longest accepted request line, in bytes.
     pub max_line_bytes: usize,
-    /// Annotation snapshot file: loaded at startup, written on shutdown
-    /// (and periodically, if `snapshot_interval` is set).
-    pub snapshot: Option<PathBuf>,
-    /// Write the snapshot every so often while serving.
-    pub snapshot_interval: Option<Duration>,
     /// Deterministic fault-injection spec (see the `facile-faults`
     /// crate), armed at startup. Ignored — with a warning left to the
     /// caller — in builds without the `fault-injection` feature.
@@ -116,8 +110,6 @@ impl ServerConfig {
             gather_window: Duration::from_micros(500),
             max_batch_items: 8_192,
             max_line_bytes: 1 << 20,
-            snapshot: None,
-            snapshot_interval: None,
             faults: None,
             external: Vec::new(),
             cache_budget: None,
@@ -149,10 +141,6 @@ pub struct ServerCounters {
     /// Lines rejected before reaching the engine (`bad-json`,
     /// `bad-request`, `line-too-long`).
     pub protocol_errors: AtomicU64,
-    /// Snapshot writes that succeeded.
-    pub snapshot_saves: AtomicU64,
-    /// Snapshot writes that failed (disk full, permissions, injected).
-    pub snapshot_save_errors: AtomicU64,
     /// Times the supervisor restarted a dead batcher thread.
     pub batcher_restarts: AtomicU64,
     /// Requests rejected by per-connection limits (item cap or rate).
@@ -172,9 +160,8 @@ impl ServerCounters {
         format!(
             "{{\"connections\":{},\"requests\":{},\"rows\":{},\"batches\":{},\
              \"batched_items\":{},\"rejected_overload\":{},\"rejected_deadline\":{},\
-             \"protocol_errors\":{},\"snapshot_saves\":{},\"snapshot_save_errors\":{},\
-             \"batcher_restarts\":{},\"rejected_conn_limit\":{},\"shed_batch\":{},\
-             \"shed_predict\":{}}}",
+             \"protocol_errors\":{},\"batcher_restarts\":{},\"rejected_conn_limit\":{},\
+             \"shed_batch\":{},\"shed_predict\":{}}}",
             g(&self.connections),
             g(&self.requests),
             g(&self.rows),
@@ -183,8 +170,6 @@ impl ServerCounters {
             g(&self.rejected_overload),
             g(&self.rejected_deadline),
             g(&self.protocol_errors),
-            g(&self.snapshot_saves),
-            g(&self.snapshot_save_errors),
             g(&self.batcher_restarts),
             g(&self.rejected_conn_limit),
             g(&self.shed_batch),
@@ -445,17 +430,14 @@ pub struct Server {
     acceptor: Option<std::thread::JoinHandle<()>>,
     batcher: Option<std::thread::JoinHandle<()>>,
     conns: Arc<PoisonlessMutex<Vec<std::thread::JoinHandle<()>>>>,
-    /// What loading the configured snapshot found at startup.
-    pub snapshot_loaded: Option<Result<SnapshotInfo, SnapshotError>>,
 }
 
 impl Server {
-    /// Bind the endpoint, load the snapshot (if configured), and start
-    /// the acceptor and batcher threads.
+    /// Bind the endpoint and start the acceptor and batcher threads.
     ///
     /// # Errors
-    /// Binding the endpoint can fail; snapshot problems never do (they
-    /// are reported in [`Server::snapshot_loaded`]).
+    /// Arming a malformed fault spec, binding the endpoint, or spawning
+    /// the server threads can fail.
     pub fn start(mut cfg: ServerConfig) -> std::io::Result<Server> {
         if let Some(spec) = cfg.faults.as_deref() {
             // A malformed spec is a configuration error; arming in a
@@ -483,9 +465,6 @@ impl Server {
             externals.push(Arc::clone(&pred));
             engine.registry_mut().register(pred);
         }
-        // Cap the caches before the snapshot loads, so a snapshot larger
-        // than the budget is trimmed on the way in rather than admitted
-        // whole.
         let budget = cfg.cache_budget.as_ref().map(|b| {
             let global = engine.apply_cache_budget(b, true);
             if !externals.is_empty() {
@@ -497,10 +476,6 @@ impl Server {
             }
             global
         });
-        let snapshot_loaded = cfg
-            .snapshot
-            .as_deref()
-            .map(|p| snapshot::load(p, engine.cache()));
 
         let (listener, bound) = match &cfg.endpoint {
             #[cfg(unix)]
@@ -563,7 +538,6 @@ impl Server {
             acceptor: Some(acceptor),
             batcher: Some(batcher),
             conns,
-            snapshot_loaded,
         })
     }
 
@@ -581,7 +555,7 @@ impl Server {
 
     /// Block until a termination signal is delivered (see [`sig`]),
     /// then drain and stop.
-    pub fn run_until_signal(self) -> Option<Result<SnapshotInfo, SnapshotError>> {
+    pub fn run_until_signal(self) {
         while !sig::requested() {
             std::thread::sleep(Duration::from_millis(50));
         }
@@ -589,9 +563,8 @@ impl Server {
     }
 
     /// Drain and stop: reject new connections, let in-flight requests
-    /// finish, join every thread, write the snapshot (when configured),
-    /// and remove a Unix socket file. Returns the snapshot save result.
-    pub fn stop(mut self) -> Option<Result<SnapshotInfo, SnapshotError>> {
+    /// finish, join every thread, and remove a Unix socket file.
+    pub fn stop(mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.queue_cv.notify_all();
         if let Some(h) = self.acceptor.take() {
@@ -615,28 +588,6 @@ impl Server {
         if let BoundAddr::Unix(path) = &self.bound {
             let _ = std::fs::remove_file(path);
         }
-        let saved = self
-            .shared
-            .cfg
-            .snapshot
-            .as_deref()
-            .map(|p| snapshot::save(p, self.shared.engine.cache()));
-        match &saved {
-            Some(Ok(_)) => {
-                self.shared
-                    .counters
-                    .snapshot_saves
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Some(Err(_)) => {
-                self.shared
-                    .counters
-                    .snapshot_save_errors
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            None => {}
-        }
-        saved
     }
 }
 
@@ -708,9 +659,14 @@ fn connection_loop(stream: Stream, shared: &Arc<Shared>) {
     let mut stream = stream;
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
     let mut chunk = [0u8; 16 * 1024];
+    // How much of `buf` is known to hold no newline, so a line that
+    // arrives over many reads is searched once, not once per read.
+    let mut scanned = 0;
     'conn: loop {
         // Serve every complete line currently buffered.
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
+        while let Some(nl) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let nl = scanned + nl;
+            scanned = 0;
             let line: Vec<u8> = buf.drain(..=nl).collect();
             let line = String::from_utf8_lossy(&line[..nl]);
             let line = line.trim_end_matches('\r');
@@ -746,6 +702,7 @@ fn connection_loop(stream: Stream, shared: &Arc<Shared>) {
                 break 'conn;
             }
         }
+        scanned = buf.len();
         if shared.draining() {
             // Drain: every complete line received so far has been
             // answered; close instead of reading further requests.
@@ -980,9 +937,8 @@ fn batcher_supervisor(shared: &Arc<Shared>) {
 /// The micro-batching loop: gather concurrently queued jobs into one
 /// engine batch per predictor selector.
 fn batcher_loop(shared: &Arc<Shared>) {
-    let mut last_snapshot = Instant::now();
     loop {
-        // Wait for work (or a drain, or a snapshot-interval tick).
+        // Wait for work (or a drain).
         let mut jobs: Vec<Job> = {
             let mut q = shared.queue.lock();
             loop {
@@ -995,37 +951,6 @@ fn batcher_loop(shared: &Arc<Shared>) {
                 let (guard, _) =
                     recover(shared.queue_cv.wait_timeout(q, Duration::from_millis(50)));
                 q = guard;
-                if let (Some(path), Some(every)) =
-                    (shared.cfg.snapshot.as_deref(), shared.cfg.snapshot_interval)
-                {
-                    if last_snapshot.elapsed() >= every {
-                        last_snapshot = Instant::now();
-                        drop(q);
-                        match snapshot::save(path, shared.engine.cache()) {
-                            Ok(_) => {
-                                shared
-                                    .counters
-                                    .snapshot_saves
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => {
-                                // A failed periodic save must be neither
-                                // fatal (the cache is intact; serving
-                                // continues) nor silent (the operator is
-                                // losing warm-restart coverage).
-                                shared
-                                    .counters
-                                    .snapshot_save_errors
-                                    .fetch_add(1, Ordering::Relaxed);
-                                eprintln!(
-                                    "facile-serve: periodic snapshot save to {} failed: {e}",
-                                    path.display()
-                                );
-                            }
-                        }
-                        q = shared.queue.lock();
-                    }
-                }
             }
         };
         // Fault injection: the batcher dies between dequeue and dispatch

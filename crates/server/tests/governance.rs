@@ -1,7 +1,7 @@
 //! Resource-governance integration tests: the `health` op, degradation
 //! tiers shedding batch-then-predict under queue pressure, per-connection
-//! limits, and the cache budget's stats/snapshot behavior — all against
-//! a live in-process server.
+//! limits, and the cache budget's stats behavior — all against a live
+//! in-process server.
 
 use facile_server::{Endpoint, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -169,14 +169,10 @@ fn per_connection_limits_reject_before_admission() {
 }
 
 #[test]
-fn cache_budget_bounds_memory_and_snapshots_survivors() {
-    let dir = std::env::temp_dir().join(format!("facile-governance-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("budget.snap");
+fn cache_budget_bounds_memory() {
     let budget_mb = 8usize;
     let server = start(|cfg| {
         cfg.cache_budget = Some(facile_engine::CacheBudget::from_total_mb(budget_mb));
-        cfg.snapshot = Some(snap.clone());
     });
     let (mut tx, mut rx) = connect(&server);
     // Distinct blocks (mov eax, imm32) defeat dedup and fill the cache.
@@ -228,25 +224,5 @@ fn cache_budget_bounds_memory_and_snapshots_survivors() {
         "cache bytes {cache_bytes} above the {budget_mb} MiB budget"
     );
 
-    // Stopping snapshots whatever survived eviction; a fresh server
-    // under the same budget loads it cleanly.
-    let saved = server.stop().expect("snapshot configured");
-    saved.expect("snapshot of the bounded cache saves");
-    let server2 = start(|cfg| {
-        cfg.cache_budget = Some(facile_engine::CacheBudget::from_total_mb(budget_mb));
-        cfg.snapshot = Some(snap.clone());
-    });
-    let loaded = server2
-        .snapshot_loaded
-        .as_ref()
-        .expect("snapshot configured")
-        .as_ref();
-    assert!(loaded.is_ok(), "snapshot reload failed: {loaded:?}");
-    let (mut tx, mut rx) = connect(&server2);
-    assert_eq!(
-        round_trip(&mut tx, &mut rx, r#"{"op":"ping"}"#),
-        r#"{"ok":true,"pong":true}"#
-    );
-    server2.stop();
-    let _ = std::fs::remove_dir_all(&dir);
+    server.stop();
 }

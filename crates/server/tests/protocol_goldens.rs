@@ -126,8 +126,6 @@ fn stats_reply_shape() {
         "rejected_overload",
         "rejected_deadline",
         "protocol_errors",
-        "snapshot_saves",
-        "snapshot_save_errors",
         "batcher_restarts",
     ] {
         assert!(srv.get(key).is_some(), "server stats missing {key}");
@@ -245,4 +243,33 @@ fn drain_answers_inflight_then_closes() {
         rx.read_line(&mut line).map_or(true, |n| n == 0)
     };
     assert!(dead, "connection should be closed after stop()");
+}
+
+#[test]
+fn request_split_across_writes_gets_one_identical_reply() {
+    let server = start(|_| {});
+    // Longer than one 16 KiB server read, so the line also spans reads.
+    let blocks = vec![r#""4801c8""#; 2048].join(",");
+    let req = format!(r#"{{"op":"batch","blocks":[{blocks}],"id":"split"}}"#);
+    let (mut tx, mut rx) = connect(&server);
+    let whole = round_trip(&mut tx, &mut rx, &req);
+    assert!(whole.starts_with(r#"{"id":"split","ok":true,"rows":["#));
+
+    let (mut tx, mut rx) = connect(&server);
+    let line = format!("{req}\n");
+    let (a, b) = (line.len() / 3, 2 * line.len() / 3);
+    for piece in [&line[..a], &line[a..b], &line[b..]] {
+        tx.write_all(piece.as_bytes()).expect("piece writes");
+        tx.flush().expect("flushes");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let mut reply = String::new();
+    rx.read_line(&mut reply).expect("reply arrives");
+    assert_eq!(reply.trim_end(), whole, "split request's reply differs");
+    // Exactly one reply: the next line answers the next request.
+    assert_eq!(
+        round_trip(&mut tx, &mut rx, r#"{"op":"ping","id":2}"#),
+        r#"{"id":2,"ok":true,"pong":true}"#
+    );
+    server.stop();
 }

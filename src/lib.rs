@@ -27,8 +27,8 @@
 //! * [`diff`] — the differential-testing harness: cross-predictor
 //!   inconsistency hunting with deterministic block shrinking;
 //! * [`server`] — prediction-as-a-service: the NDJSON daemon with
-//!   cross-connection micro-batching and the persistent on-disk
-//!   annotation snapshot behind `facile serve` / `facile client`.
+//!   cross-connection micro-batching behind `facile serve` /
+//!   `facile client`.
 //!
 //! ## Quickstart: one block, interpretable
 //!
