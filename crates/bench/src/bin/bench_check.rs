@@ -1,21 +1,28 @@
-//! Compare a fresh `bench_engine` result against a committed baseline and
-//! fail (exit 1) on a throughput regression beyond the tolerance, in any
-//! of the gated configurations: warm single-thread, cold single-thread
-//! (the annotate-included first pass), and the nine-uarch sweep — warm
-//! and cold — which exercises the planner batch API and the two-level
-//! decode/annotate cache.
+//! Compare a fresh benchmark result against a committed baseline and
+//! fail (exit 1) on a throughput regression beyond the tolerance.
 //!
 //! ```text
 //! bench_check <baseline.json> <fresh.json> [--max-regression 0.25]
 //! ```
 //!
-//! Used by CI: the committed `BENCH_engine.json` is copied aside, the
-//! benchmark re-runs, and this gate rejects the build if any gated
-//! configuration dropped by more than 25%. Parallel-vs-single is
-//! additionally required not to be a slowdown (>= 0.95 to leave room
-//! for timer noise on busy runners). Baselines from before the
-//! multi-uarch sweep existed simply skip that gate (the field probe
-//! reports it as absent).
+//! The file's `"benchmark"` field picks the gates:
+//!
+//! * `engine_batch_throughput` (`BENCH_engine.json`, from
+//!   `bench_engine`): warm single-thread, cold single-thread (the
+//!   annotate-included first pass), and the nine-uarch sweep — warm and
+//!   cold — which exercises the planner batch API and the two-level
+//!   decode/annotate cache. Parallel-vs-single is additionally required
+//!   not to be a slowdown (>= 0.95 to leave room for timer noise on busy
+//!   runners). Baselines from before the multi-uarch sweep existed
+//!   simply skip that gate (the field probe reports it as absent).
+//! * `server_round_trip` (`BENCH_server.json`, from `bench_server`):
+//!   the served batch stream, `batch_stream.blocks_per_sec` — a client
+//!   streaming chunked `batch` requests through a live daemon, end to
+//!   end.
+//!
+//! Used by CI: each committed file is copied aside, its benchmark
+//! re-runs, and this gate rejects the build if any gated configuration
+//! dropped by more than 25%.
 
 use std::process::ExitCode;
 
@@ -32,6 +39,14 @@ fn field(json: &str, section: &str, key: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// The string value of the top-level `"benchmark"` field.
+fn benchmark_name(json: &str) -> Option<&str> {
+    let k = json.find("\"benchmark\"")?;
+    let rest = json[k + "\"benchmark\"".len()..].trim_start();
+    let rest = rest.strip_prefix(':')?.trim_start().strip_prefix('"')?;
+    rest.split('"').next()
 }
 
 fn load(path: &str) -> Result<String, String> {
@@ -62,36 +77,52 @@ fn run() -> Result<(), String> {
 
     let baseline = load(&baseline_path)?;
     let fresh = load(&fresh_path)?;
+    let name = benchmark_name(&baseline);
+    if benchmark_name(&fresh) != name {
+        return Err(format!(
+            "{baseline_path} and {fresh_path} come from different benchmarks"
+        ));
+    }
+    let server = name == Some("server_round_trip");
     // Gated configurations: (label, json section, key, required).
     // `multi_uarch` is optional so the gate still works against
     // baselines committed before the sweep existed.
-    let gates = [
-        (
-            "warm single-thread",
-            "single_thread",
-            "warm_cache_blocks_per_sec",
+    let gates: &[(&str, &str, &str, bool)] = if server {
+        &[(
+            "served batch stream",
+            "batch_stream",
+            "blocks_per_sec",
             true,
-        ),
-        (
-            "cold single-thread",
-            "single_thread",
-            "cold_cache_blocks_per_sec",
-            true,
-        ),
-        (
-            "multi-uarch sweep warm",
-            "multi_uarch",
-            "warm_cache_blocks_per_sec",
-            false,
-        ),
-        (
-            "multi-uarch sweep cold",
-            "multi_uarch",
-            "cold_cache_blocks_per_sec",
-            false,
-        ),
-    ];
-    for (label, section, key, required) in gates {
+        )]
+    } else {
+        &[
+            (
+                "warm single-thread",
+                "single_thread",
+                "warm_cache_blocks_per_sec",
+                true,
+            ),
+            (
+                "cold single-thread",
+                "single_thread",
+                "cold_cache_blocks_per_sec",
+                true,
+            ),
+            (
+                "multi-uarch sweep warm",
+                "multi_uarch",
+                "warm_cache_blocks_per_sec",
+                false,
+            ),
+            (
+                "multi-uarch sweep cold",
+                "multi_uarch",
+                "cold_cache_blocks_per_sec",
+                false,
+            ),
+        ]
+    };
+    for &(label, section, key, required) in gates {
         let base = match field(&baseline, section, key) {
             Some(v) => v,
             None if !required => {
@@ -117,6 +148,10 @@ fn run() -> Result<(), String> {
         }
     }
 
+    if server {
+        println!("bench_check: OK");
+        return Ok(());
+    }
     // Top-level field: section and key coincide.
     let speedup = field(&fresh, "parallel_speedup_warm", "parallel_speedup_warm")
         .ok_or("field parallel_speedup_warm not found")?;

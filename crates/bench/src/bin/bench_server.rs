@@ -11,13 +11,20 @@
 //!   window; with eight, concurrent requests share gathered batches,
 //!   so per-client latency holds roughly constant while aggregate
 //!   throughput scales — that asymmetry *is* the design working.
-//! * **batch_stream** — the 2000-block suite streamed as chunked batch
-//!   requests through one connection (how `facile client --batch`
-//!   drives the daemon): served blocks/second end to end.
+//! * **batch_stream** — the whole suite streamed as `batch` requests of
+//!   up to 1024 blocks through one connection (how `facile client
+//!   --batch` drives the daemon): served blocks/second end to end, from
+//!   writing the first request to reading the last reply line, best of
+//!   5 passes. CI gates this number with `bench_check` against the
+//!   committed file.
 //! * **availability** — the batch stream under 1% injected predictor
 //!   panics vs a clean server (when fault injection is compiled in).
 //! * **governance** — the batch stream under a 4 MiB cache budget, with
 //!   the eviction/shed/breaker counters the `stats` op reports.
+//!
+//! The suite is `--blocks` blocks (default 500: both rotations of 250
+//! generated benches), so with the default every batch-stream pass is
+//! one 500-block request.
 //!
 //! ```text
 //! cargo run --release -p facile-bench --bin bench_server -- --blocks 1000
@@ -312,7 +319,11 @@ fn main() {
     eprintln!("bench_server: round trips, 8 clients");
     let (p8, bps8) = measure_round_trips(addr, &hexes, 8);
     eprintln!("bench_server: batch stream");
-    let stream_bps = measure_batch_stream(addr, &hexes, 1024);
+    // A pass of the default suite lasts a few milliseconds, so one pass
+    // is at the mercy of the scheduler: take the best of several.
+    let stream_bps = (0..5)
+        .map(|_| measure_batch_stream(addr, &hexes, 1024))
+        .fold(0.0, f64::max);
 
     let counters = server.counters();
     let g = |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);

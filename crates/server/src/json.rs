@@ -10,6 +10,14 @@
 //! protocol code can echo a request `id` or forward a nested object
 //! (e.g. a prediction row) *verbatim* — byte-identical to how it
 //! appeared on the wire — without re-serializing it.
+//!
+//! Parsing takes time linear in the line length, whatever the line
+//! holds: every byte is looked at a bounded number of times, and string
+//! content is copied in runs between escapes rather than re-decoded per
+//! character. The ratio tests below pin this (a 512 KiB line may take
+//! at most 16× as long as a 64 KiB one), because the server reads
+//! request lines of up to `max_line_bytes` from untrusted clients and
+//! `facile client` parses reply lines of any size.
 
 use std::fmt;
 
@@ -120,25 +128,40 @@ impl std::error::Error for ParseError {}
 /// # Errors
 /// A [`ParseError`] locating the first malformed byte.
 pub fn parse(src: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
-    }
-    Ok(v)
+    Parser::new(src).document()
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Decode string content one character at a time, as the parser
+    /// once did: the reference the run-copying decoder is tested against.
+    #[cfg(test)]
+    per_char: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        Parser {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+            #[cfg(test)]
+            per_char: false,
+        }
+    }
+
+    fn document(mut self) -> Result<Value, ParseError> {
+        self.skip_ws();
+        let v = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after value"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, reason: &'static str) -> ParseError {
         ParseError {
             at: self.pos,
@@ -349,14 +372,26 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 character (the input is a &str, so
-                    // boundaries are valid).
+                #[cfg(test)]
+                Some(_) if self.per_char => {
+                    // Copy one UTF-8 character, re-validating the rest
+                    // of the line each time (quadratic; reference only).
                     let s = std::str::from_utf8(&self.bytes[self.pos..])
                         .expect("input came from a &str");
                     let c = s.chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
+                }
+                Some(_) => {
+                    // Copy the whole run of plain bytes up to the next
+                    // quote, backslash or control byte. All three are
+                    // ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.src[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -384,6 +419,135 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::time::Instant;
+
+    /// The reference: the same parser with per-character string copying.
+    fn parse_per_char(src: &str) -> Result<Value, ParseError> {
+        let mut p = Parser::new(src);
+        p.per_char = true;
+        p.document()
+    }
+
+    /// One piece of string content: plain ASCII, multi-byte UTF-8, every
+    /// escape (including well-formed, lone and mismatched surrogates,
+    /// invalid and truncated ones), or a raw control byte.
+    fn fragment(kind: u8, n: u32) -> String {
+        const WIDE: [char; 6] = ['é', 'ß', '€', '中', '😀', '\u{10FFFF}'];
+        const ESCAPES: [&str; 8] = ["\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t"];
+        match kind {
+            0 => "abcdefghij"
+                .chars()
+                .cycle()
+                .take(n as usize % 40 + 1)
+                .collect(),
+            1 => WIDE[n as usize % WIDE.len()]
+                .to_string()
+                .repeat(n as usize % 3 + 1),
+            2 => ESCAPES[n as usize % ESCAPES.len()].to_string(),
+            3 => format!("\\u{:04x}", n * 67 % 0x1_0000),
+            4 => "\\ud83d\\ude00".to_string(),
+            5 => [
+                "\\ud800",
+                "\\udc00",
+                "\\ud800x",
+                "\\ud800\\u0041",
+                "\\uDBFF\\uDFFF",
+            ][n as usize % 5]
+                .to_string(),
+            6 => ["\\q", "\\u12", "\\u+041", "\\uzzzz", "\\"][n as usize % 5].to_string(),
+            _ => char::from_u32(n % 0x20).expect("ASCII").to_string(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The run-copying decoder returns exactly what the per-character
+        /// reference returns — the same value with the same spans, or
+        /// the same error at the same byte — on strings built from every
+        /// kind of content, in a value and in an object key, terminated
+        /// or cut off at any character.
+        #[test]
+        fn string_runs_match_the_per_char_reference(
+            pieces in proptest::collection::vec((0u8..8, 0u32..1_000_000), 0..24),
+            layout in 0u8..3,
+            cut in proptest::option::of(0usize..400),
+        ) {
+            let content: String = pieces.iter().map(|&(k, n)| fragment(k, n)).collect();
+            let line = match layout {
+                0 => format!("\"{content}\""),
+                1 => format!("{{\"{content}\": [\"{content}\", 1]}}"),
+                _ => format!("[\"x\", \"{content}\"]"),
+            };
+            // Cutting at a char boundary gives unterminated strings and
+            // truncated escapes.
+            let end = cut.map_or(line.len(), |c| {
+                (0..=c.min(line.len())).rev().find(|&i| line.is_char_boundary(i)).unwrap_or(0)
+            });
+            let line = &line[..end];
+            prop_assert_eq!(parse(line), parse_per_char(line), "line {:?}", line);
+        }
+    }
+
+    /// Minimum over several runs of `reps` back-to-back parses of
+    /// `line`, in seconds.
+    fn min_parse_secs(line: &str, reps: usize) -> f64 {
+        (0..9)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..reps {
+                    assert!(parse(line).is_ok(), "line parses");
+                }
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// A linear parser takes 8× as long on a line 8× longer; the bound
+    /// leaves 2× for noise, where a quadratic one would take 64×. The
+    /// small line is timed eight times over, so both samples last about
+    /// as long and a preempted run is as likely in either.
+    fn assert_linear(small: &str, large: &str) {
+        let t_small = min_parse_secs(small, 8) / 8.0;
+        let t_large = min_parse_secs(large, 1);
+        let ratio = t_large / t_small;
+        assert!(
+            ratio <= 16.0,
+            "{} B took {t_large:.6} s, {} B took {t_small:.6} s: ratio {ratio:.1} > 16",
+            large.len(),
+            small.len()
+        );
+    }
+
+    #[test]
+    fn one_string_line_parses_in_linear_time() {
+        let line = |bytes: usize| format!("\"{}\"", "abcdé€".repeat(bytes / 9));
+        assert_linear(&line(64 << 10), &line(512 << 10));
+    }
+
+    #[test]
+    fn reply_line_of_rows_parses_in_linear_time() {
+        // Rows of about 512 bytes, shaped like `--detail full` reply
+        // rows: 128 rows make a 64 KiB line, 1024 rows a 512 KiB one.
+        let reply = |rows: usize| {
+            let row = format!(
+                "{{\"block\":\"4801c8480fafd0\",\"uarch\":\"SKL\",\"predictor\":\"facile\",\
+                 \"status\":\"ok\",\"cycles\":1.25,\"bounds\":{{\"ports\":1.0,\"dec\":0.75}},\
+                 \"explanation\":\"{}\"}}",
+                "port 1 \\\"imul\\\" \\u00b5op\\n".repeat(14)
+            );
+            let rows = vec![row.as_str(); rows];
+            format!("{{\"ok\":true,\"rows\":[{}]}}", rows.join(","))
+        };
+        let (small, large) = (reply(128), reply(1024));
+        assert!(
+            (60 << 10..70 << 10).contains(&small.len()),
+            "{}",
+            small.len()
+        );
+        assert_linear(&small, &large);
+    }
 
     #[test]
     fn parses_scalars_and_containers() {

@@ -48,6 +48,10 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
+/// How often idle server threads wake to check for a drain: the
+/// acceptor's `poll` timeout and the connection threads' read timeout.
+const DRAIN_TICK: Duration = Duration::from_millis(100);
+
 /// Where the server listens.
 #[derive(Debug, Clone)]
 pub enum Endpoint {
@@ -373,6 +377,56 @@ impl Listener {
             Listener::Tcp(l) => l.set_nonblocking(nb),
         }
     }
+
+    /// Wait until a connection is ready to accept or `timeout` passes;
+    /// `Ok(false)` on timeout or an interrupted wait.
+    #[cfg(unix)]
+    fn wait_ready(&self, timeout: Duration) -> std::io::Result<bool> {
+        use std::os::unix::io::AsRawFd;
+        #[repr(C)]
+        struct PollFd {
+            fd: i32,
+            events: i16,
+            revents: i16,
+        }
+        #[cfg(target_os = "linux")]
+        type NFds = std::ffi::c_ulong;
+        #[cfg(not(target_os = "linux"))]
+        type NFds = std::ffi::c_uint;
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: i32) -> i32;
+        }
+        const POLLIN: i16 = 1;
+        let mut pfd = PollFd {
+            fd: match self {
+                Listener::Unix(l) => l.as_raw_fd(),
+                Listener::Tcp(l) => l.as_raw_fd(),
+            },
+            events: POLLIN,
+            revents: 0,
+        };
+        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: `pfd` is a live, exclusively borrowed pollfd array of
+        // length 1 for the whole call.
+        match unsafe { poll(&mut pfd, 1, ms) } {
+            -1 => {
+                let e = std::io::Error::last_os_error();
+                if e.kind() == ErrorKind::Interrupted {
+                    Ok(false)
+                } else {
+                    Err(e)
+                }
+            }
+            n => Ok(n > 0),
+        }
+    }
+
+    /// Without `poll`, fall back to a short sleep between accept attempts.
+    #[cfg(not(unix))]
+    fn wait_ready(&self, _timeout: Duration) -> std::io::Result<bool> {
+        std::thread::sleep(Duration::from_millis(20));
+        Ok(true)
+    }
 }
 
 impl Stream {
@@ -591,12 +645,23 @@ impl Server {
     }
 }
 
+/// Accept connections until a drain, one thread each. The listener is
+/// non-blocking, so a spurious readiness report costs one `WouldBlock`
+/// and a return to `poll`, never a blocked `accept`.
 fn acceptor_loop(
     listener: &Listener,
     shared: &Arc<Shared>,
     conns: &Arc<PoisonlessMutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
     while !shared.draining() {
+        match listener.wait_ready(DRAIN_TICK) {
+            Ok(true) => {}
+            Ok(false) => continue,
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(20));
+                continue;
+            }
+        }
         match listener.accept() {
             Ok(stream) => {
                 shared.counters.connections.fetch_add(1, Ordering::Relaxed);
@@ -604,15 +669,29 @@ fn acceptor_loop(
                 let handle = std::thread::Builder::new()
                     .name("facile-conn".into())
                     .spawn(move || connection_loop(stream, &shared));
+                let mut conns = conns.lock();
+                reap_finished(&mut conns);
                 if let Ok(h) = handle {
-                    conns.lock().push(h);
+                    conns.push(h);
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+            // Out of descriptors (EMFILE) and the like: back off rather
+            // than spin on a listener that stays ready.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
+    }
+}
+
+/// Join the connection threads that have exited: an exited thread
+/// keeps its stack until it is joined.
+fn reap_finished(conns: &mut Vec<std::thread::JoinHandle<()>>) {
+    let (done, live) = std::mem::take(conns)
+        .into_iter()
+        .partition(std::thread::JoinHandle::is_finished);
+    *conns = live;
+    for h in done {
+        let _ = h.join();
     }
 }
 
@@ -655,7 +734,7 @@ fn connection_loop(stream: Stream, shared: &Arc<Shared>) {
     // switch to blocking reads with a timeout so the thread can notice
     // a drain without a wake-up channel.
     let _ = stream.set_blocking();
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = stream.set_read_timeout(Some(DRAIN_TICK));
     let mut stream = stream;
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
     let mut chunk = [0u8; 16 * 1024];
@@ -1101,5 +1180,36 @@ pub mod sig {
     /// signal).
     pub fn request() {
         REQUESTED.store(true, Ordering::SeqCst);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
+        cfg.threads = 1;
+        let server = Server::start(cfg).expect("server starts");
+        let BoundAddr::Tcp(addr) = *server.bound() else {
+            panic!("expected a TCP address");
+        };
+        for _ in 0..64 {
+            let mut tx = TcpStream::connect(addr).expect("connects");
+            tx.write_all(b"{\"op\":\"ping\"}\n")
+                .expect("request writes");
+            let mut reply = String::new();
+            BufReader::new(&tx)
+                .read_line(&mut reply)
+                .expect("reply arrives");
+            assert!(reply.starts_with("{\"ok\":true"), "{reply}");
+        }
+        // Each accept joins the threads that have exited, so only the
+        // last connection and perhaps the one before it are still held.
+        let held = server.conns.lock().len();
+        assert!(held <= 2, "{held} connection handles retained");
+        server.stop();
     }
 }
