@@ -11,10 +11,12 @@
 //!   `bench_engine`): warm single-thread, cold single-thread (the
 //!   annotate-included first pass), and the nine-uarch sweep — warm and
 //!   cold — which exercises the planner batch API and the two-level
-//!   decode/annotate cache. Parallel-vs-single is additionally required
-//!   not to be a slowdown (>= 0.95 to leave room for timer noise on busy
-//!   runners). Baselines from before the multi-uarch sweep existed
-//!   simply skip that gate (the field probe reports it as absent).
+//!   decode/annotate cache — and the warm single-thread `Detail::Full`
+//!   pass. Parallel-vs-single is additionally required not to be a
+//!   slowdown (>= 0.95 to leave room for timer noise on busy runners).
+//!   Baselines from before the multi-uarch sweep or the Full-detail pass
+//!   existed simply skip those gates (the field probe reports them as
+//!   absent).
 //! * `server_round_trip` (`BENCH_server.json`, from `bench_server`):
 //!   the served batch stream, `batch_stream.blocks_per_sec` — a client
 //!   streaming chunked `batch` requests through a live daemon, end to
@@ -85,8 +87,8 @@ fn run() -> Result<(), String> {
     }
     let server = name == Some("server_round_trip");
     // Gated configurations: (label, json section, key, required).
-    // `multi_uarch` is optional so the gate still works against
-    // baselines committed before the sweep existed.
+    // `multi_uarch` and `full_detail` are optional so the gate still
+    // works against baselines committed before they existed.
     let gates: &[(&str, &str, &str, bool)] = if server {
         &[(
             "served batch stream",
@@ -107,6 +109,12 @@ fn run() -> Result<(), String> {
                 "single_thread",
                 "cold_cache_blocks_per_sec",
                 true,
+            ),
+            (
+                "full-detail warm single-thread",
+                "full_detail",
+                "warm_cache_blocks_per_sec",
+                false,
             ),
             (
                 "multi-uarch sweep warm",

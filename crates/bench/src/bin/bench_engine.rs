@@ -2,7 +2,9 @@
 //! repository's perf gate on the paper's ~10,000× speed claim. Measures
 //! blocks/second through `Engine::predict_batch` — single-thread vs
 //! parallel, cold vs warm cache, plus a nine-uarch sweep that exercises
-//! the two-level (decode-once / annotate-per-uarch) cache — verifies
+//! the two-level (decode-once / annotate-per-uarch) cache and a warm
+//! `Detail::Full` pass (the explain path: critical chains and evidence
+//! for every component) — verifies
 //! that multi-threaded output is byte-identical to single-threaded
 //! output, records per-kernel mean/p50/p99/max timing and per-batch
 //! annotation-pass timing from separate instrumented passes, reports
@@ -22,7 +24,7 @@
 //! ```
 
 use facile_bench::Args;
-use facile_engine::{host_threads, BatchItem, Engine, ItemResult, PredictorRegistry};
+use facile_engine::{host_threads, BatchItem, Detail, Engine, ItemResult, PredictorRegistry};
 use facile_uarch::Uarch;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -113,6 +115,13 @@ fn main() {
     // (1 cold + 3 warm passes), so the recorded hit rate explains the
     // warm-over-cold speedup.
     let stats = single.snapshot();
+    // Full detail, warm, single thread: the same blocks with every
+    // component's evidence, precedence's critical chain included.
+    let full_items: Vec<BatchItem> = items
+        .iter()
+        .map(|i| i.clone().with_detail(Detail::Full))
+        .collect();
+    let (full_warm, _) = run(&single, &full_items, 3);
 
     // Multi-uarch sweep: the same blocks across all nine
     // microarchitectures, exercising the planner batch API and the
@@ -214,7 +223,7 @@ fn main() {
 
     let note_json = note.map_or(String::new(), |n| format!("\n  \"note\": \"{n}\","));
     let json = format!(
-        "{{\n  \"benchmark\": \"engine_batch_throughput\",\n  \"predictors\": \"{SELECTOR}\",\n  \"uarch\": \"{uarch}\",\n  \"blocks\": {n},\n  \"rows\": {rows},\n  \"host_cpus\": {host_cpus},\n  \"threads_parallel\": {parallel_threads},{note_json}\n  \"single_thread\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"parallel\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"multi_uarch\": {{\n    \"uarchs\": {n_uarchs},\n    \"items\": {sweep_n},\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1},\n    \"decode_hits\": {},\n    \"decode_misses\": {},\n    \"annotate_misses\": {}\n  }},\n  \"parallel_speedup_warm\": {:.3},\n  \"warm_over_cold_speedup_parallel\": {:.3},\n  \"planner\": {{ \"items\": {}, \"deduped\": {} }},\n  \"annotation_cache\": {{ \"hits\": {}, \"misses\": {}, \"decode_hits\": {}, \"decode_misses\": {}, \"entries\": {}, \"blocks\": {}, \"bytes\": {}, \"evictions\": {} }},\n  \"intern_table\": {{ \"hits\": {}, \"misses\": {}, \"core_hits\": {}, \"core_misses\": {}, \"byte_entries\": {}, \"entries\": {}, \"bytes\": {} }},\n  \"solver_paths\": {{ \"acyclic\": {}, \"simple_cycle\": {}, \"longest_path\": {}, \"howard\": {} }},\n  \"static_tables\": {{ \"hits\": {}, \"fallbacks\": {}, \"coverage\": {:.4} }},\n  \"annotation_passes\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ],\n  \"deterministic_across_threads\": true,\n  \"determinism_check_threads\": {check_threads}\n}}\n",
+        "{{\n  \"benchmark\": \"engine_batch_throughput\",\n  \"predictors\": \"{SELECTOR}\",\n  \"uarch\": \"{uarch}\",\n  \"blocks\": {n},\n  \"rows\": {rows},\n  \"host_cpus\": {host_cpus},\n  \"threads_parallel\": {parallel_threads},{note_json}\n  \"single_thread\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"parallel\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"full_detail\": {{\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"multi_uarch\": {{\n    \"uarchs\": {n_uarchs},\n    \"items\": {sweep_n},\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1},\n    \"decode_hits\": {},\n    \"decode_misses\": {},\n    \"annotate_misses\": {}\n  }},\n  \"parallel_speedup_warm\": {:.3},\n  \"warm_over_cold_speedup_parallel\": {:.3},\n  \"planner\": {{ \"items\": {}, \"deduped\": {} }},\n  \"annotation_cache\": {{ \"hits\": {}, \"misses\": {}, \"decode_hits\": {}, \"decode_misses\": {}, \"entries\": {}, \"blocks\": {}, \"bytes\": {}, \"evictions\": {} }},\n  \"intern_table\": {{ \"hits\": {}, \"misses\": {}, \"core_hits\": {}, \"core_misses\": {}, \"byte_entries\": {}, \"entries\": {}, \"bytes\": {} }},\n  \"solver_paths\": {{ \"acyclic\": {}, \"simple_cycle\": {}, \"longest_path\": {}, \"howard\": {} }},\n  \"static_tables\": {{ \"hits\": {}, \"fallbacks\": {}, \"coverage\": {:.4} }},\n  \"annotation_passes\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ],\n  \"deterministic_across_threads\": true,\n  \"determinism_check_threads\": {check_threads}\n}}\n",
         cold_single.secs,
         cold_single.blocks_per_sec,
         warm_single.secs,
@@ -223,6 +232,8 @@ fn main() {
         cold_parallel.blocks_per_sec,
         warm_parallel.secs,
         warm_parallel.blocks_per_sec,
+        full_warm.secs,
+        full_warm.blocks_per_sec,
         sweep_cold.secs,
         sweep_cold.blocks_per_sec,
         sweep_warm.secs,
@@ -266,10 +277,11 @@ fn main() {
     println!("{json}");
     eprintln!(
         "single warm: {:.0} blocks/s; parallel warm ({} threads): {:.0} blocks/s ({speedup_parallel:.2}x); \
-         multi-uarch sweep warm: {:.0} blocks/s",
+         full detail warm: {:.0} blocks/s; multi-uarch sweep warm: {:.0} blocks/s",
         warm_single.blocks_per_sec,
         parallel_threads,
         warm_parallel.blocks_per_sec,
+        full_warm.blocks_per_sec,
         sweep_warm.blocks_per_sec
     );
     eprintln!("wrote {OUT_PATH}");

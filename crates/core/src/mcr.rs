@@ -4,30 +4,29 @@
 //! maximum, over all cycles `C` of a dependence graph, of
 //! `Σ latency(e) / Σ iteration_count(e)` for `e ∈ C`.
 //!
-//! Three solvers are provided:
-//! * [`solve`] — the production solver: a scratch-pooled iterative Tarjan
-//!   SCC condensation, with cheap linear-time fast paths inside each
-//!   nontrivial SCC (a simple cycle is summed directly; an SCC whose only
-//!   loop-carried edge closes an otherwise acyclic subgraph is solved by a
-//!   longest-path DP in topological order) and Howard policy iteration
-//!   only for the SCCs that genuinely need it. Dependence graphs of
-//!   straight-line blocks are overwhelmingly acyclic or close small
-//!   cycles, so the common case is O(V+E) instead of policy iteration
-//!   over the whole graph.
-//! * [`solve_reference`] (= [`max_cycle_ratio_howard`]) — Howard's
-//!   policy-iteration algorithm over the full graph, as used by the paper
-//!   (citing Dasdan's survey). Retained as the oracle the property tests
-//!   pin [`solve`] against, and as the cycle extractor behind the typed
-//!   critical-chain rendering.
+//! * [`solve_value`] — the bound solver: a scratch-pooled iterative
+//!   Tarjan SCC condensation, with cheap linear-time fast paths inside
+//!   each nontrivial SCC (a simple cycle is summed directly; an SCC whose
+//!   only loop-carried edge closes an otherwise acyclic subgraph is
+//!   solved by a longest-path DP in topological order) and Howard policy
+//!   iteration only for the SCCs that genuinely need it. Dependence
+//!   graphs of straight-line blocks are overwhelmingly acyclic or close
+//!   small cycles, so the common case is O(V+E) instead of policy
+//!   iteration over the whole graph. It returns the ratio only.
+//! * [`max_cycle_ratio_howard`] — Howard's policy-iteration algorithm
+//!   over the full graph, as used by the paper (citing Dasdan's survey).
+//!   The precedence kernel takes the critical chain from its cycle (the
+//!   cycle choice, rotation included, is what the golden reports pin),
+//!   and the property tests pin [`solve_value`] against it.
 //! * [`max_cycle_ratio_lawler`] — Lawler's binary search over λ with
-//!   Bellman–Ford positive-cycle detection; used to cross-check Howard in
-//!   the test suite.
+//!   Bellman–Ford positive-cycle detection: Howard's fallback if policy
+//!   iteration fails to converge, and its cross-check in the tests.
 //!
 //! All edge weights that reach these solvers are sums of small integral
 //! latencies, so cycle/path sums are exact in `f64` regardless of
-//! summation order; [`solve`] and [`solve_reference`] therefore agree
-//! *bit for bit* on the ratio (both compute the same `Σw / Σt` division),
-//! which the equivalence proptests assert.
+//! summation order; [`solve_value`] and [`max_cycle_ratio_howard`]
+//! therefore agree *bit for bit* on the ratio (both compute the same
+//! `Σw / Σt` division), which the equivalence proptests assert.
 
 /// An edge of a ratio graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,14 +135,22 @@ impl Mcr {
     }
 }
 
-/// Reusable buffers for [`max_cycle_ratio_howard`]. The solver runs once
-/// per prediction in the batch hot path; without reuse each call makes
-/// eight-plus vector allocations (plus two more per trim round).
+/// Reusable buffers for [`max_cycle_ratio_howard`]. The solver runs
+/// once per explained prediction, and inside [`solve_value`] for the
+/// SCCs that need it; without reuse each call makes a dozen vector
+/// allocations.
 #[derive(Debug, Default)]
 struct HowardScratch {
     alive: Vec<bool>,
-    has_out: Vec<bool>,
-    has_in: Vec<bool>,
+    // Edge indices grouped by source and by target (see `group_edges`),
+    // and the live out/in-degrees the dead-node peel counts down.
+    out_start: Vec<u32>,
+    out_edges: Vec<u32>,
+    in_start: Vec<u32>,
+    in_edges: Vec<u32>,
+    out_deg: Vec<u32>,
+    in_deg: Vec<u32>,
+    work: Vec<usize>,
     policy: Vec<Option<usize>>,
     lambda: Vec<f64>,
     dist: Vec<f64>,
@@ -162,6 +169,80 @@ fn reset<T: Clone>(buf: &mut Vec<T>, n: usize, value: T) {
     buf.resize(n, value);
 }
 
+/// Group the edge indices of `g` by the node `key` picks (a counting
+/// sort): the edges of node `v` are `list[start[v]..start[v + 1]]`, in
+/// edge order.
+fn group_edges(
+    g: &RatioGraph,
+    key: impl Fn(&REdge) -> usize,
+    start: &mut Vec<u32>,
+    list: &mut Vec<u32>,
+) {
+    let n = g.num_nodes();
+    reset(start, n + 1, 0u32);
+    for e in g.edges() {
+        start[key(e)] += 1;
+    }
+    // Inclusive prefix sums: `start[v]` is the end of v's range ...
+    for v in 1..=n {
+        start[v] += start[v - 1];
+    }
+    // ... and filling back to front moves it to the range's start.
+    reset(list, g.num_edges(), 0u32);
+    for (ei, e) in g.edges().iter().enumerate().rev() {
+        let k = key(e);
+        start[k] -= 1;
+        list[start[k] as usize] = ei as u32;
+    }
+}
+
+/// Restrict `s.alive` to the nodes that can lie on a cycle: the largest
+/// node set in which every node has an incoming and an outgoing edge.
+/// A worklist peels nodes whose live in- or out-degree drops to zero,
+/// so each edge is looked at a constant number of times, even on a long
+/// acyclic dependence tail. The set is unique, so the peel order does
+/// not matter.
+fn peel_dead_nodes(g: &RatioGraph, s: &mut HowardScratch) {
+    let n = g.num_nodes();
+    group_edges(g, |e| e.from, &mut s.out_start, &mut s.out_edges);
+    group_edges(g, |e| e.to, &mut s.in_start, &mut s.in_edges);
+    reset(&mut s.alive, n, true);
+    s.out_deg.clear();
+    s.out_deg
+        .extend(s.out_start.windows(2).map(|w| w[1] - w[0]));
+    s.in_deg.clear();
+    s.in_deg.extend(s.in_start.windows(2).map(|w| w[1] - w[0]));
+    s.work.clear();
+    for v in 0..n {
+        if s.out_deg[v] == 0 || s.in_deg[v] == 0 {
+            s.alive[v] = false;
+            s.work.push(v);
+        }
+    }
+    while let Some(v) = s.work.pop() {
+        for i in s.out_start[v] as usize..s.out_start[v + 1] as usize {
+            let w = g.edges()[s.out_edges[i] as usize].to;
+            if s.alive[w] {
+                s.in_deg[w] -= 1;
+                if s.in_deg[w] == 0 {
+                    s.alive[w] = false;
+                    s.work.push(w);
+                }
+            }
+        }
+        for i in s.in_start[v] as usize..s.in_start[v + 1] as usize {
+            let u = g.edges()[s.in_edges[i] as usize].from;
+            if s.alive[u] {
+                s.out_deg[u] -= 1;
+                if s.out_deg[u] == 0 {
+                    s.alive[u] = false;
+                    s.work.push(u);
+                }
+            }
+        }
+    }
+}
+
 /// Maximum cycle ratio via Howard's policy iteration.
 #[must_use]
 pub fn max_cycle_ratio_howard(g: &RatioGraph) -> Mcr {
@@ -175,32 +256,8 @@ fn howard_with(g: &RatioGraph, s: &mut HowardScratch) -> Mcr {
         return Mcr::Acyclic;
     }
 
-    // Restrict to nodes that can lie on a cycle: iteratively trim nodes
-    // without outgoing or incoming edges.
-    let alive = &mut s.alive;
-    reset(alive, n, true);
-    loop {
-        let mut changed = false;
-        let has_out = &mut s.has_out;
-        let has_in = &mut s.has_in;
-        reset(has_out, n, false);
-        reset(has_in, n, false);
-        for e in g.edges() {
-            if alive[e.from] && alive[e.to] {
-                has_out[e.from] = true;
-                has_in[e.to] = true;
-            }
-        }
-        for v in 0..n {
-            if alive[v] && (!has_out[v] || !has_in[v]) {
-                alive[v] = false;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    peel_dead_nodes(g, s);
+    let alive = &s.alive;
     if !alive.iter().any(|a| *a) {
         return Mcr::Acyclic;
     }
@@ -265,24 +322,13 @@ fn howard_with(g: &RatioGraph, s: &mut HowardScratch) -> Mcr {
                 };
                 // Anchor distances on the cycle: d(v) = 0, propagate
                 // backwards around the cycle using
-                // d(u) = w(u,π(u)) − λ·t + d(π(u)).
+                // d(u) = w(u,π(u)) − λ·t + d(π(u)). `cyc` runs in policy
+                // order from v, so each node's predecessor precedes it.
                 dist[v] = 0.0;
                 lambda[v] = lam;
                 cycle_of[v] = Some(v);
                 let mut u = v;
-                loop {
-                    // find predecessor of u along the cycle
-                    let pred = cyc
-                        .iter()
-                        .copied()
-                        .find(|&p| {
-                            g.edges()[policy[p].expect("edge")].to == u && p != u
-                                || (p == u && cyc.len() == 1)
-                        })
-                        .expect("cycle predecessor exists");
-                    if pred == v {
-                        break;
-                    }
+                for &pred in cyc[1..].iter().rev() {
                     let e = g.edges()[policy[pred].expect("edge")];
                     dist[pred] = e.weight - lam * f64::from(e.count) + dist[u];
                     lambda[pred] = lam;
@@ -367,16 +413,7 @@ fn howard_with(g: &RatioGraph, s: &mut HowardScratch) -> Mcr {
     best
 }
 
-/// Howard's policy iteration over the full graph: the reference solver
-/// the structure-aware [`solve`] is property-tested against, and the one
-/// the chain extraction uses (its critical cycle — including its
-/// starting rotation — is what the golden reports pin).
-#[must_use]
-pub fn solve_reference(g: &RatioGraph) -> Mcr {
-    max_cycle_ratio_howard(g)
-}
-
-/// Reusable buffers for [`solve`] (one set per thread). The solver runs
+/// Reusable buffers for [`solve_value`] (one set per thread). The solver runs
 /// once per prediction on the batch hot path, so everything — CSR
 /// adjacency, Tarjan state, SCC buckets, the per-SCC subgraph, and the
 /// DP arrays — lives in pooled vectors that warm up once.
@@ -403,12 +440,9 @@ struct SolveScratch {
     out_deg: Vec<u32>,
     indeg: Vec<u32>,
     dist: Vec<f64>,
-    pred: Vec<u32>,
     topo: Vec<u32>,
-    cycle_buf: Vec<usize>,
     // Howard-inside-SCC subproblem.
     sub: RatioGraph,
-    sub_nodes: Vec<u32>, // local id -> global node
     howard: HowardScratch,
 }
 
@@ -417,7 +451,7 @@ thread_local! {
         std::cell::RefCell::new(SolveScratch::default());
 }
 
-/// Which per-SCC strategies [`solve`] has taken, process-wide: how often
+/// Which per-SCC strategies [`solve_value`] has taken, process-wide: how often
 /// the query ended with no nontrivial SCC at all, and how many SCCs were
 /// resolved by direct simple-cycle summation, the single-carried-edge
 /// longest-path DP, and Howard policy iteration respectively. Relaxed
@@ -456,24 +490,14 @@ pub fn solve_path_counts() -> SolvePathCounts {
     }
 }
 
-/// Maximum cycle ratio via SCC condensation with linear fast paths:
-/// the production solver. Bit-identical in ratio to [`solve_reference`]
+/// Maximum cycle ratio via SCC condensation with linear fast paths: the
+/// bound solver. Bit-identical in ratio to [`max_cycle_ratio_howard`]
 /// whenever edge weights are exactly representable sums (integral
-/// latencies are), which the proptests pin. The reported critical cycle
-/// attains the ratio but may be a different (equally critical) cycle, or
-/// the same cycle under a different rotation, than the reference's.
-#[must_use]
-pub fn solve(g: &RatioGraph) -> Mcr {
-    SOLVE_SCRATCH.with(|s| solve_with(g, &mut s.borrow_mut(), true))
-}
-
-/// [`solve`] without critical-cycle extraction: the returned
-/// [`Mcr::Ratio`] has an empty `cycle`. The batch hot path only needs
-/// the bound, and skipping extraction keeps the fast paths free of the
-/// one per-call allocation the cycle vector would cost.
+/// latencies are), which the proptests pin. It finds the ratio only: a
+/// returned [`Mcr::Ratio`] has an empty `cycle`.
 #[must_use]
 pub fn solve_value(g: &RatioGraph) -> Mcr {
-    SOLVE_SCRATCH.with(|s| solve_with(g, &mut s.borrow_mut(), false))
+    SOLVE_SCRATCH.with(|s| solve_with(g, &mut s.borrow_mut()))
 }
 
 /// Component id of nodes in trivial SCCs (single node, no self-loop):
@@ -568,12 +592,7 @@ fn tarjan(g: &RatioGraph, s: &mut SolveScratch) -> usize {
     ncomp
 }
 
-/// The contribution of one SCC, as `(ratio numerator/denominator already
-/// divided, cycle in global node ids)`, or `None` for an unbounded SCC.
-type SccRatio = Option<(f64, Vec<usize>)>;
-
-#[allow(clippy::too_many_lines)]
-fn solve_with(g: &RatioGraph, s: &mut SolveScratch, want_cycle: bool) -> Mcr {
+fn solve_with(g: &RatioGraph, s: &mut SolveScratch) -> Mcr {
     let n = g.num_nodes();
     if n == 0 || g.num_edges() == 0 {
         bump(&SOLVE_ACYCLIC);
@@ -639,28 +658,20 @@ fn solve_with(g: &RatioGraph, s: &mut SolveScratch, want_cycle: bool) -> Mcr {
     if s.local.len() < n {
         s.local.resize(n, 0);
     }
-    let mut best: Option<(f64, Vec<usize>)> = None;
+    let mut best = f64::NEG_INFINITY;
     for c in 0..ncomp {
         let members = s.member_start[c] as usize..s.member_start[c + 1] as usize;
         let edges = s.edge_start[c] as usize..s.edge_start[c + 1] as usize;
         let (m, k) = (members.len(), edges.len());
         debug_assert!(k > 0, "a nontrivial SCC has at least one intra edge");
-        let ratio = scc_ratio(g, s, members, edges, m, k, want_cycle);
-        match ratio {
+        match scc_ratio(g, s, members, edges, m, k) {
             None => return Mcr::Unbounded,
-            Some((value, cycle)) => {
-                if best.as_ref().is_none_or(|(b, _)| value > *b) {
-                    best = Some((value, cycle));
-                }
-            }
+            Some(value) => best = best.max(value),
         }
     }
-    match best {
-        None => Mcr::Acyclic,
-        Some((value, cycle)) => Mcr::Ratio {
-            value: value.max(0.0),
-            cycle,
-        },
+    Mcr::Ratio {
+        value: best.max(0.0),
+        cycle: Vec::new(),
     }
 }
 
@@ -668,7 +679,7 @@ fn solve_with(g: &RatioGraph, s: &mut SolveScratch, want_cycle: bool) -> Mcr {
 /// cheapest applicable method: direct summation of a simple cycle, a
 /// longest-path DP when a single carried edge closes an acyclic
 /// subgraph, or Howard policy iteration on the induced subproblem.
-#[allow(clippy::too_many_lines)]
+/// `None` means the SCC is unbounded.
 fn scc_ratio(
     g: &RatioGraph,
     s: &mut SolveScratch,
@@ -676,8 +687,7 @@ fn scc_ratio(
     edges: std::ops::Range<usize>,
     m: usize,
     k: usize,
-    want_cycle: bool,
-) -> SccRatio {
+) -> Option<f64> {
     // Local ids + per-member out-degree within the SCC.
     for (li, &v) in s.comp_members[members.clone()].iter().enumerate() {
         s.local[v as usize] = li as u32;
@@ -703,12 +713,8 @@ fn scc_ratio(
         let start = s.comp_members[members.start] as usize;
         let mut w_sum = 0.0;
         let mut t_sum = 0u32;
-        s.cycle_buf.clear();
         let mut v = start;
         loop {
-            if want_cycle {
-                s.cycle_buf.push(v);
-            }
             // The unique in-SCC out-edge of v (first CSR hit suffices).
             let ei = (s.head[v] as usize..s.head[v + 1] as usize)
                 .map(|i| s.csr[i] as usize)
@@ -726,13 +732,9 @@ fn scc_ratio(
             }
         }
         if t_sum == 0 {
-            return if w_sum > EPS {
-                None
-            } else {
-                Some((0.0, std::mem::take(&mut s.cycle_buf)))
-            };
+            return (w_sum <= EPS).then_some(0.0);
         }
-        return Some((w_sum / f64::from(t_sum), std::mem::take(&mut s.cycle_buf)));
+        return Some(w_sum / f64::from(t_sum));
     }
 
     // Fast path 2 — exactly one loop-carried edge: removing it must
@@ -741,7 +743,7 @@ fn scc_ratio(
     // is the longest path closing that edge, found by one DP pass in
     // topological order.
     if carried == 1 {
-        if let Some(r) = single_carried_ratio(g, s, &members, &edges, m, carried_edge, want_cycle) {
+        if let Some(r) = single_carried_ratio(g, s, &members, &edges, m, carried_edge) {
             bump(&SOLVE_DP);
             return Some(r);
         }
@@ -753,9 +755,6 @@ fn scc_ratio(
     // induced subgraph.
     bump(&SOLVE_HOWARD);
     s.sub.reset(m);
-    s.sub_nodes.clear();
-    s.sub_nodes
-        .extend(s.comp_members[members.clone()].iter().copied());
     for &ei in &s.comp_edges[edges.clone()] {
         let e = &g.edges()[ei as usize];
         s.sub.add_edge(
@@ -769,11 +768,8 @@ fn scc_ratio(
         Mcr::Unbounded => None,
         // A nontrivial SCC always contains a cycle; Howard can only
         // report Acyclic here if every cycle has ratio ≤ 0, i.e. 0.
-        Mcr::Acyclic => Some((0.0, vec![s.sub_nodes[0] as usize])),
-        Mcr::Ratio { value, cycle } => Some((
-            value,
-            cycle.into_iter().map(|v| s.sub_nodes[v] as usize).collect(),
-        )),
+        Mcr::Acyclic => Some(0.0),
+        Mcr::Ratio { value, .. } => Some(value),
     }
 }
 
@@ -789,8 +785,7 @@ fn single_carried_ratio(
     edges: &std::ops::Range<usize>,
     m: usize,
     carried_edge: usize,
-    want_cycle: bool,
-) -> Option<(f64, Vec<usize>)> {
+) -> Option<f64> {
     let ce = g.edges()[carried_edge];
     // Kahn topological order over the intra edges minus the carried one.
     reset(&mut s.indeg, m, 0u32);
@@ -809,9 +804,6 @@ fn single_carried_ratio(
     // The DP runs interleaved with Kahn's scan: dist is final for a node
     // by the time it is popped, because all predecessors came first.
     reset(&mut s.dist, m, f64::NEG_INFINITY);
-    if want_cycle {
-        reset(&mut s.pred, m, u32::MAX);
-    }
     let src = s.local[ce.to] as usize;
     s.dist[src] = 0.0;
     let mut popped = 0usize;
@@ -832,9 +824,6 @@ fn single_carried_ratio(
             let lt = s.local[e.to] as usize;
             if d > f64::NEG_INFINITY && d + e.weight > s.dist[lt] {
                 s.dist[lt] = d + e.weight;
-                if want_cycle {
-                    s.pred[lt] = li as u32;
-                }
             }
             s.indeg[lt] -= 1;
             if s.indeg[lt] == 0 {
@@ -850,25 +839,7 @@ fn single_carried_ratio(
         s.dist[sink] > f64::NEG_INFINITY,
         "strong connectivity guarantees a path back to the carried edge"
     );
-    // Walk the predecessor links back from the carried edge's tail to its
-    // head: that longest path plus the carried edge is the critical cycle.
-    s.cycle_buf.clear();
-    if want_cycle {
-        let mut li = sink;
-        loop {
-            s.cycle_buf
-                .push(s.comp_members[members.start + li] as usize);
-            if li == src {
-                break;
-            }
-            li = s.pred[li] as usize;
-        }
-        s.cycle_buf.reverse();
-    }
-    Some((
-        (s.dist[sink] + ce.weight) / f64::from(ce.count),
-        std::mem::take(&mut s.cycle_buf),
-    ))
+    Some((s.dist[sink] + ce.weight) / f64::from(ce.count))
 }
 
 /// Maximum cycle ratio via Lawler's binary search with Bellman–Ford

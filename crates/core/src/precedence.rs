@@ -3,33 +3,26 @@
 //! Builds a weighted dependence graph over the values consumed and produced
 //! by the block's instructions and bounds the throughput by the maximum
 //! cycle ratio (latency over spanned iterations) of that graph.
+//!
+//! There is one graph, built from the annotation's dataflow columns
+//! ([`facile_isa::BlockColumns`]): values are dense per-block ids, so
+//! last writers resolve by direct indexing. The bound alone is solved by
+//! [`solve_value`]; the critical chain comes from Howard's cycle on the
+//! same graph, its value ids named through the column value table.
+//! `tests/chain_oracle.rs` checks both against a typed builder.
 
-use crate::mcr::{solve_reference, solve_value, Mcr, RatioGraph};
+use crate::mcr::{max_cycle_ratio_howard, solve_value, Mcr, REdge, RatioGraph};
 use facile_explain::{
     ChainStep, Component, ComponentAnalysis, Evidence, PrecedenceEvidence, ValueRef,
 };
-use facile_isa::AnnotatedBlock;
+use facile_isa::{AnnotatedBlock, BlockColumns, ColValue};
 use facile_util::FxHashMap;
-use facile_x86::{flags, Mem, Reg};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Cycles between a store-data µop executing and the stored value being
 /// available for forwarding (on top of the consumer's load latency).
 const STORE_LATENCY: f64 = 1.0;
-
-/// A renamed value: the unit of dependence tracking. This is the typed
-/// [`ValueRef`] of the explanation layer — the same representation flows
-/// from graph construction to the rendered chain.
-type Value = ValueRef;
-
-fn mem_value(m: Mem) -> Value {
-    Value::Mem {
-        base: m.base.map(Reg::full),
-        index: m.index.map(Reg::full),
-        scale: m.scale,
-        disp: m.disp,
-    }
-}
 
 /// Result of the precedence analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,91 +35,36 @@ pub struct PrecedenceAnalysis {
     pub critical_chain: Vec<ChainStep>,
 }
 
-/// A half-open range into one of the scratch pools.
-#[derive(Debug, Clone, Copy, Default)]
-struct Rng {
-    start: u32,
-    end: u32,
-}
-
-impl Rng {
-    fn iter(self) -> std::ops::Range<usize> {
-        self.start as usize..self.end as usize
-    }
-}
-
-/// Per-instruction dataflow summary. Value lists live as ranges in the
-/// shared scratch pool instead of per-flow vectors, so building the
-/// dependence graph of a block allocates nothing once the thread-local
-/// scratch has warmed up.
-///
-/// Generic over the value representation `V`: the chain-extraction path
-/// works on typed [`Value`]s (which the rendered chain needs), while
-/// the bound-only hot path works on the dense `u32` value ids the
-/// annotation's columns provide. Graph construction only ever compares
-/// values for equality, and the column interning is bijective with the
-/// typed identity, so both representations build the same graph.
+/// One graph node: a value consumed or produced by one flow (an entry
+/// of [`BlockColumns::flows`]).
 #[derive(Debug, Clone, Copy)]
-struct FlowMeta<V> {
-    /// Original index in the annotated block.
-    index: u32,
-    consumed: Rng,
-    produced: Rng,
-    /// Values consumed through the load path (address registers of a
-    /// loading instruction plus the loaded memory value).
-    via_load: Rng,
-    /// Graph nodes of the consumed/produced values (ranges into the node
-    /// pool; within a flow and role, node values are unique).
-    cnodes: Rng,
-    pnodes: Rng,
-    latency: f64,
-    stores_mem: Option<V>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct NodeMeta<V> {
+struct NodeMeta {
     flow: u32,
-    value: V,
+    value: u32,
     produced: bool,
 }
 
-/// Reusable buffers for the precedence analysis (one per thread).
+/// Reusable buffers for the precedence analysis (one per thread), so
+/// building the dependence graph of a block allocates nothing once they
+/// have warmed up.
 #[derive(Debug, Default)]
 struct PrecScratch {
-    vals: Vec<Value>,
-    flows: Vec<FlowMeta<Value>>,
-    nodes: Vec<NodeMeta<Value>>,
-    /// Id-typed twins of `flows`/`nodes` for the column-driven bound
-    /// path (the two paths never run concurrently, but keeping the
-    /// pools separate lets each stay warm at its own size).
-    flows_id: Vec<FlowMeta<u32>>,
-    nodes_id: Vec<NodeMeta<u32>>,
-    /// Graph node id of each `vals` entry (filled during node creation,
-    /// so edge construction never re-scans a node range for a value).
+    nodes: Vec<NodeMeta>,
+    /// Graph node id of each [`BlockColumns::ids`] entry (filled during
+    /// node creation, so edge construction never re-scans a node range
+    /// for a value).
     val_node: Vec<u32>,
     graph: RatioGraph,
-    /// Last-writer table of the typed path: one entry per distinct
-    /// produced value (blocks produce a few dozen distinct values at
-    /// most, so a linear scan beats hashing).
-    writers: Vec<Writer>,
-    /// Last-writer table of the id path, indexed directly by value id.
-    last_writer: Vec<DenseWriter>,
+    /// Last-writer table, indexed by value id.
+    last_writer: Vec<Writer>,
 }
 
-/// One last-writer entry: the value, the flow that last produced it
-/// (tagged with [`WRAP`] until the sweep has seen a producer this
-/// iteration), and the graph node of that producer's output.
+/// One last-writer entry: the flow that last produced the value (tagged
+/// with [`WRAP`] until the sweep has seen a producer this iteration, or
+/// [`NO_WRITER`] if nothing in the block produces it), and the graph
+/// node of that producer's output.
 #[derive(Debug, Clone, Copy)]
 struct Writer {
-    value: Value,
-    flow_tag: u32,
-    pnode: u32,
-}
-
-/// A [`Writer`] slot of the direct-indexed id-path table; `flow_tag ==
-/// NO_WRITER` marks a value never produced in the block.
-#[derive(Debug, Clone, Copy)]
-struct DenseWriter {
     flow_tag: u32,
     pnode: u32,
 }
@@ -142,262 +80,91 @@ thread_local! {
     static PREC_SCRATCH: RefCell<PrecScratch> = RefCell::new(PrecScratch::default());
 }
 
-/// Remove *consecutive* duplicates from `vals[start..]` (the same
-/// semantics `Vec::dedup` had when each flow owned its own vector).
-fn dedup_tail(vals: &mut Vec<Value>, start: usize) {
-    let mut w = start;
-    for r in start..vals.len() {
-        if w == start || vals[w - 1] != vals[r] {
-            vals[w] = vals[r];
-            w += 1;
-        }
-    }
-    vals.truncate(w);
+fn span((start, end): (u32, u32)) -> Range<usize> {
+    start as usize..end as usize
 }
 
-fn build_flows(ab: &AnnotatedBlock, vals: &mut Vec<Value>, flows: &mut Vec<FlowMeta<Value>>) {
-    vals.clear();
-    flows.clear();
-    for (index, a) in ab.insts().iter().enumerate() {
-        if a.fused_with_prev {
-            continue; // the pair is represented by its head
-        }
-        let e = a.effects();
-        let c_start = vals.len();
-        for r in &e.reg_reads {
-            vals.push(Value::Reg(r.full()));
-        }
-        for g in flags::groups(e.flags_read) {
-            vals.push(Value::Flag(g));
-        }
-        let mv = e.mem.map(mem_value);
-        if let (Some(mv), true) = (mv, e.loads) {
-            vals.push(mv);
-        }
-        dedup_tail(vals, c_start);
-        let consumed = Rng {
-            start: c_start as u32,
-            end: vals.len() as u32,
-        };
-
-        let v_start = vals.len();
-        if let (Some(m), Some(mv)) = (e.mem, mv) {
-            if e.loads {
-                vals.push(mv);
-                for r in m.addr_regs() {
-                    vals.push(Value::Reg(r.full()));
-                }
-            }
-        }
-        let via_load = Rng {
-            start: v_start as u32,
-            end: vals.len() as u32,
-        };
-
-        let p_start = vals.len();
-        for r in &e.reg_writes {
-            vals.push(Value::Reg(r.full()));
-        }
-        for g in flags::groups(e.flags_written) {
-            vals.push(Value::Flag(g));
-        }
-        let mut stores_mem = None;
-        if let (Some(mv), true) = (mv, e.stores) {
-            vals.push(mv);
-            stores_mem = Some(mv);
-        }
-        dedup_tail(vals, p_start);
-        let produced = Rng {
-            start: p_start as u32,
-            end: vals.len() as u32,
-        };
-
-        flows.push(FlowMeta {
-            index: index as u32,
-            consumed,
-            produced,
-            via_load,
-            cnodes: Rng::default(),
-            pnodes: Rng::default(),
-            latency: f64::from(a.desc().latency),
-            stores_mem,
-        });
+/// Build the dependence graph of the block's dataflow columns into
+/// `s.graph`. Returns `None` when the block has no flows, otherwise
+/// whether any loop-carried edge exists (if none does, the graph cannot
+/// have a cycle: intra edges point consumed -> produced within a flow
+/// and count-0 dependence edges point to a strictly later flow).
+fn build_graph(ab: &AnnotatedBlock, s: &mut PrecScratch) -> Option<bool> {
+    let BlockColumns {
+        ids, flows, values, ..
+    } = ab.columns();
+    if flows.is_empty() {
+        return None;
     }
-}
+    let load_lat = f64::from(ab.uarch().config().load_latency);
+    let PrecScratch {
+        nodes,
+        val_node,
+        graph,
+        last_writer,
+    } = s;
 
-/// Build the dependence graph of the prepared flows into `graph`.
-///
-/// Node creation dedups values within a flow and role by linear scan
-/// (the lists only ever hold a handful of entries). Dependence-edge
-/// resolution is a single forward pass over a last-writer table — one
-/// `(value, producer)` entry per distinct produced value — replacing the
-/// former per-consumer backward scan over all flows, which was quadratic
-/// in block length and dominated graph construction on long blocks.
-fn build_graph<V: Copy + PartialEq>(
-    load_lat: f64,
-    vals: &[V],
-    flows: &mut [FlowMeta<V>],
-    nodes: &mut Vec<NodeMeta<V>>,
-    val_node: &mut Vec<u32>,
-    graph: &mut RatioGraph,
-) {
-    // First pass: create all nodes so the graph size is known, recording
-    // each value entry's node id as it is resolved. Within a flow and
-    // role, values are deduplicated (the lists only ever hold a handful
-    // of entries, so a linear scan beats hashing).
+    // Nodes: one per distinct value of each flow and role. Within a flow
+    // and role, values are deduplicated (the lists only ever hold a
+    // handful of entries, so a linear scan beats hashing).
     nodes.clear();
     val_node.clear();
-    val_node.resize(vals.len(), 0);
-    // Explicit indexing: the loop writes the node ranges back into the
-    // flow being visited.
-    #[allow(clippy::needless_range_loop)]
-    for fi in 0..flows.len() {
-        let f = flows[fi];
-        let c_start = nodes.len();
-        for vi in f.consumed.iter() {
-            let v = vals[vi];
-            match nodes[c_start..].iter().position(|nm| nm.value == v) {
-                Some(off) => val_node[vi] = (c_start + off) as u32,
-                None => {
-                    val_node[vi] = nodes.len() as u32;
-                    nodes.push(NodeMeta {
-                        flow: fi as u32,
-                        value: v,
-                        produced: false,
-                    });
+    val_node.resize(ids.len(), 0);
+    for (fi, f) in flows.iter().enumerate() {
+        for (range, produced) in [(f.consumed, false), (f.produced, true)] {
+            let start = nodes.len();
+            for vi in span(range) {
+                let v = ids[vi];
+                match nodes[start..].iter().position(|nm| nm.value == v) {
+                    Some(off) => val_node[vi] = (start + off) as u32,
+                    None => {
+                        val_node[vi] = nodes.len() as u32;
+                        nodes.push(NodeMeta {
+                            flow: fi as u32,
+                            value: v,
+                            produced,
+                        });
+                    }
                 }
             }
         }
-        let p_start = nodes.len();
-        flows[fi].cnodes = Rng {
-            start: c_start as u32,
-            end: p_start as u32,
-        };
-        for vi in f.produced.iter() {
-            let v = vals[vi];
-            match nodes[p_start..].iter().position(|nm| nm.value == v) {
-                Some(off) => val_node[vi] = (p_start + off) as u32,
-                None => {
-                    val_node[vi] = nodes.len() as u32;
-                    nodes.push(NodeMeta {
-                        flow: fi as u32,
-                        value: v,
-                        produced: true,
-                    });
-                }
-            }
-        }
-        flows[fi].pnodes = Rng {
-            start: p_start as u32,
-            end: nodes.len() as u32,
-        };
     }
     graph.reset(nodes.len());
 
     // Intra-instruction latency edges: consumed -> produced.
-    for f in flows.iter() {
-        for ci in f.consumed.iter() {
-            let c = vals[ci];
-            let through_load = f.via_load.iter().any(|vi| vals[vi] == c);
-            for pi in f.produced.iter() {
-                let p = vals[pi];
-                let mut w = f.latency;
+    for f in flows {
+        for ci in span(f.consumed) {
+            let c = ids[ci];
+            let through_load = span(f.via_load).any(|vi| ids[vi] == c);
+            for pi in span(f.produced) {
+                let mut w = f64::from(f.latency);
                 if through_load {
                     w += load_lat;
                 }
-                if f.stores_mem == Some(p) {
+                if f.stores_id == ids[pi] {
                     w += STORE_LATENCY;
                 }
                 graph.add_edge(val_node[ci] as usize, val_node[pi] as usize, w, 0);
             }
         }
     }
-}
 
-/// Dependence edges: last writer -> consumer, with iteration count 1 for
-/// loop-carried (wrapping) dependencies. `writers` is the scratch
-/// last-writer table; the return value says whether any loop-carried
-/// edge was added (if none was, the graph cannot have a cycle at all:
-/// count-0 edges strictly advance the flow index, so the caller can skip
-/// the solver outright).
-fn add_dependence_edges(
-    vals: &[Value],
-    flows: &[FlowMeta<Value>],
-    val_node: &[u32],
-    graph: &mut RatioGraph,
-    writers: &mut Vec<Writer>,
-) -> bool {
-    // Seed the table with each value's last writer over the whole block:
-    // a forward sweep keeps overwriting, so the surviving entry is the
-    // producer a wrap-around (loop-carried) dependence resolves to. The
-    // WRAP tag marks entries still referring to the previous iteration.
-    writers.clear();
-    for (i, f) in flows.iter().enumerate() {
-        for pi in f.produced.iter() {
-            let v = vals[pi];
-            let (flow_tag, pnode) = (i as u32 | WRAP, val_node[pi]);
-            match writers.iter_mut().find(|w| w.value == v) {
-                Some(slot) => {
-                    slot.flow_tag = flow_tag;
-                    slot.pnode = pnode;
-                }
-                None => writers.push(Writer {
-                    value: v,
-                    flow_tag,
-                    pnode,
-                }),
-            }
-        }
-    }
-    let mut any_carried = false;
-    for (j, f) in flows.iter().enumerate() {
-        for ci in f.consumed.iter() {
-            let c = vals[ci];
-            // The most recent writer: this iteration if already seen
-            // (count 0), else the block's last writer (count 1).
-            if let Some(w) = writers.iter().find(|w| w.value == c) {
-                let count = u32::from(w.flow_tag & WRAP != 0);
-                any_carried |= count != 0;
-                graph.add_edge(w.pnode as usize, val_node[ci] as usize, 0.0, count);
-            }
-        }
-        for pi in f.produced.iter() {
-            let v = vals[pi];
-            let slot = writers
-                .iter_mut()
-                .find(|w| w.value == v)
-                .expect("every produced value was seeded");
-            slot.flow_tag = j as u32;
-            slot.pnode = val_node[pi];
-        }
-    }
-    any_carried
-}
-
-/// [`add_dependence_edges`] for the id-typed path: value ids are dense
-/// (`0..n_values`), so the last-writer table is indexed directly
-/// instead of linearly scanned. Seed order, sweep order, and therefore
-/// edge-insertion order are identical to the typed version, which keeps
-/// the two graphs — and the solved bounds — bit-identical.
-fn add_dependence_edges_dense(
-    ids: &[u32],
-    flows: &[FlowMeta<u32>],
-    val_node: &[u32],
-    graph: &mut RatioGraph,
-    last_writer: &mut Vec<DenseWriter>,
-    n_values: usize,
-) -> bool {
+    // Dependence edges: last writer -> consumer, with iteration count 1
+    // for loop-carried (wrapping) dependences. Seed the table with each
+    // value's last writer over the whole block: a forward sweep keeps
+    // overwriting, so the surviving entry is the producer a wrap-around
+    // dependence resolves to.
     last_writer.clear();
     last_writer.resize(
-        n_values,
-        DenseWriter {
+        values.len(),
+        Writer {
             flow_tag: NO_WRITER,
             pnode: 0,
         },
     );
     for (i, f) in flows.iter().enumerate() {
-        for pi in f.produced.iter() {
-            last_writer[ids[pi] as usize] = DenseWriter {
+        for pi in span(f.produced) {
+            last_writer[ids[pi] as usize] = Writer {
                 flow_tag: i as u32 | WRAP,
                 pnode: val_node[pi],
             };
@@ -405,7 +172,9 @@ fn add_dependence_edges_dense(
     }
     let mut any_carried = false;
     for (j, f) in flows.iter().enumerate() {
-        for ci in f.consumed.iter() {
+        for ci in span(f.consumed) {
+            // The most recent writer: this iteration if already seen
+            // (count 0), else the block's last writer (count 1).
             let w = last_writer[ids[ci] as usize];
             if w.flow_tag != NO_WRITER {
                 let count = u32::from(w.flow_tag & WRAP != 0);
@@ -413,64 +182,14 @@ fn add_dependence_edges_dense(
                 graph.add_edge(w.pnode as usize, val_node[ci] as usize, 0.0, count);
             }
         }
-        for pi in f.produced.iter() {
-            last_writer[ids[pi] as usize] = DenseWriter {
+        for pi in span(f.produced) {
+            last_writer[ids[pi] as usize] = Writer {
                 flow_tag: j as u32,
                 pnode: val_node[pi],
             };
         }
     }
-    any_carried
-}
-
-/// Build the dependence graph into the scratch from the annotation's
-/// precomputed dataflow columns (the bound-only hot path: no typed
-/// values, no effects walk — the flow summaries and interned value ids
-/// come straight off the block). Returns `None` when the block has no
-/// flows, otherwise whether any loop-carried edge exists.
-fn build_graph_from_columns(ab: &AnnotatedBlock, s: &mut PrecScratch) -> Option<bool> {
-    let cols = ab.columns();
-    if cols.flows.is_empty() {
-        return None;
-    }
-    let load_lat = f64::from(ab.uarch().config().load_latency);
-    let PrecScratch {
-        flows_id,
-        nodes_id,
-        val_node,
-        graph,
-        last_writer,
-        ..
-    } = s;
-    flows_id.clear();
-    flows_id.extend(cols.flows.iter().map(|f| FlowMeta {
-        index: f.index,
-        consumed: Rng {
-            start: f.consumed.0,
-            end: f.consumed.1,
-        },
-        produced: Rng {
-            start: f.produced.0,
-            end: f.produced.1,
-        },
-        via_load: Rng {
-            start: f.via_load.0,
-            end: f.via_load.1,
-        },
-        cnodes: Rng::default(),
-        pnodes: Rng::default(),
-        latency: f64::from(f.latency),
-        stores_mem: (f.stores_id != facile_isa::cols::NO_VALUE).then_some(f.stores_id),
-    }));
-    build_graph(load_lat, &cols.ids, flows_id, nodes_id, val_node, graph);
-    Some(add_dependence_edges_dense(
-        &cols.ids,
-        flows_id,
-        val_node,
-        graph,
-        last_writer,
-        cols.n_values as usize,
-    ))
+    Some(any_carried)
 }
 
 fn precedence_with(
@@ -478,73 +197,55 @@ fn precedence_with(
     s: &mut PrecScratch,
     want_chain: bool,
 ) -> PrecedenceAnalysis {
-    // Bound-only queries (the batch hot path) build the graph from the
-    // annotation's struct-of-arrays columns and solve it with the
-    // structure-aware SCC solver; chain extraction rebuilds the typed
-    // dataflow (the rendered chain needs the values) and stays on the
-    // full Howard reference, whose critical-cycle choice — including
-    // its rotation — is what the golden reports pin byte-for-byte. The
-    // two paths agree bit-identically on the bound (property-tested).
-    if !want_chain {
-        let bound = match build_graph_from_columns(ab, s) {
-            // No flows, or no loop-carried dependence: intra edges
-            // point consumed -> produced within a flow and count-0
-            // dependence edges point to a strictly later flow, so the
-            // graph is acyclic by construction — no solver call needed.
-            None | Some(false) => 0.0,
-            Some(true) => match solve_value(&s.graph) {
-                Mcr::Acyclic => 0.0,
-                // Cannot occur: every cycle crosses an iteration boundary.
-                Mcr::Unbounded => f64::INFINITY,
-                Mcr::Ratio { value, .. } => value,
-            },
-        };
-        return PrecedenceAnalysis {
-            bound,
-            critical_chain: Vec::new(),
-        };
+    let mut p = PrecedenceAnalysis {
+        bound: 0.0,
+        critical_chain: Vec::new(),
+    };
+    // No flows, or no loop-carried dependence: acyclic by construction,
+    // no solver call needed.
+    if build_graph(ab, s) != Some(true) {
+        return p;
     }
-
-    let PrecScratch {
-        vals,
-        flows,
-        nodes,
-        val_node,
-        graph,
-        writers,
-        ..
-    } = s;
-    build_flows(ab, vals, flows);
-    if flows.is_empty() {
-        return PrecedenceAnalysis {
-            bound: 0.0,
-            critical_chain: Vec::new(),
-        };
-    }
-    let load_lat = f64::from(ab.uarch().config().load_latency);
-    build_graph(load_lat, vals, flows, nodes, val_node, graph);
-    let any_carried = add_dependence_edges(vals, flows, val_node, graph, writers);
-    if !any_carried {
-        return PrecedenceAnalysis {
-            bound: 0.0,
-            critical_chain: Vec::new(),
-        };
-    }
-    match solve_reference(graph) {
-        Mcr::Acyclic => PrecedenceAnalysis {
-            bound: 0.0,
-            critical_chain: Vec::new(),
-        },
-        Mcr::Unbounded => {
-            // Cannot occur: every cycle must cross an iteration boundary.
-            PrecedenceAnalysis {
-                bound: f64::INFINITY,
-                critical_chain: Vec::new(),
+    // Bound-only queries (the batch hot path) use the structure-aware
+    // SCC solver. The chain comes from full-graph Howard, whose
+    // critical-cycle choice — including its rotation — is what the
+    // golden reports pin; the two agree bit-identically on the bound
+    // (property-tested).
+    let mcr = if want_chain {
+        max_cycle_ratio_howard(&s.graph)
+    } else {
+        solve_value(&s.graph)
+    };
+    match mcr {
+        Mcr::Acyclic => {}
+        // Cannot occur: every cycle crosses an iteration boundary.
+        Mcr::Unbounded => p.bound = f64::INFINITY,
+        Mcr::Ratio { value, cycle } => {
+            p.bound = value;
+            if want_chain {
+                p.critical_chain = typed_chain(&cycle, ab.columns(), &s.nodes, &s.graph);
             }
         }
-        Mcr::Ratio { value, cycle } => PrecedenceAnalysis {
-            bound: value,
-            critical_chain: typed_chain(&cycle, nodes, flows, graph),
+    }
+    p
+}
+
+/// The explanation layer's name for a column value (the two enums
+/// carry the same identity).
+fn value_ref(v: ColValue) -> ValueRef {
+    match v {
+        ColValue::Reg(r) => ValueRef::Reg(r),
+        ColValue::Flag(g) => ValueRef::Flag(g),
+        ColValue::Mem {
+            base,
+            index,
+            scale,
+            disp,
+        } => ValueRef::Mem {
+            base,
+            index,
+            scale,
+            disp,
         },
     }
 }
@@ -560,8 +261,8 @@ fn precedence_with(
 /// `Σ latency / #loop-carried` over the chain equals the bound.
 fn typed_chain(
     cycle: &[usize],
-    nodes: &[NodeMeta<Value>],
-    flows: &[FlowMeta<Value>],
+    cols: &BlockColumns,
+    nodes: &[NodeMeta],
     graph: &RatioGraph,
 ) -> Vec<ChainStep> {
     let len = cycle.len();
@@ -571,7 +272,7 @@ fn typed_chain(
     let wanted: FxHashMap<(usize, usize), usize> = (0..len)
         .map(|k| ((cycle[k], cycle[(k + 1) % len]), k))
         .collect();
-    let mut cycle_edges: Vec<Option<&crate::mcr::REdge>> = vec![None; len];
+    let mut cycle_edges: Vec<Option<&REdge>> = vec![None; len];
     for e in graph.edges() {
         if let Some(&k) = wanted.get(&(e.from, e.to)) {
             cycle_edges[k].get_or_insert(e);
@@ -587,29 +288,13 @@ fn typed_chain(
         let intra = edge((k + len - 1) % len);
         let dep = edge(k);
         chain.push(ChainStep {
-            inst: flows[nm.flow as usize].index,
-            value: nm.value,
+            inst: cols.flows[nm.flow as usize].index,
+            value: value_ref(cols.values[nm.value as usize]),
             latency: intra.weight,
             loop_carried: dep.count > 0,
         });
     }
     chain
-}
-
-/// Build the dependence graph only (no MCR solve): a measurement hook
-/// for the perf harness, returning the graph's `(nodes, edges)`. Uses
-/// the column-driven construction — the same one the batch hot path
-/// runs.
-#[doc(hidden)]
-#[must_use]
-pub fn graph_size(ab: &AnnotatedBlock) -> (usize, usize) {
-    PREC_SCRATCH.with(|s| {
-        let sc = &mut *s.borrow_mut();
-        if build_graph_from_columns(ab, sc).is_none() {
-            return (0, 0);
-        }
-        (sc.graph.num_nodes(), sc.graph.num_edges())
-    })
 }
 
 /// The `Precedence` throughput bound with its critical chain.
@@ -646,7 +331,7 @@ mod tests {
     use facile_uarch::Uarch;
     use facile_x86::reg::names::*;
     use facile_x86::reg::Width;
-    use facile_x86::{Block, Mnemonic, Operand, Reg};
+    use facile_x86::{Block, Mem, Mnemonic, Operand, Reg};
 
     fn annotate(prog: &[(Mnemonic, Vec<Operand>)], u: Uarch) -> AnnotatedBlock {
         AnnotatedBlock::new(Block::assemble(prog).unwrap(), u)

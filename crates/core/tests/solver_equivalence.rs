@@ -1,69 +1,36 @@
 //! Equivalence proptests for the structure-aware MCR solver.
 //!
-//! [`solve`]/[`solve_value`] (Tarjan SCC condensation + per-SCC fast
-//! paths + Howard-inside-SCC) must be **bit-identical** in ratio to the
-//! retained full-graph Howard reference ([`solve_reference`]) — on the
-//! dependence graphs of random generated blocks across all nine
-//! microarchitectures, and on adversarial synthetic graphs built to
-//! force every per-SCC strategy, including dense multi-cycle SCCs and
-//! graphs with many separate SCCs. All generated weights are small
-//! integers, so cycle/path sums are exact in `f64` and bit-equality is
-//! the right notion (not epsilon closeness).
+//! [`solve_value`] (Tarjan SCC condensation + per-SCC fast paths +
+//! Howard-inside-SCC) must be **bit-identical** in ratio to full-graph
+//! Howard ([`max_cycle_ratio_howard`]) — on the dependence graphs of
+//! random generated blocks across all nine microarchitectures, and on
+//! adversarial synthetic graphs built to force every per-SCC strategy,
+//! including dense multi-cycle SCCs and graphs with many separate SCCs.
+//! All generated weights are small integers, so cycle/path sums are
+//! exact in `f64` and bit-equality is the right notion (not epsilon
+//! closeness).
 
-use facile_core::mcr::{solve, solve_path_counts, solve_reference, solve_value, Mcr, RatioGraph};
+use facile_core::mcr::{max_cycle_ratio_howard, solve_path_counts, solve_value, Mcr, RatioGraph};
 use facile_core::precedence;
 use facile_isa::AnnotatedBlock;
 use facile_uarch::Uarch;
 use proptest::prelude::*;
 
 fn assert_equivalent(g: &RatioGraph) {
-    let reference = solve_reference(g);
-    for got in [solve(g), solve_value(g)] {
-        match (&got, &reference) {
-            (Mcr::Acyclic, Mcr::Acyclic) | (Mcr::Unbounded, Mcr::Unbounded) => {}
-            (Mcr::Ratio { value, .. }, Mcr::Ratio { value: want, .. }) => {
-                prop_assert_eq!(
-                    value.to_bits(),
-                    want.to_bits(),
-                    "solve {} vs reference {}",
-                    value,
-                    want
-                );
-            }
-            _ => prop_assert!(false, "variant mismatch: {got:?} vs {reference:?}"),
-        }
-    }
-    // The full solver's reported cycle must attain the reported ratio
-    // (possibly a different critical cycle than the reference's).
-    if let Mcr::Ratio { value, cycle } = solve(g) {
-        prop_assert!(!cycle.is_empty());
-        let mut w_sum = 0.0;
-        let mut t_sum = 0u32;
-        for (i, &u) in cycle.iter().enumerate() {
-            let v = cycle[(i + 1) % cycle.len()];
-            let best = g
-                .edges()
-                .iter()
-                .filter(|e| e.from == u && e.to == v)
-                .map(|e| (e.weight, e.count))
-                .max_by(|a, b| {
-                    let ka = a.0 - value * f64::from(a.1);
-                    let kb = b.0 - value * f64::from(b.1);
-                    ka.partial_cmp(&kb).expect("no NaN")
-                });
-            let Some((w, t)) = best else {
-                panic!("cycle edge missing from graph");
-            };
-            w_sum += w;
-            t_sum += t;
-        }
-        if t_sum > 0 {
-            let attained = w_sum / f64::from(t_sum);
-            prop_assert!(
-                attained >= value - 1e-9,
-                "cycle attains {attained}, reported {value}"
+    let reference = max_cycle_ratio_howard(g);
+    let got = solve_value(g);
+    match (&got, &reference) {
+        (Mcr::Acyclic, Mcr::Acyclic) | (Mcr::Unbounded, Mcr::Unbounded) => {}
+        (Mcr::Ratio { value, .. }, Mcr::Ratio { value: want, .. }) => {
+            prop_assert_eq!(
+                value.to_bits(),
+                want.to_bits(),
+                "solve_value {} vs Howard {}",
+                value,
+                want
             );
         }
+        _ => prop_assert!(false, "variant mismatch: {got:?} vs {reference:?}"),
     }
 }
 
@@ -156,7 +123,7 @@ fn any_block() -> impl Strategy<Value = facile_bhive::Bench> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The SCC solver agrees bit-for-bit with the Howard reference on
+    /// The SCC solver agrees bit-for-bit with full-graph Howard on
     /// random counted graphs.
     #[test]
     fn solve_matches_reference_on_random_graphs(g in counted_graph(14, 40)) {
@@ -184,7 +151,7 @@ proptest! {
     /// On real dependence graphs — random generated blocks × all nine
     /// microarchitectures, both notions' block shapes — the bound-only
     /// fast path (`solve_value` behind `precedence_bound`) is
-    /// bit-identical to the chain path (full Howard reference behind
+    /// bit-identical to the chain path (full-graph Howard behind
     /// `precedence`), and the chain-ratio invariant holds.
     #[test]
     fn precedence_bound_matches_reference_across_uarchs(bench in any_block()) {
@@ -233,10 +200,13 @@ fn dense_graph_takes_the_howard_path() {
         g.add_edge(a, b, w, c);
     }
     let before = solve_path_counts().howard;
-    let got = solve(&g);
+    let got = solve_value(&g);
     let after = solve_path_counts().howard;
     assert!(after > before, "expected the Howard-inside-SCC path");
-    assert_eq!(got.value().to_bits(), solve_reference(&g).value().to_bits());
+    assert_eq!(
+        got.value().to_bits(),
+        max_cycle_ratio_howard(&g).value().to_bits()
+    );
 }
 
 /// Multi-SCC shape: each component contributes, the max wins, and the
@@ -250,7 +220,10 @@ fn multi_scc_max_wins() {
     g.add_edge(1, 0, 1.0, 1);
     g.add_edge(1, 2, 9.0, 0); // bridge (no cycle through it)
     g.add_edge(2, 2, 4.0, 1);
-    let got = solve(&g);
+    let got = solve_value(&g);
     assert_eq!(got.value().to_bits(), 6.0f64.to_bits());
-    assert_eq!(got.value().to_bits(), solve_reference(&g).value().to_bits());
+    assert_eq!(
+        got.value().to_bits(),
+        max_cycle_ratio_howard(&g).value().to_bits()
+    );
 }

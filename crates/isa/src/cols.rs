@@ -16,12 +16,13 @@
 //! - [`BlockColumns::ids`]/[`BlockColumns::flows`] — the precedence
 //!   dataflow with every value interned to a dense per-block id, so the
 //!   dependence-graph kernel resolves last writers by direct indexing
-//!   instead of comparing typed values.
+//!   instead of comparing typed values;
+//! - [`BlockColumns::values`] — the value behind each id, so the
+//!   critical chain found on the id-built graph can be named.
 //!
-//! The value interning is bijective with the typed value identity the
-//! chain-extraction path uses, which is what keeps the id-built graph
-//! bit-identical to the reference graph (property-tested in
-//! `facile-core`).
+//! This is the only source of the dependence graph: both the precedence
+//! bound and the critical chain are computed on it (a test-only typed
+//! builder in `facile-core` checks it, `tests/chain_oracle.rs`).
 //!
 //! The module also owns the annotation-pass timing cells ([`set_pass_timing`],
 //! [`annotate_timing`], [`columns_timing`]): annotation runs below the
@@ -43,14 +44,21 @@ pub const NO_VALUE: u32 = u32::MAX;
 /// layer exactly (registers widened to their full architectural
 /// register, memory addressed by base/index/scale/disp), so id equality
 /// coincides with typed-value equality.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ColValue {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColValue {
+    /// A full architectural register.
     Reg(Reg),
+    /// One EFLAGS group (see [`facile_x86::flags`]).
     Flag(u8),
+    /// A memory location, by its address expression (full registers).
     Mem {
+        /// Base register.
         base: Option<Reg>,
+        /// Index register.
         index: Option<Reg>,
+        /// Index scale factor.
         scale: u8,
+        /// Constant displacement.
         disp: i32,
     },
 }
@@ -98,15 +106,15 @@ pub struct BlockColumns {
     /// already filtered out, in dispatch order.
     pub port_uops: Vec<(PortMask, u8)>,
     /// Dense value-id pool of the dataflow columns: ids are
-    /// `0..n_values`, ranges in [`FlowCol`] index into this.
+    /// `0..values.len()`, ranges in [`FlowCol`] index into this.
     pub ids: Vec<u32>,
     /// Per-(non-fused)-instruction dataflow summaries.
     pub flows: Vec<FlowCol>,
-    /// Number of distinct values interned in this block.
-    pub n_values: u32,
+    /// The distinct values of the block, indexed by value id.
+    pub values: Vec<ColValue>,
 }
 
-/// Accounting: the four flat column vectors (their elements are `Copy`
+/// Accounting: the five flat column vectors (their elements are `Copy`
 /// leaves).
 impl facile_util::HeapSize for BlockColumns {
     fn heap_bytes(&self) -> usize {
@@ -114,12 +122,12 @@ impl facile_util::HeapSize for BlockColumns {
             + self.port_uops.capacity() * std::mem::size_of::<(PortMask, u8)>()
             + self.ids.capacity() * std::mem::size_of::<u32>()
             + self.flows.capacity() * std::mem::size_of::<FlowCol>()
+            + self.values.capacity() * std::mem::size_of::<ColValue>()
     }
 }
 
-/// Remove *consecutive* duplicate ids from `ids[start..]`: the same
-/// dedup the typed dataflow builder applies to its value lists, carried
-/// over verbatim (id equality coincides with value equality).
+/// Remove *consecutive* duplicate ids from `ids[start..]` (an
+/// instruction that reads a register twice consumes it once).
 fn dedup_tail(ids: &mut Vec<u32>, start: usize) {
     let mut w = start;
     for r in start..ids.len() {
@@ -151,7 +159,6 @@ impl BlockColumns {
             predec: Vec::with_capacity(insts.len()),
             ..BlockColumns::default()
         };
-        let mut vals: Vec<ColValue> = Vec::new();
         for (index, (a, e)) in insts.iter().zip(effs).enumerate() {
             let inst = a.inst();
             c.predec.push((
@@ -174,22 +181,21 @@ impl BlockColumns {
                 continue; // the pair's dataflow is carried by its head
             }
 
-            // The value sequences below replicate the typed dataflow
-            // builder of the precedence kernel hop for hop: reads, read
-            // flag groups, the loaded value; the load path; writes,
-            // written flag groups, the stored value.
+            // Consumed: reads, read flag groups, the loaded value. The
+            // load path: the loaded value and its address registers.
+            // Produced: writes, written flag groups, the stored value.
             let c_start = c.ids.len();
             for r in &e.reg_reads {
-                let id = intern(&mut vals, ColValue::Reg(r.full()));
+                let id = intern(&mut c.values, ColValue::Reg(r.full()));
                 c.ids.push(id);
             }
             for g in flags::groups(e.flags_read) {
-                let id = intern(&mut vals, ColValue::Flag(g));
+                let id = intern(&mut c.values, ColValue::Flag(g));
                 c.ids.push(id);
             }
             let mv = e.mem.map(mem_value);
             if let (Some(mv), true) = (mv, e.loads) {
-                let id = intern(&mut vals, mv);
+                let id = intern(&mut c.values, mv);
                 c.ids.push(id);
             }
             dedup_tail(&mut c.ids, c_start);
@@ -198,10 +204,10 @@ impl BlockColumns {
             let v_start = c.ids.len();
             if let (Some(m), Some(mv)) = (e.mem, mv) {
                 if e.loads {
-                    let id = intern(&mut vals, mv);
+                    let id = intern(&mut c.values, mv);
                     c.ids.push(id);
                     for r in m.addr_regs() {
-                        let id = intern(&mut vals, ColValue::Reg(r.full()));
+                        let id = intern(&mut c.values, ColValue::Reg(r.full()));
                         c.ids.push(id);
                     }
                 }
@@ -210,16 +216,16 @@ impl BlockColumns {
 
             let p_start = c.ids.len();
             for r in &e.reg_writes {
-                let id = intern(&mut vals, ColValue::Reg(r.full()));
+                let id = intern(&mut c.values, ColValue::Reg(r.full()));
                 c.ids.push(id);
             }
             for g in flags::groups(e.flags_written) {
-                let id = intern(&mut vals, ColValue::Flag(g));
+                let id = intern(&mut c.values, ColValue::Flag(g));
                 c.ids.push(id);
             }
             let mut stores_id = NO_VALUE;
             if let (Some(mv), true) = (mv, e.stores) {
-                let id = intern(&mut vals, mv);
+                let id = intern(&mut c.values, mv);
                 c.ids.push(id);
                 stores_id = id;
             }
@@ -235,7 +241,6 @@ impl BlockColumns {
                 stores_id,
             });
         }
-        c.n_values = vals.len() as u32;
         c
     }
 }
@@ -413,8 +418,8 @@ mod tests {
         let c = ab.columns();
         // dec+jne fuse on SKL: flows for add and the pair head only.
         assert_eq!(c.flows.len(), 2);
-        assert!(c.n_values > 0);
-        assert!(c.ids.iter().all(|&id| id < c.n_values));
+        assert!(!c.values.is_empty());
+        assert!(c.ids.iter().all(|&id| (id as usize) < c.values.len()));
         // add [rsi], rax loads and stores the same memory value.
         let f = &c.flows[0];
         assert_ne!(f.stores_id, NO_VALUE);

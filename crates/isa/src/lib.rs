@@ -38,7 +38,7 @@ pub mod vocab;
 
 pub use annotate::{AnnotatedBlock, AnnotatedInst};
 pub use classify::{describe, describe_fused_pair, macro_fuses};
-pub use cols::{BlockColumns, FlowCol, PassTiming};
+pub use cols::{BlockColumns, ColValue, FlowCol, PassTiming};
 pub use desc::{InstrDesc, Uop, UopKind};
 pub use intern::{
     attach_intern_budget, intern_stats, set_intern_capacity, DescInterner, InternStats,
