@@ -1,5 +1,7 @@
 //! Compare a fresh benchmark result against a committed baseline and
-//! fail (exit 1) on a throughput regression beyond the tolerance.
+//! fail (exit 1) on a regression beyond the tolerance: a throughput
+//! below baseline × (1 − tolerance), or a latency above
+//! baseline × (1 + tolerance).
 //!
 //! ```text
 //! bench_check <baseline.json> <fresh.json> [--max-regression 0.25]
@@ -20,11 +22,12 @@
 //! * `server_round_trip` (`BENCH_server.json`, from `bench_server`):
 //!   the served batch stream, `batch_stream.blocks_per_sec` — a client
 //!   streaming chunked `batch` requests through a live daemon, end to
-//!   end.
+//!   end — and the lone round trip, `round_trip.clients_1.p50_us`, a
+//!   ceiling: one client's single-block `predict` latency.
 //!
 //! Used by CI: each committed file is copied aside, its benchmark
 //! re-runs, and this gate rejects the build if any gated configuration
-//! dropped by more than 25%.
+//! regressed by more than 25%.
 
 use std::process::ExitCode;
 
@@ -88,14 +91,19 @@ fn run() -> Result<(), String> {
     let server = name == Some("server_round_trip");
     // Gated configurations: (label, json section, key, required).
     // `multi_uarch` and `full_detail` are optional so the gate still
-    // works against baselines committed before they existed.
+    // works against baselines committed before they existed. Keys
+    // ending in `_us` are latencies (lower is better); the rest are
+    // throughputs in blocks/s.
     let gates: &[(&str, &str, &str, bool)] = if server {
-        &[(
-            "served batch stream",
-            "batch_stream",
-            "blocks_per_sec",
-            true,
-        )]
+        &[
+            (
+                "served batch stream",
+                "batch_stream",
+                "blocks_per_sec",
+                true,
+            ),
+            ("lone round trip p50", "clients_1", "p50_us", true),
+        ]
     } else {
         &[
             (
@@ -141,11 +149,26 @@ fn run() -> Result<(), String> {
         };
         let fresh_v = field(&fresh, section, key)
             .ok_or_else(|| format!("field {section}.{key} not found in fresh result"))?;
+        let tolerance = max_regression * 100.0;
+        if key.ends_with("_us") {
+            let ceiling = base * (1.0 + max_regression);
+            println!(
+                "{label}: baseline {base:.1} us, fresh {fresh_v:.1} us \
+                 (ceiling {ceiling:.1}, tolerance {tolerance:.0}%)"
+            );
+            if fresh_v > ceiling {
+                return Err(format!(
+                    "{label} latency regression: {fresh_v:.1} > {ceiling:.1} us \
+                     ({:.1}% above the committed baseline)",
+                    (fresh_v / base - 1.0) * 100.0
+                ));
+            }
+            continue;
+        }
         let floor = base * (1.0 - max_regression);
         println!(
             "{label}: baseline {base:.0} blocks/s, fresh {fresh_v:.0} blocks/s \
-             (floor {floor:.0}, tolerance {:.0}%)",
-            max_regression * 100.0
+             (floor {floor:.0}, tolerance {tolerance:.0}%)"
         );
         if fresh_v < floor {
             return Err(format!(

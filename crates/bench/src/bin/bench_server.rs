@@ -6,11 +6,13 @@
 //!
 //! * **round_trip** — single-block requests over TCP against the
 //!   default server configuration, for 1 client and for 8 concurrent
-//!   clients: p50/p99 round-trip latency and served blocks/second.
-//!   With one client every request pays the full micro-batch gather
-//!   window; with eight, concurrent requests share gathered batches,
-//!   so per-client latency holds roughly constant while aggregate
-//!   throughput scales — that asymmetry *is* the design working.
+//!   clients: p50/p99 round-trip latency and served blocks/second, from
+//!   the pass with the lowest p50 of 5.
+//!   With one client every request finds the queue idle, so its own
+//!   connection thread runs the engine batch at once; with eight,
+//!   requests that arrive while a round runs share the next round's
+//!   batch, so aggregate throughput scales. CI gates the one-client
+//!   p50 (a ceiling) with `bench_check` against the committed file.
 //! * **batch_stream** — the whole suite streamed as `batch` requests of
 //!   up to 1024 blocks through one connection (how `facile client
 //!   --batch` drives the daemon): served blocks/second end to end, from
@@ -62,9 +64,12 @@ impl Client {
         Client { tx, rx }
     }
 
-    /// One request line out, one reply line in; panics on `ok:false`.
+    /// One request line out (one `write`, as `facile client` sends
+    /// it), one reply line in; panics on `ok:false`.
     fn round_trip(&mut self, req: &str) -> String {
-        writeln!(self.tx, "{req}").expect("request writes");
+        self.tx
+            .write_all(format!("{req}\n").as_bytes())
+            .expect("request writes");
         let mut line = String::new();
         self.rx.read_line(&mut line).expect("reply arrives");
         assert!(line.contains("\"ok\":true"), "server error: {line}");
@@ -314,10 +319,19 @@ fn main() {
     // first-touch annotation.
     measure_batch_stream(addr, &hexes, 1024);
 
+    // One round-trip pass of the default suite lasts tens of
+    // milliseconds, so its p50 follows the host's load of the moment:
+    // keep the pass with the lowest p50 of several.
+    let best_round_trips = |clients| {
+        (0..5)
+            .map(|_| measure_round_trips(addr, &hexes, clients))
+            .reduce(|a, b| if b.0.p50_us < a.0.p50_us { b } else { a })
+            .expect("five passes")
+    };
     eprintln!("bench_server: round trips, 1 client");
-    let (p1, bps1) = measure_round_trips(addr, &hexes, 1);
+    let (p1, bps1) = best_round_trips(1);
     eprintln!("bench_server: round trips, 8 clients");
-    let (p8, bps8) = measure_round_trips(addr, &hexes, 8);
+    let (p8, bps8) = best_round_trips(8);
     eprintln!("bench_server: batch stream");
     // A pass of the default suite lasts a few milliseconds, so one pass
     // is at the mercy of the scheduler: take the best of several.
@@ -361,7 +375,7 @@ fn main() {
     };
     let json = format!(
         "{{\n  \"benchmark\": \"server_round_trip\",\n  \"blocks\": {},\n  \
-         \"seed\": {},\n  \"host_cpus\": {},\n  \"gather_window_us\": 500,\n  \
+         \"seed\": {},\n  \"host_cpus\": {},\n  \
          \"round_trip\": {{\n    \
          \"clients_1\": {{ \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"blocks_per_sec\": {:.1} }},\n    \
          \"clients_8\": {{ \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"blocks_per_sec\": {:.1} }}\n  }},\n  \

@@ -417,11 +417,13 @@ impl<'a> Client<'a> {
     fn call(&mut self, body: &str) -> Result<(String, Value), ClientError> {
         self.seq += 1;
         let id = (self.o.retries > 0).then(|| format!("q{}", self.seq));
+        // The request line with its newline, so it goes out in one write
+        // (with `TCP_NODELAY`, two writes would be two segments).
         let req = match &id {
             // Every request body is a JSON object; splice the id in
             // before the closing brace.
-            Some(i) => format!("{},\"id\":\"{i}\"}}", &body[..body.len() - 1]),
-            None => body.to_string(),
+            Some(i) => format!("{},\"id\":\"{i}\"}}\n", &body[..body.len() - 1]),
+            None => format!("{body}\n"),
         };
         let mut attempt = 0u32;
         loop {
@@ -450,7 +452,6 @@ impl<'a> Client<'a> {
             conn.tx
                 .write_all(req.as_bytes())
                 .map_err(|e| e.to_string())?;
-            conn.tx.write_all(b"\n").map_err(|e| e.to_string())?;
             conn.tx.flush().map_err(|e| e.to_string())?;
             let mut reply = String::new();
             let n = conn.rx.read_line(&mut reply).map_err(|e| e.to_string())?;

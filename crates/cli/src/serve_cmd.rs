@@ -9,7 +9,6 @@
 use facile_server::{Endpoint, Server, ServerConfig};
 use std::io::Write;
 use std::process::ExitCode;
-use std::time::Duration;
 
 const USAGE: &str = "\
 facile serve — prediction-as-a-service daemon
@@ -51,10 +50,8 @@ OPTIONS:
     --breaker-cooldown <N>    requests a tripped breaker fails fast
                               before probing the tool again (default 32;
                               doubles on consecutive trips)
-    --gather-us <N>           micro-batch gather window in microseconds
-                              (default 500)
-    --max-batch <N>           largest gathered engine batch, in items
-                              (default 8192)
+    --max-batch <N>           largest engine batch one round takes from
+                              the queue, in items (default 8192)
     --faults <SPEC>           arm deterministic fault injection (chaos
                               testing; also read from the FACILE_FAULTS
                               env var). Ignored with a warning unless
@@ -72,7 +69,6 @@ fn parse(args: Vec<String>) -> Result<Option<ServerConfig>, String> {
     let mut cfg_threads = 0usize;
     let mut predictors = String::from("facile");
     let mut queue_cap = 65_536usize;
-    let mut gather_us = 500u64;
     let mut max_batch = 8_192usize;
     let mut faults = None;
     let mut ext_config = None;
@@ -103,11 +99,6 @@ fn parse(args: Vec<String>) -> Result<Option<ServerConfig>, String> {
                 queue_cap = val("--queue-cap")?
                     .parse()
                     .map_err(|_| "numeric --queue-cap".to_string())?;
-            }
-            "--gather-us" => {
-                gather_us = val("--gather-us")?
-                    .parse()
-                    .map_err(|_| "numeric --gather-us".to_string())?;
             }
             "--max-batch" => {
                 max_batch = val("--max-batch")?
@@ -163,7 +154,6 @@ fn parse(args: Vec<String>) -> Result<Option<ServerConfig>, String> {
     cfg.threads = cfg_threads;
     cfg.predictors = predictors;
     cfg.queue_cap = queue_cap;
-    cfg.gather_window = Duration::from_micros(gather_us);
     cfg.max_batch_items = max_batch;
     cfg.faults = faults;
     cfg.cache_budget = cache_budget_mb.map(facile_engine::CacheBudget::from_total_mb);

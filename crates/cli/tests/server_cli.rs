@@ -242,13 +242,16 @@ fn batch_flag_lookahead_and_usage_errors() {
     );
 
     // An unknown flag is a usage error: exit 2, usage on stderr. The
-    // removed `serve` snapshot flag is one, so a deployment still
-    // passing it fails loudly instead of starting. (It is spelled in
-    // pieces so that searching the tree for the flag finds no live use.)
+    // removed `serve` snapshot and gather-window flags are ones, so a
+    // deployment still passing them fails loudly instead of starting.
+    // (They are spelled in pieces so that searching the tree for the
+    // flags finds no live use.)
     let removed = concat!("--", "snapshot");
+    let gather = concat!("--", "gather-us");
     for (args, flag) in [
         (&["client", "--socket", "x", "--bogus"][..], "--bogus"),
         (&["serve", removed, "F"][..], removed),
+        (&["serve", gather, "500"][..], gather),
     ] {
         let out = run_facile_raw(args, "");
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");

@@ -8,7 +8,8 @@
 //!
 //! * **Cross-connection batching.** Requests from concurrent
 //!   connections gather into shared engine batches (a thread per
-//!   connection feeds a micro-batching queue), so the batch planner's
+//!   connection; the one that finds the queue idle runs the round, and
+//!   requests that arrive meanwhile form the next), so the batch planner's
 //!   dedup stage and the two-level annotation cache work *across*
 //!   clients exactly as they work across lines of a CLI batch. See
 //!   [`server`].
@@ -23,7 +24,7 @@
 //! A third property — **fault containment** — is layered across all of
 //! the above: per-item panics become `internal-panic` error rows (the
 //! engine's `catch_unwind` isolation), every shared lock recovers from
-//! poisoning, a supervisor restarts a dead batcher thread, and the
+//! poisoning, a panicking batch round fails only its own requests, and the
 //! whole path can be exercised deterministically via the re-exported
 //! [`faults`] crate (compiled in only with the `fault-injection`
 //! feature).

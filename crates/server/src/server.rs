@@ -1,29 +1,33 @@
-//! The daemon: listeners, connection threads, and the micro-batcher.
+//! The daemon: listeners, connection threads, and leader-run batching.
 //!
 //! ```text
-//!  conn thread ──┐  enqueue(Job)                 ┌── reply channel ──┐
-//!  conn thread ──┼──► bounded queue ──► batcher ─┤                   ├─► reply line
-//!  conn thread ──┘   (admission)       thread    └── rows slice  ────┘
+//!  conn thread ──┐  enqueue(Job)     ┌─ leader (the conn thread that found
+//!  conn thread ──┼──► bounded queue ─┤  no round running) runs one engine
+//!  conn thread ──┘   (admission)     └─ batch, replies, hands off the lead
 //! ```
 //!
 //! Each connection is served by one thread that reads a request line,
-//! enqueues the work, blocks on its private reply channel, and writes
+//! enqueues the work, waits on its private reply channel, and writes
 //! the reply — so per-connection reply order is trivially request
-//! order. Parallelism comes from the *batcher*: it dequeues the first
-//! waiting job, then gathers everything else that arrives within a
-//! short window into one engine batch. Concurrent requests from
-//! different connections therefore reach `Engine::run_batch` as one
-//! plan, where the planner's dedup stage collapses identical
-//! `(block, uarch, mode, detail)` items *across connections* and the
-//! two-level annotation cache serves repeats — the same machinery, and
-//! the same rows, as the CLI's batch mode.
+//! order. There is no batcher thread: the connection thread that
+//! enqueues into an idle queue becomes the *leader* and runs the round
+//! itself, so a lone request is dispatched at once with no hand-off.
+//! Requests that arrive while a round runs queue up; when the round
+//! ends, the leader passes leadership to the first queued job's thread,
+//! which takes everything queued as the next round (group commit).
+//! Concurrent requests from different connections therefore reach
+//! `Engine::run_batch` as one plan, where the planner's dedup stage
+//! collapses identical `(block, uarch, mode, detail)` items *across
+//! connections* and the two-level annotation cache serves repeats — the
+//! same machinery, and the same rows, as the CLI's batch mode.
 //!
 //! Admission control is a bounded count of queued-plus-in-flight items:
 //! a request that would exceed it is rejected immediately with an
 //! `overloaded` error rather than queued behind an unbounded backlog.
 //! A request may carry a deadline; if it is still queued when its
-//! deadline passes, the batcher drops it with `deadline-exceeded`
-//! instead of spending engine time on an answer nobody is waiting for.
+//! deadline passes, the round that dequeues it drops it with
+//! `deadline-exceeded` instead of spending engine time on an answer
+//! nobody is waiting for.
 //!
 //! Shutdown ([`Server::stop`], or a signal via [`sig`]) is a drain, not
 //! an abort: listeners stop accepting, idle connections close, admitted
@@ -35,7 +39,7 @@ use facile_engine::{
     panic_payload, BatchItem, BreakerSpec, CacheBudget, Engine, ExternalPredictor, ExternalSpec,
     ItemResult, Predictor,
 };
-use facile_util::{recover, GlobalBudget, PoisonlessMutex};
+use facile_util::{GlobalBudget, PoisonlessMutex};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -45,7 +49,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How often idle server threads wake to check for a drain: the
@@ -74,9 +78,8 @@ pub struct ServerConfig {
     pub predictors: String,
     /// Admission bound: queued + in-flight batch items.
     pub queue_cap: usize,
-    /// How long the batcher waits for more work after the first job.
-    pub gather_window: Duration,
-    /// Largest number of items gathered into one engine batch.
+    /// Largest number of items one leader round takes into its engine
+    /// batch (the first queued job is always taken whole).
     pub max_batch_items: usize,
     /// Longest accepted request line, in bytes.
     pub max_line_bytes: usize,
@@ -111,7 +114,6 @@ impl ServerConfig {
             threads: 0,
             predictors: "facile".to_string(),
             queue_cap: 65_536,
-            gather_window: Duration::from_micros(500),
             max_batch_items: 8_192,
             max_line_bytes: 1 << 20,
             faults: None,
@@ -133,7 +135,7 @@ pub struct ServerCounters {
     pub requests: AtomicU64,
     /// Prediction rows served.
     pub rows: AtomicU64,
-    /// Engine batches dispatched by the batcher.
+    /// Engine batches dispatched by leader rounds.
     pub batches: AtomicU64,
     /// Items across those batches (≥ jobs; cross-connection gathering
     /// makes this exceed per-request item counts).
@@ -145,7 +147,8 @@ pub struct ServerCounters {
     /// Lines rejected before reaching the engine (`bad-json`,
     /// `bad-request`, `line-too-long`).
     pub protocol_errors: AtomicU64,
-    /// Times the supervisor restarted a dead batcher thread.
+    /// Leader rounds that panicked outside the engine's per-item and
+    /// per-batch containment; their requests were answered `internal`.
     pub batcher_restarts: AtomicU64,
     /// Requests rejected by per-connection limits (item cap or rate).
     pub rejected_conn_limit: AtomicU64,
@@ -191,7 +194,7 @@ struct Job {
     reply: mpsc::Sender<JobReply>,
 }
 
-/// What the batcher sends back to a connection thread.
+/// What a leader round sends to a waiting connection thread.
 enum JobReply {
     /// This job's slice of the batch rows, in item order.
     Rows(Vec<ItemResult>),
@@ -202,22 +205,30 @@ enum JobReply {
         /// Human-readable detail.
         message: String,
     },
+    /// This job is first in the queue and the round before it has
+    /// ended: its thread now leads the next round.
+    Lead,
+}
+
+/// The waiting jobs and the leadership flag, under one lock, so a job
+/// is never pushed just after the leader found the queue empty.
+#[derive(Default)]
+struct Queue {
+    jobs: Vec<Job>,
+    /// A connection thread is running a round, or a [`JobReply::Lead`]
+    /// is on its way to the next one. Clear only while `jobs` is empty.
+    leading: bool,
 }
 
 struct Shared {
     engine: Engine,
     cfg: ServerConfig,
-    queue: PoisonlessMutex<Vec<Job>>,
-    queue_cv: Condvar,
+    queue: PoisonlessMutex<Queue>,
     /// Queued + in-flight items (admission control). Incremented at
     /// admission, decremented when the job's reply is sent.
     pending_items: AtomicUsize,
     /// Set once: stop accepting, drain, exit.
     draining: AtomicBool,
-    /// Set only after every connection thread has joined, so the
-    /// batcher cannot exit between a connection's admission check and
-    /// its enqueue (which would strand the job and deadlock the drain).
-    batcher_stop: AtomicBool,
     counters: ServerCounters,
     /// The global cache budget (when `cfg.cache_budget` is set).
     budget: Option<Arc<GlobalBudget>>,
@@ -482,12 +493,11 @@ pub struct Server {
     shared: Arc<Shared>,
     bound: BoundAddr,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    batcher: Option<std::thread::JoinHandle<()>>,
     conns: Arc<PoisonlessMutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
 impl Server {
-    /// Bind the endpoint and start the acceptor and batcher threads.
+    /// Bind the endpoint and start the acceptor thread.
     ///
     /// # Errors
     /// Arming a malformed fault spec, binding the endpoint, or spawning
@@ -561,11 +571,9 @@ impl Server {
         let shared = Arc::new(Shared {
             engine,
             cfg,
-            queue: PoisonlessMutex::new(Vec::new()),
-            queue_cv: Condvar::new(),
+            queue: PoisonlessMutex::new(Queue::default()),
             pending_items: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
-            batcher_stop: AtomicBool::new(false),
             counters: ServerCounters::default(),
             budget,
             externals,
@@ -573,12 +581,6 @@ impl Server {
         });
         let conns: Arc<PoisonlessMutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
 
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("facile-batcher".into())
-                .spawn(move || batcher_supervisor(&shared))?
-        };
         let acceptor = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
@@ -590,7 +592,6 @@ impl Server {
             shared,
             bound,
             acceptor: Some(acceptor),
-            batcher: Some(batcher),
             conns,
         })
     }
@@ -620,22 +621,16 @@ impl Server {
     /// finish, join every thread, and remove a Unix socket file.
     pub fn stop(mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
         // Acceptor is down: the connection list is final. Connection
         // threads see `draining` via their read timeouts and exit after
-        // finishing the request they are on.
+        // finishing the request they are on; a queued job is answered
+        // before its thread returns, so the queue is empty once they
+        // have all joined.
         let handles = std::mem::take(&mut *self.conns.lock());
         for h in handles {
-            let _ = h.join();
-        }
-        // No producer is left; the batcher may now finish the queue and
-        // exit.
-        self.shared.batcher_stop.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
-        if let Some(h) = self.batcher.take() {
             let _ = h.join();
         }
         #[cfg(unix)]
@@ -771,13 +766,13 @@ fn connection_loop(stream: Stream, shared: &Arc<Shared>) {
                     "line-too-long",
                     &format!("request line exceeds {} bytes", shared.cfg.max_line_bytes),
                 );
-                if write_line(&mut stream, &reply).is_err() {
+                if write_line(&mut stream, reply).is_err() {
                     break 'conn;
                 }
                 continue;
             }
             let reply = handle_line(line, shared, &mut conn);
-            if write_line(&mut stream, &reply).is_err() {
+            if write_line(&mut stream, reply).is_err() {
                 break 'conn;
             }
         }
@@ -799,7 +794,7 @@ fn connection_loop(stream: Stream, shared: &Arc<Shared>) {
                 "line-too-long",
                 &format!("request line exceeds {} bytes", shared.cfg.max_line_bytes),
             );
-            let _ = write_line(&mut stream, &reply);
+            let _ = write_line(&mut stream, reply);
             break;
         }
         match stream.read(&mut chunk) {
@@ -817,9 +812,11 @@ fn connection_loop(stream: Stream, shared: &Arc<Shared>) {
     }
 }
 
-fn write_line(stream: &mut Stream, line: &str) -> std::io::Result<()> {
+/// Write `line` and its newline with one `write`: with `TCP_NODELAY`,
+/// two writes would go out as two segments.
+fn write_line(stream: &mut Stream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
     stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
     stream.flush()
 }
 
@@ -946,33 +943,43 @@ fn handle_line(line: &str, shared: &Arc<Shared>, conn: &mut ConnState) -> String
                 .deadline_ms
                 .map(|ms| Instant::now() + Duration::from_millis(ms));
             let (tx, rx) = mpsc::channel();
-            {
+            let job = Job {
+                items: work.items,
+                selector,
+                deadline,
+                reply: tx,
+            };
+            let lead = {
                 let mut q = shared.queue.lock();
-                q.push(Job {
-                    items: work.items,
-                    selector,
-                    deadline,
-                    reply: tx,
-                });
+                q.jobs.push(job);
+                !std::mem::replace(&mut q.leading, true)
+            };
+            if lead {
+                lead_round(shared);
             }
-            shared.queue_cv.notify_one();
-            let reply = match rx.recv() {
-                Ok(JobReply::Rows(rows)) => {
-                    shared
-                        .counters
-                        .rows
-                        .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                    protocol::rows_reply(id, &rows, work.render, work.explain)
+            let reply = loop {
+                match rx.recv() {
+                    Ok(JobReply::Lead) => lead_round(shared),
+                    Ok(JobReply::Rows(rows)) => {
+                        shared
+                            .counters
+                            .rows
+                            .fetch_add(rows.len() as u64, Ordering::Relaxed);
+                        break protocol::rows_reply(id, &rows, work.render, work.explain);
+                    }
+                    Ok(JobReply::Err { code, message }) => {
+                        break protocol::error_reply(id, code, &message)
+                    }
+                    // A round panicked holding this job (its reply
+                    // sender was dropped by the unwind).
+                    Err(_) => {
+                        break protocol::error_reply(
+                            id,
+                            "internal",
+                            "batcher restarted while the request was in flight",
+                        )
+                    }
                 }
-                Ok(JobReply::Err { code, message }) => protocol::error_reply(id, code, &message),
-                // The batcher died holding this job (its reply sender
-                // was dropped by the unwind); the supervisor restarts
-                // the batcher, but this request is lost.
-                Err(_) => protocol::error_reply(
-                    id,
-                    "internal",
-                    "batcher restarted while the request was in flight",
-                ),
             };
             shared.pending_items.fetch_sub(n, Ordering::SeqCst);
             reply
@@ -980,81 +987,58 @@ fn handle_line(line: &str, shared: &Arc<Shared>, conn: &mut ConnState) -> String
     }
 }
 
-/// The batcher's supervisor: runs [`batcher_loop`] and, if it panics
-/// (it should not — the engine contains per-item panics — but a bug in
-/// the gather/dispatch plumbing itself could), fails the requests the
-/// dead incarnation left behind and starts a fresh one. The thread named
-/// `facile-batcher` therefore only ever exits on a clean drain.
-fn batcher_supervisor(shared: &Arc<Shared>) {
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| batcher_loop(shared))) {
-            Ok(()) => return, // clean drain
-            Err(_) => {
-                shared
-                    .counters
-                    .batcher_restarts
-                    .fetch_add(1, Ordering::Relaxed);
-                // Jobs the dead batcher had already dequeued lost their
-                // reply senders in the unwind; their connection threads
-                // observe the closed channel and answer `internal`. Jobs
-                // still queued are failed explicitly here rather than
-                // silently carried over, so a request never outlives the
-                // batcher incarnation that admitted it.
-                let stranded = std::mem::take(&mut *shared.queue.lock());
-                for job in stranded {
-                    let _ = job.reply.send(JobReply::Err {
-                        code: "internal",
-                        message: "batcher restarted while the request was queued".to_string(),
-                    });
-                }
-                eprintln!("facile-serve: batcher thread panicked; restarting it");
+/// Leadership held by the current thread; dropping it hands the lead
+/// to the first queued job's thread, or clears the flag when none wait.
+struct Leadership<'a>(&'a Shared);
+
+impl Drop for Leadership<'_> {
+    fn drop(&mut self) {
+        let mut q = self.0.queue.lock();
+        match q.jobs.first() {
+            // A queued job's thread waits on its reply channel until the
+            // job is answered, so the lead always reaches a live thread.
+            Some(job) => {
+                let _ = job.reply.send(JobReply::Lead);
             }
+            None => q.leading = false,
         }
     }
 }
 
-/// The micro-batching loop: gather concurrently queued jobs into one
-/// engine batch per predictor selector.
-fn batcher_loop(shared: &Arc<Shared>) {
-    loop {
-        // Wait for work (or a drain).
-        let mut jobs: Vec<Job> = {
-            let mut q = shared.queue.lock();
-            loop {
-                if !q.is_empty() {
-                    break std::mem::take(&mut *q);
-                }
-                if shared.batcher_stop.load(Ordering::SeqCst) {
-                    return; // queue empty + producers joined = done
-                }
-                let (guard, _) =
-                    recover(shared.queue_cv.wait_timeout(q, Duration::from_millis(50)));
-                q = guard;
-            }
-        };
-        // Fault injection: the batcher dies between dequeue and dispatch
-        // (the worst moment — it holds jobs), exercising the supervisor.
+/// Lead one round: take the queued jobs, up to `max_batch_items` (the
+/// first whole), dispatch them, then hand the lead on. A panic in the
+/// dispatch plumbing (the engine contains per-item and per-batch panics,
+/// so this should not happen) fails this round's jobs with `internal`
+/// and leaves the server serving.
+fn lead_round(shared: &Arc<Shared>) {
+    let _lead = Leadership(shared);
+    let jobs: Vec<Job> = {
+        let mut q = shared.queue.lock();
+        let mut items = 0;
+        let n = q
+            .jobs
+            .iter()
+            .take_while(|j| {
+                let room = items < shared.cfg.max_batch_items;
+                items += j.items.len();
+                room
+            })
+            .count()
+            .max(1);
+        q.jobs.drain(..n).collect()
+    };
+    let round = catch_unwind(AssertUnwindSafe(|| {
+        // Fault injection: the leader dies between dequeue and dispatch,
+        // the worst moment, since it holds every job of the round.
         facile_faults::maybe_panic_seq(facile_faults::Point::BatcherPanic);
-        // Gather: let closely-following jobs join this batch, up to the
-        // window or the size cap.
-        let window_ends = Instant::now() + shared.cfg.gather_window;
-        loop {
-            let gathered: usize = jobs.iter().map(|j| j.items.len()).sum();
-            if gathered >= shared.cfg.max_batch_items {
-                break;
-            }
-            let now = Instant::now();
-            if now >= window_ends {
-                break;
-            }
-            let mut q = shared.queue.lock();
-            if q.is_empty() {
-                let (guard, _) = recover(shared.queue_cv.wait_timeout(q, window_ends - now));
-                q = guard;
-            }
-            jobs.append(&mut q);
-        }
         run_gathered(shared, jobs);
+    }));
+    if round.is_err() {
+        shared
+            .counters
+            .batcher_restarts
+            .fetch_add(1, Ordering::Relaxed);
+        eprintln!("facile-serve: a batch round panicked; its requests were answered `internal`");
     }
 }
 
@@ -1097,9 +1081,9 @@ fn run_gathered(shared: &Arc<Shared>, jobs: Vec<Job>) {
             .fetch_add(items.len() as u64, Ordering::Relaxed);
         // The engine already contains per-item panics; this guard covers
         // the planner/fan-out plumbing around them, converting a batch-
-        // level panic into `internal-panic` replies instead of a dead
-        // batcher (the supervisor would catch that too, but the jobs in
-        // *other* selector groups of this gather deserve their answers).
+        // level panic into `internal-panic` replies for this group only:
+        // the jobs in *other* selector groups of the round still get
+        // their answers.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             shared.engine.predict_batch(&items, &selector)
         }));
@@ -1210,6 +1194,29 @@ mod tests {
         // last connection and perhaps the one before it are still held.
         let held = server.conns.lock().len();
         assert!(held <= 2, "{held} connection handles retained");
+        server.stop();
+    }
+
+    #[test]
+    fn a_zero_batch_cap_still_serves_each_request() {
+        let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
+        cfg.threads = 1;
+        cfg.max_batch_items = 0;
+        let server = Server::start(cfg).expect("server starts");
+        let BoundAddr::Tcp(addr) = *server.bound() else {
+            panic!("expected a TCP address");
+        };
+        let mut tx = TcpStream::connect(addr).expect("connects");
+        // A round that takes no job would hand the lead to itself forever.
+        tx.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        tx.write_all(b"{\"op\":\"predict\",\"block\":\"90\"}\n")
+            .expect("request writes");
+        let mut reply = String::new();
+        BufReader::new(&tx)
+            .read_line(&mut reply)
+            .expect("reply arrives");
+        assert!(reply.starts_with("{\"ok\":true,\"rows\""), "{reply}");
         server.stop();
     }
 }

@@ -1,7 +1,7 @@
 //! Chaos suite: deterministic fault injection (`facile-faults`, compiled
 //! in via the `fault-injection` dev-dependency feature) driving the
 //! server's containment layers. Under injected predictor panics, slow
-//! predictions, dropped connections, and a panicking batcher thread, the
+//! predictions, dropped connections, and a panicking batch round, the
 //! invariants are:
 //!
 //! * every request gets **exactly one** reply;
@@ -39,7 +39,6 @@ fn gate() -> MutexGuard<'static, ()> {
 fn start(cfg_tweak: impl FnOnce(&mut ServerConfig)) -> Server {
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
     cfg.threads = 2;
-    cfg.gather_window = Duration::from_micros(200);
     cfg_tweak(&mut cfg);
     Server::start(cfg).expect("server starts")
 }
@@ -329,5 +328,96 @@ fn batcher_panics_are_supervised_and_restarted() {
         ));
         assert!(line.contains(r#""ok":true"#), "{line}");
     }
+    server.stop();
+}
+
+/// Leadership hand-off: while one connection's slowed round holds the
+/// lead, `K` other connections each send a `predict`. They queue, and
+/// when the slow round ends its leader hands the lead to the first of
+/// them, which serves all `K` in one round: each gets exactly one reply,
+/// byte-identical to a fault-free run, and `batches` grows by exactly 2.
+/// A request sent afterwards is served at once, so the lead was released
+/// rather than stranded.
+#[test]
+fn a_slow_round_hands_the_lead_to_one_gathered_round() {
+    const K: usize = 4;
+    const SLOW_MS: u64 = 600;
+    let _g = gate();
+    let call = |addr, line: &str| {
+        let mut client = Resilient {
+            addr,
+            conn: None,
+            reconnects: 0,
+        };
+        client.call(line)
+    };
+    let request = |k: usize| {
+        let block = BLOCKS[k % BLOCKS.len()];
+        format!(r#"{{"op":"predict","block":"{block}","id":"{k}"}}"#)
+    };
+    let clean: Vec<String> = {
+        let server = start(|_| {});
+        let replies = (0..K)
+            .map(|k| call(tcp_addr(&server), &request(k)))
+            .collect();
+        server.stop();
+        replies
+    };
+
+    faults::configure(&format!("seed=3,slow-predict=1.0,slow-ms={SLOW_MS}")).expect("spec parses");
+    // A queue cap of 100 makes the `health` pressure count pending items.
+    let server = start(|cfg| cfg.queue_cap = 100);
+    let addr = tcp_addr(&server);
+    let batches = || server.counters().batches.load(Ordering::Relaxed);
+    let slow =
+        std::thread::spawn(move || call(addr, r#"{"op":"predict","block":"4801c8","id":"slow"}"#));
+    while batches() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let queued: Vec<_> = (0..K)
+        .map(|k| {
+            let line = request(k);
+            std::thread::spawn(move || call(addr, &line))
+        })
+        .collect();
+    // Once all K are admitted behind the slow round, clear the fault so
+    // the gathered round runs at normal speed.
+    let mut health = Resilient {
+        addr,
+        conn: None,
+        reconnects: 0,
+    };
+    let all_pending = format!(r#""pressure":{:.2}"#, (K + 1) as f64 / 100.0);
+    while !health.call(r#"{"op":"health"}"#).contains(&all_pending) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    faults::clear();
+
+    let slow_reply = slow.join().expect("slow client");
+    assert!(
+        slow_reply.starts_with(r#"{"id":"slow","ok":true"#),
+        "{slow_reply}"
+    );
+    for (k, h) in queued.into_iter().enumerate() {
+        assert_eq!(h.join().expect("queued client"), clean[k], "request {k}");
+    }
+    assert_eq!(batches(), 2, "the slow round plus one gathered round");
+
+    let mut tx = TcpStream::connect(addr).expect("connects");
+    tx.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut rx = BufReader::new(tx.try_clone().expect("clones"));
+    let sent = std::time::Instant::now();
+    writeln!(tx, "{}", request(0)).expect("writes");
+    let mut line = String::new();
+    rx.read_line(&mut line).expect("reply arrives");
+    let waited = sent.elapsed();
+    assert_eq!(line.trim_end(), clean[0]);
+    assert!(
+        waited < Duration::from_millis(SLOW_MS),
+        "a request after the hand-off waited {waited:?}"
+    );
+    assert_eq!(batches(), 3);
+    drop((tx, rx));
     server.stop();
 }

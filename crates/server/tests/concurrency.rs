@@ -10,10 +10,9 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-fn start(gather: Duration) -> Server {
+fn start() -> Server {
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
     cfg.threads = 2;
-    cfg.gather_window = gather;
     Server::start(cfg).expect("server starts")
 }
 
@@ -45,9 +44,8 @@ fn planner_deduped(addr: std::net::SocketAddr) -> u64 {
 fn no_lost_or_duplicated_replies_and_order_is_preserved() {
     const CLIENTS: usize = 8;
     const REQUESTS: usize = 25;
-    // A short gather window keeps this test fast; correctness must not
-    // depend on how requests happen to be batched.
-    let server = start(Duration::from_micros(200));
+    // Correctness must not depend on how requests happen to be batched.
+    let server = start();
     let addr = tcp_addr(&server);
 
     let barrier = Arc::new(Barrier::new(CLIENTS));
@@ -114,11 +112,29 @@ fn no_lost_or_duplicated_replies_and_order_is_preserved() {
 #[test]
 fn concurrent_connections_share_batches_and_dedup() {
     const CLIENTS: usize = 6;
-    // A wide gather window so simultaneous single-item requests from
-    // different connections land in one engine batch.
-    let server = start(Duration::from_millis(250));
+    const HOLD_BLOCKS: u32 = 4_000;
+    // A seventh connection holds the engine with a large cold batch, so
+    // simultaneous single-item requests from the other connections queue
+    // behind its round and land in one engine batch, the next round.
+    let server = start();
     let addr = tcp_addr(&server);
     let before = planner_deduped(addr);
+    let hold = std::thread::spawn(move || {
+        let mut tx = TcpStream::connect(addr).expect("connects");
+        let mut rx = BufReader::new(tx.try_clone().expect("clones"));
+        let blocks: Vec<String> = (0..HOLD_BLOCKS).map(|i| format!("\"b8{i:08x}\"")).collect();
+        writeln!(
+            tx,
+            r#"{{"op":"batch","blocks":[{}],"uarch":"all"}}"#,
+            blocks.join(",")
+        )
+        .expect("writes");
+        let mut line = String::new();
+        rx.read_line(&mut line).expect("reply");
+    });
+    while server.counters().batches.load(Ordering::Relaxed) == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let handles: Vec<_> = (0..CLIENTS)
@@ -144,6 +160,7 @@ fn concurrent_connections_share_batches_and_dedup() {
     for h in handles {
         h.join().expect("client thread");
     }
+    hold.join().expect("holding client thread");
 
     let deduped = planner_deduped(addr) - before;
     assert!(

@@ -2,16 +2,30 @@
 //! tiers shedding batch-then-predict under queue pressure, per-connection
 //! limits, and the cache budget's stats behavior — all against a live
 //! in-process server.
+//!
+//! The tier test holds queue pressure with the `slow-predict` fault.
+//! Fault state is process-global, so every test serializes on [`GATE`].
 
+use facile_server::faults;
 use facile_server::{Endpoint, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+static GATE: Mutex<()> = Mutex::new(());
+
+fn gate() -> MutexGuard<'static, ()> {
+    let g = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    faults::clear();
+    g
+}
 
 fn start(mut cfg_edit: impl FnMut(&mut ServerConfig)) -> Server {
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
     cfg.threads = 2;
-    cfg.gather_window = Duration::from_micros(100);
     cfg_edit(&mut cfg);
     Server::start(cfg).expect("server binds an ephemeral port")
 }
@@ -36,6 +50,7 @@ fn round_trip(tx: &mut TcpStream, rx: &mut BufReader<TcpStream>, req: &str) -> S
 
 #[test]
 fn health_reply_is_pinned_when_idle() {
+    let _g = gate();
     let server = start(|_| {});
     let (mut tx, mut rx) = connect(&server);
     assert_eq!(
@@ -51,12 +66,14 @@ fn health_reply_is_pinned_when_idle() {
 
 #[test]
 fn tiers_shed_batch_then_predict_under_queue_pressure() {
-    // queue_cap 7 + a long gather window: one admitted 7-item batch
-    // holds pending_items at the cap (pressure 1.0 = shedding) until the
-    // batcher's window closes, long enough to probe the tiers.
+    // queue_cap 7 + a slowed prediction: one admitted 7-item batch (one
+    // unit after dedup) holds pending_items at the cap (pressure 1.0 =
+    // shedding) while its round sleeps, long enough to probe the tiers.
+    let _g = gate();
+    assert!(faults::compiled(), "this test needs the injection feature");
+    faults::configure("seed=1,slow-predict=1.0,slow-ms=1500").expect("spec parses");
     let server = start(|cfg| {
         cfg.queue_cap = 7;
-        cfg.gather_window = Duration::from_millis(1500);
         cfg.threads = 1;
     });
     let (mut atx, mut arx) = connect(&server);
@@ -115,10 +132,12 @@ fn tiers_shed_batch_then_predict_under_queue_pressure() {
     assert_eq!(g(&c.shed_batch), 1);
     assert_eq!(g(&c.shed_predict), 1);
     server.stop();
+    faults::clear();
 }
 
 #[test]
 fn per_connection_limits_reject_before_admission() {
+    let _g = gate();
     let server = start(|cfg| {
         cfg.conn_max_items = 4;
         cfg.conn_rps = 2;
@@ -170,6 +189,7 @@ fn per_connection_limits_reject_before_admission() {
 
 #[test]
 fn cache_budget_bounds_memory() {
+    let _g = gate();
     let budget_mb = 8usize;
     let server = start(|cfg| {
         cfg.cache_budget = Some(facile_engine::CacheBudget::from_total_mb(budget_mb));

@@ -8,7 +8,7 @@
 use facile_server::{BoundAddr, Endpoint, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A `batch` request of `bytes` bytes, padded with whitespace between
 /// members, so reading and scanning the line is most of the work.
@@ -46,7 +46,6 @@ fn min_secs(tx: &mut TcpStream, rx: &mut BufReader<TcpStream>, line: &str, reps:
 fn batch_line_in_pieces_is_served_in_linear_time() {
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
     cfg.threads = 1;
-    cfg.gather_window = Duration::ZERO;
     let server = Server::start(cfg).expect("server starts");
     let BoundAddr::Tcp(addr) = *server.bound() else {
         panic!("expected a TCP address");

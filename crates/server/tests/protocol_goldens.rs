@@ -14,7 +14,6 @@ use std::time::Duration;
 fn start(mut cfg_edit: impl FnMut(&mut ServerConfig)) -> Server {
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
     cfg.threads = 2;
-    cfg.gather_window = Duration::from_micros(100);
     cfg_edit(&mut cfg);
     Server::start(cfg).expect("server binds an ephemeral port")
 }
@@ -161,7 +160,7 @@ fn overload_and_deadline_rejections() {
     let ok = round_trip(&mut tx, &mut rx, r#"{"op":"batch","blocks":["90","90"]}"#);
     assert!(ok.starts_with(r#"{"ok":true,"rows":["#), "{ok}");
 
-    // deadline_ms 0: expired by the time the batcher dequeues it.
+    // deadline_ms 0: expired by the time its round dequeues it.
     assert_eq!(
         round_trip(
             &mut tx,
