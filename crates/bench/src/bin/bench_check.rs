@@ -1,6 +1,6 @@
 //! Compare a fresh benchmark result against a committed baseline and
 //! fail (exit 1) on a regression beyond the tolerance: a throughput
-//! below baseline × (1 − tolerance), or a latency above
+//! below baseline × (1 − tolerance), or a latency or byte count above
 //! baseline × (1 + tolerance).
 //!
 //! ```text
@@ -14,7 +14,10 @@
 //!   annotate-included first pass), and the nine-uarch sweep — warm and
 //!   cold — which exercises the planner batch API and the two-level
 //!   decode/annotate cache — and the warm single-thread `Detail::Full`
-//!   pass. Parallel-vs-single is additionally required not to be a
+//!   pass, all floors; plus `annotation_cache.bytes`, a ceiling on the
+//!   accounted bytes the cold and warm passes leave resident (byte
+//!   accounting is deterministic on the fixed corpus, so this gate
+//!   cannot flake). Parallel-vs-single is additionally required not to be a
 //!   slowdown (>= 0.95 to leave room for timer noise on busy runners).
 //!   Baselines from before the multi-uarch sweep or the Full-detail pass
 //!   existed simply skip those gates (the field probe reports them as
@@ -54,6 +57,16 @@ fn benchmark_name(json: &str) -> Option<&str> {
     rest.split('"').next()
 }
 
+/// Which way a gated value regresses, with its unit.
+#[derive(Clone, Copy)]
+enum Gate {
+    /// Higher is better (a throughput): fail below baseline × (1 − tolerance).
+    Floor(&'static str),
+    /// Lower is better (a latency, a byte count): fail above
+    /// baseline × (1 + tolerance).
+    Ceiling(&'static str),
+}
+
 fn load(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
@@ -89,20 +102,25 @@ fn run() -> Result<(), String> {
         ));
     }
     let server = name == Some("server_round_trip");
-    // Gated configurations: (label, json section, key, required).
+    // Gated configurations: (label, json section, key, required, gate).
     // `multi_uarch` and `full_detail` are optional so the gate still
-    // works against baselines committed before they existed. Keys
-    // ending in `_us` are latencies (lower is better); the rest are
-    // throughputs in blocks/s.
-    let gates: &[(&str, &str, &str, bool)] = if server {
+    // works against baselines committed before they existed.
+    let gates: &[(&str, &str, &str, bool, Gate)] = if server {
         &[
             (
                 "served batch stream",
                 "batch_stream",
                 "blocks_per_sec",
                 true,
+                Gate::Floor("blocks/s"),
             ),
-            ("lone round trip p50", "clients_1", "p50_us", true),
+            (
+                "lone round trip p50",
+                "clients_1",
+                "p50_us",
+                true,
+                Gate::Ceiling("us"),
+            ),
         ]
     } else {
         &[
@@ -111,34 +129,46 @@ fn run() -> Result<(), String> {
                 "single_thread",
                 "warm_cache_blocks_per_sec",
                 true,
+                Gate::Floor("blocks/s"),
             ),
             (
                 "cold single-thread",
                 "single_thread",
                 "cold_cache_blocks_per_sec",
                 true,
+                Gate::Floor("blocks/s"),
             ),
             (
                 "full-detail warm single-thread",
                 "full_detail",
                 "warm_cache_blocks_per_sec",
                 false,
+                Gate::Floor("blocks/s"),
             ),
             (
                 "multi-uarch sweep warm",
                 "multi_uarch",
                 "warm_cache_blocks_per_sec",
                 false,
+                Gate::Floor("blocks/s"),
             ),
             (
                 "multi-uarch sweep cold",
                 "multi_uarch",
                 "cold_cache_blocks_per_sec",
                 false,
+                Gate::Floor("blocks/s"),
+            ),
+            (
+                "annotation cache bytes",
+                "annotation_cache",
+                "bytes",
+                false,
+                Gate::Ceiling("bytes"),
             ),
         ]
     };
-    for &(label, section, key, required) in gates {
+    for &(label, section, key, required, gate) in gates {
         let base = match field(&baseline, section, key) {
             Some(v) => v,
             None if !required => {
@@ -150,32 +180,35 @@ fn run() -> Result<(), String> {
         let fresh_v = field(&fresh, section, key)
             .ok_or_else(|| format!("field {section}.{key} not found in fresh result"))?;
         let tolerance = max_regression * 100.0;
-        if key.ends_with("_us") {
-            let ceiling = base * (1.0 + max_regression);
-            println!(
-                "{label}: baseline {base:.1} us, fresh {fresh_v:.1} us \
-                 (ceiling {ceiling:.1}, tolerance {tolerance:.0}%)"
-            );
-            if fresh_v > ceiling {
-                return Err(format!(
-                    "{label} latency regression: {fresh_v:.1} > {ceiling:.1} us \
-                     ({:.1}% above the committed baseline)",
-                    (fresh_v / base - 1.0) * 100.0
-                ));
+        match gate {
+            Gate::Ceiling(unit) => {
+                let ceiling = base * (1.0 + max_regression);
+                println!(
+                    "{label}: baseline {base:.1} {unit}, fresh {fresh_v:.1} {unit} \
+                     (ceiling {ceiling:.1}, tolerance {tolerance:.0}%)"
+                );
+                if fresh_v > ceiling {
+                    return Err(format!(
+                        "{label} regression: {fresh_v:.1} > {ceiling:.1} {unit} \
+                         ({:.1}% above the committed baseline)",
+                        (fresh_v / base - 1.0) * 100.0
+                    ));
+                }
             }
-            continue;
-        }
-        let floor = base * (1.0 - max_regression);
-        println!(
-            "{label}: baseline {base:.0} blocks/s, fresh {fresh_v:.0} blocks/s \
-             (floor {floor:.0}, tolerance {tolerance:.0}%)"
-        );
-        if fresh_v < floor {
-            return Err(format!(
-                "{label} throughput regression: {fresh_v:.0} < {floor:.0} blocks/s \
-                 ({:.1}% below the committed baseline)",
-                (1.0 - fresh_v / base) * 100.0
-            ));
+            Gate::Floor(unit) => {
+                let floor = base * (1.0 - max_regression);
+                println!(
+                    "{label}: baseline {base:.0} {unit}, fresh {fresh_v:.0} {unit} \
+                     (floor {floor:.0}, tolerance {tolerance:.0}%)"
+                );
+                if fresh_v < floor {
+                    return Err(format!(
+                        "{label} regression: {fresh_v:.0} < {floor:.0} {unit} \
+                         ({:.1}% below the committed baseline)",
+                        (1.0 - fresh_v / base) * 100.0
+                    ));
+                }
+            }
         }
     }
 

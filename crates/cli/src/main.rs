@@ -450,7 +450,7 @@ fn print_explain_details(ab: &AnnotatedBlock, e: &Explanation) {
     if !contributors.is_empty() {
         println!("per-instruction attribution:");
         for a in contributors {
-            let inst = ab.insts()[a.inst as usize].inst();
+            let inst = &ab.block().insts()[a.inst as usize];
             let mut line = format!("  #{:<2} {:<28}", a.inst, inst.to_string());
             if a.critical_port_uops > 0.0 {
                 line.push_str(&format!(" ports={:.2}", a.critical_port_uops));

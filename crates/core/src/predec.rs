@@ -207,7 +207,7 @@ mod tests {
             (Mnemonic::Nop, vec![]),
         ]; // 7 bytes total
         let ab = annotate(&prog);
-        assert!(ab.insts()[0].inst().has_lcp);
+        assert!(ab.block().insts()[0].has_lcp);
         let with_lcp = predec(&ab, Mode::Unrolled);
         // Same layout without LCP.
         let prog2 = vec![

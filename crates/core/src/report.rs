@@ -65,7 +65,7 @@ impl fmt::Display for Report<'_> {
         if !chain.is_empty() {
             write!(f, "critical dependence chain:")?;
             for step in chain {
-                let inst = self.ab.insts()[step.inst as usize].inst();
+                let inst = &self.ab.block().insts()[step.inst as usize];
                 write!(f, " -> [{}] {}", step.value, inst)?;
             }
             writeln!(f)?;

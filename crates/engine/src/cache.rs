@@ -65,33 +65,46 @@ struct ByteEntry {
     block: Arc<Block>,
     hex: Arc<str>,
     annos: [Option<Arc<AnnotatedBlock>>; Uarch::ALL.len()],
+    /// Running total of [`HeapSize::heap_bytes`]: the cache asks for it
+    /// under the shard lock before and after every insert, so it must
+    /// not re-walk the resident annotations.
+    bytes: usize,
 }
 
 impl ByteEntry {
     fn new(block: Arc<Block>) -> ByteEntry {
+        let hex: Arc<str> = block.to_hex().into();
         ByteEntry {
-            hex: block.to_hex().into(),
+            bytes: std::mem::size_of::<Block>() + block.heap_bytes() + hex.len(),
+            hex,
             block,
             annos: Default::default(),
         }
     }
+
+    /// Publish `ab` (accounted at `bytes`) into slot `ui` unless a racing
+    /// writer got there first; returns the resident annotation.
+    fn insert(&mut self, ui: usize, ab: Arc<AnnotatedBlock>, bytes: usize) -> &Arc<AnnotatedBlock> {
+        let slot = &mut self.annos[ui];
+        if slot.is_none() {
+            self.bytes += bytes;
+        }
+        slot.get_or_insert(ab)
+    }
+}
+
+/// Accounted bytes of one resident annotation (its interned
+/// descriptors count as pointers; the intern table owns those).
+fn annotation_bytes(ab: &AnnotatedBlock) -> usize {
+    std::mem::size_of::<AnnotatedBlock>() + ab.heap_bytes()
 }
 
 /// Accounting: the entry owns its decoded block (deep, once — the
 /// annotations share it by pointer), the hex rendering, and each
-/// resident annotation (which counts its interned descriptors as
-/// pointers; the intern table owns those).
+/// resident annotation, summed as they are inserted.
 impl HeapSize for ByteEntry {
     fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Block>()
-            + self.block.heap_bytes()
-            + self.hex.len()
-            + self
-                .annos
-                .iter()
-                .flatten()
-                .map(|a| std::mem::size_of::<AnnotatedBlock>() + a.heap_bytes())
-                .sum::<usize>()
+        self.bytes
     }
 }
 
@@ -244,17 +257,13 @@ impl AnnotationCache {
     ) -> (Arc<AnnotatedBlock>, Arc<str>) {
         facile_faults::maybe_panic(facile_faults::Point::AnnotatePanic, bytes);
         let ab = Arc::new(AnnotatedBlock::new_shared(Arc::clone(&block), ui_uarch(ui)));
+        let ab_bytes = annotation_bytes(&ab);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.table.get_or_insert_with(
             bytes,
             || bytes.into(),
             move || ByteEntry::new(block),
-            move |e| {
-                (
-                    Arc::clone(e.annos[ui].get_or_insert(ab)),
-                    Arc::clone(&e.hex),
-                )
-            },
+            move |e| (Arc::clone(e.insert(ui, ab, ab_bytes)), Arc::clone(&e.hex)),
         )
     }
 
@@ -346,6 +355,38 @@ mod tests {
         assert!(s.bytes > 0);
         cache.clear();
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn running_byte_total_matches_a_recount() {
+        let b = Arc::new(
+            Block::assemble(&[
+                (Mnemonic::Add, vec![RAX.into(), RCX.into()]),
+                (Mnemonic::Dec, vec![RDX.into()]),
+                (
+                    Mnemonic::Jcc(facile_x86::Cond::Ne),
+                    vec![facile_x86::Operand::Rel(-7)],
+                ),
+            ])
+            .unwrap(),
+        );
+        let mut e = ByteEntry::new(Arc::clone(&b));
+        for (ui, &u) in Uarch::ALL.iter().enumerate() {
+            let ab = Arc::new(AnnotatedBlock::new_shared(Arc::clone(&b), u));
+            let n = annotation_bytes(&ab);
+            e.insert(ui, Arc::clone(&ab), n);
+            // A racing duplicate loses and adds nothing.
+            e.insert(ui, ab, n);
+        }
+        let recount = std::mem::size_of::<Block>()
+            + b.heap_bytes()
+            + e.hex.len()
+            + e.annos
+                .iter()
+                .flatten()
+                .map(|a| annotation_bytes(a))
+                .sum::<usize>();
+        assert_eq!(e.heap_bytes(), recount);
     }
 
     #[test]

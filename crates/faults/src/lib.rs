@@ -414,6 +414,7 @@ mod tests {
 
     #[test]
     fn spec_parsing_rejects_garbage() {
+        let _g = guard(); // its closing `clear()` must not disarm another test
         for bad in [
             "",
             "predict-panic",

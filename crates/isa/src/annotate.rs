@@ -1,5 +1,15 @@
 //! Annotated basic blocks: instructions paired with their performance
 //! descriptors and macro-fusion structure for one microarchitecture.
+//!
+//! An annotation borrows its instructions from the decoded block instead
+//! of copying them. It holds the shared `Arc<Block>` and one small
+//! descriptor entry per decoded instruction, fused tails included, so entry
+//! `i` annotates `block.insts()[i]`. A cold annotation therefore
+//! allocates a fixed number of times per block (the entry list and the
+//! kernel columns), however many instructions the block has; only
+//! macro-fused pairs add a boxed pair descriptor each.
+//! [`AnnotatedInst`] is the borrowed view that joins an entry to its
+//! instruction.
 
 use crate::classify::{
     describe, describe_fused_pair, describe_fused_pair_with_effects, macro_fuses,
@@ -12,6 +22,7 @@ use crate::intern::{interner, DescInterner, InternedInst};
 use crate::tables;
 use facile_uarch::Uarch;
 use facile_x86::{Block, Effects, Inst};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,55 +45,75 @@ static FUSED_TAIL_DESC: InstrDesc = InstrDesc {
 
 /// Where an annotated instruction's descriptor comes from.
 ///
-/// The three variants are observationally identical (same `inst`,
-/// `effects`, and `desc` through the accessors); they differ only in
-/// how the data was obtained and therefore what annotation paid for it.
+/// No variant stores the instruction itself except an interned entry,
+/// which owns a copy in the intern table: the rest read it from the
+/// annotation's block. The variants are observationally identical (same
+/// instruction, effects and descriptor through [`AnnotatedInst`]); they
+/// differ only in how the descriptor was obtained and so in what
+/// annotation paid for it.
 #[derive(Debug, Clone)]
-enum DescEntry {
+pub(crate) enum DescEntry {
     /// A shared entry in the process-wide descriptor intern table: the
     /// runtime-classified fallback for forms outside the static tables
     /// and the uninterned reference path.
     Interned(Arc<InternedInst>),
-    /// Served from the build-time static tables: the descriptor is a
-    /// `&'static` borrow — no classifier run, no interner hashing or
-    /// locking, no shared allocation. Effects are *not* stored: the hot
-    /// kernels read the block's precomputed columns, and the few
-    /// remaining consumers recompute them on demand, keeping the
-    /// retained annotation (and the cache's page-fault footprint)
-    /// small.
-    Static {
-        inst: Inst,
-        desc: &'static InstrDesc,
-    },
+    /// Served from the build-time static tables: a `&'static` borrow,
+    /// with no classifier run, no interner hashing or locking and no
+    /// allocation. Effects are not stored: the hot kernels read the
+    /// block's precomputed columns, and the few remaining consumers
+    /// recompute them on demand.
+    Static(&'static InstrDesc),
     /// A macro-fused pair head. Pair descriptors are trivial (a branch
     /// µop plus an optional load), so they are built inline instead of
     /// being interned by pair bytes. Boxed so this variant doesn't set
-    /// the size of every annotated instruction.
-    Pair { inst: Inst, desc: Box<InstrDesc> },
+    /// the size of every entry.
+    Pair(Box<InstrDesc>),
+    /// The branch of a macro-fused pair: its µops belong to the pair
+    /// head, so it has the empty descriptor and no lookup of its own.
+    FusedTail,
 }
 
-/// One instruction of an annotated block.
-///
-/// Common forms carry a `&'static` descriptor from the build-time
-/// tables; everything else holds an `Arc` reference into the
-/// process-wide descriptor intern table, so annotating a corpus does
-/// the heavy classification at most once per *distinct* instruction
-/// encoding.
-#[derive(Debug, Clone)]
-pub struct AnnotatedInst {
-    /// Decoded instruction + effects + descriptor.
-    entry: DescEntry,
+impl DescEntry {
+    /// The performance descriptor (the empty one for a fused tail).
+    pub(crate) fn desc(&self) -> &InstrDesc {
+        match self {
+            DescEntry::Interned(e) => &e.desc,
+            DescEntry::Static(desc) => desc,
+            DescEntry::Pair(desc) => desc,
+            DescEntry::FusedTail => &FUSED_TAIL_DESC,
+        }
+    }
+
+    /// Heap bytes this entry owns. Interned entries count as a pointer
+    /// (the intern table accounts for their storage); static entries
+    /// borrow their descriptor.
+    fn heap_bytes(&self) -> usize {
+        use facile_util::HeapSize;
+        match self {
+            DescEntry::Pair(desc) => std::mem::size_of::<InstrDesc>() + desc.heap_bytes(),
+            DescEntry::Interned(_) | DescEntry::Static(_) | DescEntry::FusedTail => 0,
+        }
+    }
+}
+
+/// One instruction of an annotated block: a borrowed view joining the
+/// decoded instruction to its descriptor on the block's
+/// microarchitecture. Obtained from [`AnnotatedBlock::insts`].
+#[derive(Debug, Clone, Copy)]
+pub struct AnnotatedInst<'a> {
     /// Byte offset of the instruction within the block.
     pub start: usize,
     /// Whether this instruction is macro-fused with the *preceding*
     /// instruction (and therefore invisible to the decoders and back end).
     pub fused_with_prev: bool,
+    inst: &'a Inst,
+    entry: &'a DescEntry,
 }
 
 /// Equality is semantic — the observable instruction, effects, and
 /// descriptor — so a table-served annotation compares equal to an
 /// interned or reference-path annotation of the same instruction.
-impl PartialEq for AnnotatedInst {
+impl PartialEq for AnnotatedInst<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.start == other.start
             && self.fused_with_prev == other.fused_with_prev
@@ -92,82 +123,139 @@ impl PartialEq for AnnotatedInst {
     }
 }
 
-impl AnnotatedInst {
+impl<'a> AnnotatedInst<'a> {
     /// The decoded instruction. For a macro-fused producer this is the
     /// producer itself (e.g. the `cmp` of a `cmp+jcc` pair).
     #[must_use]
-    pub fn inst(&self) -> &Inst {
-        match &self.entry {
-            DescEntry::Interned(e) => e.inst(),
-            DescEntry::Static { inst, .. } | DescEntry::Pair { inst, .. } => inst,
-        }
+    pub fn inst(&self) -> &'a Inst {
+        self.inst
     }
 
     /// The performance descriptor on the block's microarchitecture. For a
     /// macro-fused producer this is the descriptor of the *pair*; for the
     /// fused branch itself it is an empty descriptor.
     #[must_use]
-    pub fn desc(&self) -> &InstrDesc {
-        if self.fused_with_prev {
-            return &FUSED_TAIL_DESC;
-        }
-        match &self.entry {
-            DescEntry::Interned(e) => &e.desc,
-            DescEntry::Static { desc, .. } => desc,
-            DescEntry::Pair { desc, .. } => desc.as_ref(),
-        }
+    pub fn desc(&self) -> &'a InstrDesc {
+        self.entry.desc()
     }
 
     /// Architectural reads and writes of [`Self::inst`].
     ///
     /// Returned by value: interned entries clone their stored effects
-    /// (a couple of inline small-vectors), table-served entries derive
-    /// them from the instruction on demand. The per-prediction hot
-    /// paths never call this — they consume the precomputed
+    /// (a couple of inline small-vectors), the others derive them from
+    /// the instruction on demand. The per-prediction hot paths never
+    /// call this — they consume the precomputed
     /// [`AnnotatedBlock::columns`] instead — so the annotation doesn't
     /// retain a per-instruction `Effects` just to answer occasional
     /// queries (detail rendering, simulation).
     #[must_use]
     pub fn effects(&self) -> Effects {
-        match &self.entry {
+        match self.entry {
             DescEntry::Interned(e) => e.effects().clone(),
-            DescEntry::Static { inst, .. } | DescEntry::Pair { inst, .. } => inst.effects(),
+            _ => self.inst.effects(),
         }
     }
 
     /// End offset (exclusive) of this instruction.
     #[must_use]
     pub fn end(&self) -> usize {
-        self.start + self.inst().len as usize
+        self.start + self.inst.len as usize
+    }
+}
+
+/// The annotated instructions of a block, fused tails included, in
+/// block order: a cheap, copyable handle returned by
+/// [`AnnotatedBlock::insts`]. Each element is an [`AnnotatedInst`] view
+/// built on access.
+#[derive(Clone, Copy)]
+pub struct Insts<'a> {
+    ab: &'a AnnotatedBlock,
+}
+
+impl<'a> Insts<'a> {
+    /// Number of instructions.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.ab.entries.len()
     }
 
-    /// Heap bytes owned by this instruction's descriptor entry.
-    /// Interned entries count as a pointer (the intern table accounts
-    /// for their storage); static entries borrow their descriptor.
-    fn entry_heap_bytes(&self) -> usize {
-        use facile_util::HeapSize;
-        match &self.entry {
-            DescEntry::Interned(_) => 0,
-            DescEntry::Static { inst, .. } => inst.heap_bytes(),
-            DescEntry::Pair { inst, desc } => {
-                inst.heap_bytes() + std::mem::size_of::<InstrDesc>() + desc.heap_bytes()
-            }
+    /// Whether the block has no instructions.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.ab.entries.is_empty()
+    }
+
+    /// Instruction `i`, or `None` past the end.
+    #[must_use]
+    pub fn get(self, i: usize) -> Option<AnnotatedInst<'a>> {
+        (i < self.len()).then(|| self.ab.view(i))
+    }
+
+    /// Iterate over the instructions in block order.
+    #[must_use]
+    pub fn iter(self) -> InstIter<'a> {
+        InstIter {
+            ab: self.ab,
+            range: 0..self.len(),
         }
     }
 }
 
-/// Accounting: the instruction list and kernel columns. The backing
+impl<'a> IntoIterator for Insts<'a> {
+    type Item = AnnotatedInst<'a>;
+    type IntoIter = InstIter<'a>;
+
+    fn into_iter(self) -> InstIter<'a> {
+        self.iter()
+    }
+}
+
+/// Element-wise semantic equality (see [`AnnotatedInst`]'s `PartialEq`).
+impl PartialEq for Insts<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Insts<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over an annotated block's instructions (see [`Insts::iter`]).
+#[derive(Clone)]
+pub struct InstIter<'a> {
+    ab: &'a AnnotatedBlock,
+    range: Range<usize>,
+}
+
+impl<'a> Iterator for InstIter<'a> {
+    type Item = AnnotatedInst<'a>;
+
+    fn next(&mut self) -> Option<AnnotatedInst<'a>> {
+        self.range.next().map(|i| self.ab.view(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for InstIter<'_> {}
+
+/// Accounting: the entry list and kernel columns. The backing
 /// `Arc<Block>` and interned descriptors count as pointers — the
 /// annotation cache's level-1 entry owns the block, and the intern
 /// table owns the interned descriptors, so a process-global budget
 /// never double counts them.
 impl facile_util::HeapSize for AnnotatedBlock {
     fn heap_bytes(&self) -> usize {
-        self.insts.capacity() * std::mem::size_of::<AnnotatedInst>()
+        self.entries.capacity() * std::mem::size_of::<DescEntry>()
             + self
-                .insts
+                .entries
                 .iter()
-                .map(AnnotatedInst::entry_heap_bytes)
+                .map(DescEntry::heap_bytes)
                 .sum::<usize>()
             + self.cols.heap_bytes()
     }
@@ -181,7 +269,9 @@ impl facile_util::HeapSize for AnnotatedBlock {
 pub struct AnnotatedBlock {
     uarch: Uarch,
     block: Arc<Block>,
-    insts: Vec<AnnotatedInst>,
+    /// One entry per decoded instruction of `block`, fused tails
+    /// included: entry `i` describes `block.insts()[i]`.
+    entries: Vec<DescEntry>,
     /// Struct-of-arrays kernel inputs, built once at annotation time;
     /// the predecoder, port, and precedence kernels run over these flat
     /// columns instead of re-walking the instruction list.
@@ -241,13 +331,7 @@ impl AnnotatedBlock {
             let effects = raw[i].effects();
             if let Some(desc) = tables::lookup(raw[i].mnemonic, shape_key(&raw[i], &effects), uarch)
             {
-                return (
-                    DescEntry::Static {
-                        inst: raw[i].clone(),
-                        desc,
-                    },
-                    effects,
-                );
+                return (DescEntry::Static(desc), effects);
             }
             let start = block.offset(i);
             let end = start + raw[i].len as usize;
@@ -256,76 +340,78 @@ impl AnnotatedBlock {
                 effects,
             )
         };
-        let mut insts: Vec<AnnotatedInst> = Vec::with_capacity(raw.len());
-        let mut effs: Vec<Effects> = Vec::with_capacity(raw.len());
-        let mut i = 0;
-        while i < raw.len() {
-            let start = block.offset(i);
-            if i + 1 < raw.len() && macro_fuses(&raw[i], &raw[i + 1], cfg) {
-                let (pair, effects) = if table.is_some() {
-                    // Pair descriptors are a branch µop plus an optional
-                    // load: cheaper to rebuild than to intern.
-                    let effects = raw[i].effects();
-                    let desc = describe_fused_pair_with_effects(&raw[i], &effects, cfg);
-                    (
-                        DescEntry::Pair {
-                            inst: raw[i].clone(),
-                            desc: Box::new(desc),
-                        },
-                        effects,
-                    )
+        let (entries, cols) = cols::with_scratch(|scratch| {
+            // The effects go to per-thread scratch, parallel to
+            // `entries`; a fused tail gets an empty placeholder (the
+            // pair's dataflow is carried by its head).
+            let effs = &mut scratch.effs;
+            effs.reserve(raw.len());
+            let mut entries: Vec<DescEntry> = Vec::with_capacity(raw.len());
+            let mut i = 0;
+            while i < raw.len() {
+                if i + 1 < raw.len() && macro_fuses(&raw[i], &raw[i + 1], cfg) {
+                    let (pair, effects) = if table.is_some() {
+                        // Pair descriptors are a branch µop plus an
+                        // optional load: cheaper to rebuild than to intern.
+                        let effects = raw[i].effects();
+                        let desc = describe_fused_pair_with_effects(&raw[i], &effects, cfg);
+                        (DescEntry::Pair(Box::new(desc)), effects)
+                    } else {
+                        let entry = Arc::new(Interned::uninterned(
+                            raw[i].clone(),
+                            describe_fused_pair(&raw[i], &raw[i + 1], cfg),
+                        ));
+                        let effects = entry.effects().clone();
+                        (DescEntry::Interned(entry), effects)
+                    };
+                    entries.extend([pair, DescEntry::FusedTail]);
+                    effs.extend([effects, Effects::default()]);
+                    i += 2;
                 } else {
-                    let entry = Arc::new(Interned::uninterned(
-                        raw[i].clone(),
-                        describe_fused_pair(&raw[i], &raw[i + 1], cfg),
-                    ));
-                    let effects = entry.effects().clone();
-                    (DescEntry::Interned(entry), effects)
-                };
-                insts.push(AnnotatedInst {
-                    entry: pair,
-                    start,
-                    fused_with_prev: false,
-                });
-                effs.push(effects);
-                let (entry, effects) = single(i + 1);
-                insts.push(AnnotatedInst {
-                    entry,
-                    start: block.offset(i + 1),
-                    fused_with_prev: true,
-                });
-                effs.push(effects);
-                i += 2;
-            } else {
-                let (entry, effects) = single(i);
-                insts.push(AnnotatedInst {
-                    entry,
-                    start,
-                    fused_with_prev: false,
-                });
-                effs.push(effects);
-                i += 1;
+                    let (entry, effects) = single(i);
+                    entries.push(entry);
+                    effs.push(effects);
+                    i += 1;
+                }
             }
-        }
-        let t_cols = cols::timing_enabled().then(Instant::now);
-        let cols = BlockColumns::build(&insts, &effs);
-        if let Some(t) = t_cols {
-            cols::record_columns(t.elapsed());
-        }
-        let total_fused = insts.iter().map(|a| u32::from(a.desc().fused_uops)).sum();
-        let total_issue = insts.iter().map(|a| u32::from(a.desc().issue_uops)).sum();
-        let total_unfused = insts.iter().map(|a| a.desc().unfused_uops() as u32).sum();
+            let t_cols = cols::timing_enabled().then(Instant::now);
+            let cols = scratch.columns(&block, &entries);
+            if let Some(t) = t_cols {
+                cols::record_columns(t.elapsed());
+            }
+            (entries, cols)
+        });
+        let descs = || entries.iter().map(DescEntry::desc);
+        let total_fused = descs().map(|d| u32::from(d.fused_uops)).sum();
+        let total_issue = descs().map(|d| u32::from(d.issue_uops)).sum();
+        let total_unfused = descs().map(|d| d.unfused_uops() as u32).sum();
         if let Some(t) = t_annotate {
             cols::record_annotate(t.elapsed());
         }
         AnnotatedBlock {
             uarch,
             block,
-            insts,
+            entries,
             cols,
             total_fused,
             total_issue,
             total_unfused,
+        }
+    }
+
+    /// The view of instruction `i` (in bounds).
+    fn view(&self, i: usize) -> AnnotatedInst<'_> {
+        let entry = &self.entries[i];
+        AnnotatedInst {
+            start: self.block.offset(i),
+            fused_with_prev: matches!(entry, DescEntry::FusedTail),
+            // An interned entry answers with its own copy, so the
+            // equivalence checks compare what the intern table holds.
+            inst: match entry {
+                DescEntry::Interned(e) => e.inst(),
+                _ => &self.block.insts()[i],
+            },
+            entry,
         }
     }
 
@@ -343,8 +429,8 @@ impl AnnotatedBlock {
 
     /// All instructions, including macro-fused branches.
     #[must_use]
-    pub fn insts(&self) -> &[AnnotatedInst] {
-        &self.insts
+    pub fn insts(&self) -> Insts<'_> {
+        Insts { ab: self }
     }
 
     /// The block's struct-of-arrays kernel columns (placement facts,
@@ -356,8 +442,8 @@ impl AnnotatedBlock {
 
     /// Instructions as seen *after* macro fusion (fused branches skipped).
     /// This is the instruction stream the decoders and the back end see.
-    pub fn fused_insts(&self) -> impl Iterator<Item = &AnnotatedInst> {
-        self.insts.iter().filter(|a| !a.fused_with_prev)
+    pub fn fused_insts(&self) -> impl Iterator<Item = AnnotatedInst<'_>> {
+        self.insts().iter().filter(|a| !a.fused_with_prev)
     }
 
     /// Total fused-domain µops delivered per iteration (DSB/LSD view).
@@ -398,22 +484,16 @@ impl AnnotatedBlock {
         if !self.uarch.config().jcc_erratum {
             return false;
         }
-        let mut i = 0;
-        while i < self.insts.len() {
-            let a = &self.insts[i];
-            if i + 1 < self.insts.len() && self.insts[i + 1].fused_with_prev {
-                let b = &self.insts[i + 1];
-                if Block::crosses_or_ends_on_32(a.start, b.end() - a.start) {
-                    return true;
-                }
-                i += 2;
-                continue;
-            }
-            if a.inst().is_branch() && Block::crosses_or_ends_on_32(a.start, a.inst().len as usize)
-            {
+        let mut insts = self.insts().iter().peekable();
+        while let Some(a) = insts.next() {
+            // A fused pair is one jump spanning both instructions.
+            let (end, jump) = match insts.next_if(|b| b.fused_with_prev) {
+                Some(b) => (b.end(), true),
+                None => (a.end(), a.inst().is_branch()),
+            };
+            if jump && Block::crosses_or_ends_on_32(a.start, end - a.start) {
                 return true;
             }
-            i += 1;
         }
         false
     }
@@ -438,7 +518,7 @@ mod tests {
     fn macro_fusion_applied() {
         let ab = AnnotatedBlock::new(loop_block(), Uarch::Skl);
         assert_eq!(ab.insts().len(), 3);
-        assert!(ab.insts()[2].fused_with_prev); // jne fused with dec
+        assert!(ab.insts().get(2).unwrap().fused_with_prev); // jne fused with dec
         assert_eq!(ab.fused_insts().count(), 2);
         // dec+jne pair: 1 fused µop; add: 1 -> total 2
         assert_eq!(ab.total_fused_uops(), 2);
@@ -447,7 +527,7 @@ mod tests {
     #[test]
     fn no_fusion_on_snb_for_dec() {
         let ab = AnnotatedBlock::new(loop_block(), Uarch::Snb);
-        assert!(!ab.insts()[2].fused_with_prev); // SNB: dec does not fuse
+        assert!(!ab.insts().get(2).unwrap().fused_with_prev); // SNB: dec does not fuse
         assert_eq!(ab.total_fused_uops(), 3);
     }
 
@@ -479,14 +559,14 @@ mod tests {
     #[test]
     fn fused_tail_exposes_branch_but_empty_desc() {
         let ab = AnnotatedBlock::new(loop_block(), Uarch::Skl);
-        let tail = &ab.insts()[2];
+        let tail = ab.insts().get(2).unwrap();
         assert!(tail.fused_with_prev);
         assert!(tail.inst().is_branch());
         assert!(tail.desc().eliminated);
         assert_eq!(tail.desc().fused_uops, 0);
         assert!(tail.desc().uops.is_empty());
         // The pair head carries the pair's descriptor and its own inst.
-        let head = &ab.insts()[1];
+        let head = ab.insts().get(1).unwrap();
         assert_eq!(head.inst().mnemonic, Mnemonic::Dec);
         assert!(head.desc().fused_uops > 0);
     }

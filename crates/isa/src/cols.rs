@@ -24,17 +24,24 @@
 //! bound and the critical chain are computed on it (a test-only typed
 //! builder in `facile-core` checks it, `tests/chain_oracle.rs`).
 //!
+//! Building is linear in the block and allocates once per column: the
+//! columns are assembled in per-thread scratch and copied out at exact
+//! length, and a value's id is found by scanning the few values of an
+//! ordinary block, or through a hash index once a block has more.
+//!
 //! The module also owns the annotation-pass timing cells ([`set_pass_timing`],
 //! [`annotate_timing`], [`columns_timing`]): annotation runs below the
 //! engine's kernel-timing layer, so the cells live here and the engine
 //! toggles them together with its own.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::annotate::AnnotatedInst;
+use crate::annotate::DescEntry;
 use facile_uarch::PortMask;
-use facile_x86::{flags, Effects, Mem, Reg};
+use facile_x86::{flags, Block, Effects, Mem, Reg};
 
 /// Sentinel value id: "this flow stores nothing".
 pub const NO_VALUE: u32 = u32::MAX;
@@ -44,7 +51,7 @@ pub const NO_VALUE: u32 = u32::MAX;
 /// layer exactly (registers widened to their full architectural
 /// register, memory addressed by base/index/scale/disp), so id equality
 /// coincides with typed-value equality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColValue {
     /// A full architectural register.
     Reg(Reg),
@@ -93,7 +100,8 @@ pub struct FlowCol {
 }
 
 /// Flat per-block column arrays consumed by the batch kernels. Built
-/// once when the block is annotated; see the module docs for layout.
+/// once when the block is annotated, in per-thread scratch, and stored
+/// at exact length; see the module docs for layout.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockColumns {
     /// `(last byte, opcode byte, has LCP)` per instruction, including
@@ -139,36 +147,104 @@ fn dedup_tail(ids: &mut Vec<u32>, start: usize) {
     ids.truncate(w);
 }
 
-fn intern(vals: &mut Vec<ColValue>, v: ColValue) -> u32 {
-    match vals.iter().position(|&x| x == v) {
-        Some(i) => i as u32,
-        None => {
+/// Up to this many distinct values, a value's id is found by scanning
+/// the table; past it, through a hash index. Ordinary blocks stay under
+/// it and never touch the index. The index keeps the standard library's
+/// randomly keyed hasher: displacements come from the caller's bytes,
+/// and FxHash's low bits depend only on a displacement's low bits, so
+/// stores at multiples of 2^16 all collide under it (32,768 of them take
+/// ~100× as long as 4,096).
+const SCAN_LIMIT: usize = 32;
+
+/// A scratch buffer larger than this many instructions is dropped after
+/// use, so one huge block does not pin its memory on the thread.
+const SCRATCH_KEEP: usize = 4096;
+
+/// The dense id of `v`, allocating the next one on first sight: ids are
+/// in first-occurrence order (they number the nodes of Howard's graph,
+/// which picks the critical chain). Linear time overall: `index` mirrors
+/// `vals` once the table outgrows [`SCAN_LIMIT`].
+fn intern(vals: &mut Vec<ColValue>, index: &mut HashMap<ColValue, u32>, v: ColValue) -> u32 {
+    let next = vals.len() as u32;
+    if vals.len() > SCAN_LIMIT {
+        return *index.entry(v).or_insert_with(|| {
             vals.push(v);
-            (vals.len() - 1) as u32
-        }
+            next
+        });
     }
+    if let Some(i) = vals.iter().position(|&x| x == v) {
+        return i as u32;
+    }
+    vals.push(v);
+    if vals.len() > SCAN_LIMIT {
+        index.extend(vals.iter().zip(0..).map(|(&x, id)| (x, id)));
+    }
+    next
 }
 
-impl BlockColumns {
-    /// Build the columns of an annotated instruction sequence. `effs`
-    /// holds each instruction's architectural effects, parallel to
-    /// `insts` (the annotator has them at hand; recomputing here would
-    /// put the classifier's per-operand walk back on the cold path).
-    pub(crate) fn build(insts: &[AnnotatedInst], effs: &[Effects]) -> BlockColumns {
-        let mut c = BlockColumns {
-            predec: Vec::with_capacity(insts.len()),
-            ..BlockColumns::default()
-        };
-        for (index, (a, e)) in insts.iter().zip(effs).enumerate() {
-            let inst = a.inst();
+/// Per-thread working storage of one annotation. The columns are
+/// assembled here and copied out at their exact length, so a cold
+/// annotation pays one allocation per column and never a growth
+/// reallocation.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Architectural effects per annotated instruction, filled by the
+    /// annotator (an empty placeholder for a fused tail).
+    pub(crate) effs: Vec<Effects>,
+    cols: BlockColumns,
+    /// Value → id, in use only past [`SCAN_LIMIT`] distinct values.
+    index: HashMap<ColValue, u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Run `f` on this thread's cleared scratch.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        scratch.effs.clear();
+        let out = f(&mut scratch);
+        if scratch.effs.capacity() > SCRATCH_KEEP {
+            *scratch = Scratch::default();
+        }
+        out
+    })
+}
+
+impl Scratch {
+    /// Build the columns of `block` annotated by `entries` (one per
+    /// instruction), reading the effects from [`Scratch::effs`]: the
+    /// annotator has them at hand, and recomputing here would put the
+    /// classifier's per-operand walk back on the cold path.
+    pub(crate) fn columns(&mut self, block: &Block, entries: &[DescEntry]) -> BlockColumns {
+        let Scratch {
+            effs,
+            cols: c,
+            index,
+        } = self;
+        c.predec.clear();
+        c.lcp_insts = 0;
+        c.port_uops.clear();
+        c.ids.clear();
+        c.flows.clear();
+        c.values.clear();
+        index.clear();
+        c.predec.reserve(entries.len());
+        c.flows.reserve(entries.len());
+        let insts = block.iter_with_offsets();
+        for (index_in_block, ((entry, e), (start, inst))) in
+            entries.iter().zip(effs.iter()).zip(insts).enumerate()
+        {
             c.predec.push((
-                (a.start + inst.len as usize - 1) as u32,
-                (a.start + inst.opcode_offset as usize) as u32,
+                (start + inst.len as usize - 1) as u32,
+                (start + inst.opcode_offset as usize) as u32,
                 inst.has_lcp,
             ));
             c.lcp_insts += u32::from(inst.has_lcp);
 
-            let d = a.desc();
+            let d = entry.desc();
             if !d.eliminated {
                 for u in &d.uops {
                     if !u.ports.is_empty() {
@@ -177,26 +253,24 @@ impl BlockColumns {
                 }
             }
 
-            if a.fused_with_prev {
+            if matches!(entry, DescEntry::FusedTail) {
                 continue; // the pair's dataflow is carried by its head
             }
 
             // Consumed: reads, read flag groups, the loaded value. The
             // load path: the loaded value and its address registers.
             // Produced: writes, written flag groups, the stored value.
+            let vals = &mut c.values;
             let c_start = c.ids.len();
             for r in &e.reg_reads {
-                let id = intern(&mut c.values, ColValue::Reg(r.full()));
-                c.ids.push(id);
+                c.ids.push(intern(vals, index, ColValue::Reg(r.full())));
             }
             for g in flags::groups(e.flags_read) {
-                let id = intern(&mut c.values, ColValue::Flag(g));
-                c.ids.push(id);
+                c.ids.push(intern(vals, index, ColValue::Flag(g)));
             }
             let mv = e.mem.map(mem_value);
             if let (Some(mv), true) = (mv, e.loads) {
-                let id = intern(&mut c.values, mv);
-                c.ids.push(id);
+                c.ids.push(intern(vals, index, mv));
             }
             dedup_tail(&mut c.ids, c_start);
             let consumed = (c_start as u32, c.ids.len() as u32);
@@ -204,11 +278,9 @@ impl BlockColumns {
             let v_start = c.ids.len();
             if let (Some(m), Some(mv)) = (e.mem, mv) {
                 if e.loads {
-                    let id = intern(&mut c.values, mv);
-                    c.ids.push(id);
+                    c.ids.push(intern(vals, index, mv));
                     for r in m.addr_regs() {
-                        let id = intern(&mut c.values, ColValue::Reg(r.full()));
-                        c.ids.push(id);
+                        c.ids.push(intern(vals, index, ColValue::Reg(r.full())));
                     }
                 }
             }
@@ -216,24 +288,21 @@ impl BlockColumns {
 
             let p_start = c.ids.len();
             for r in &e.reg_writes {
-                let id = intern(&mut c.values, ColValue::Reg(r.full()));
-                c.ids.push(id);
+                c.ids.push(intern(vals, index, ColValue::Reg(r.full())));
             }
             for g in flags::groups(e.flags_written) {
-                let id = intern(&mut c.values, ColValue::Flag(g));
-                c.ids.push(id);
+                c.ids.push(intern(vals, index, ColValue::Flag(g)));
             }
             let mut stores_id = NO_VALUE;
             if let (Some(mv), true) = (mv, e.stores) {
-                let id = intern(&mut c.values, mv);
-                c.ids.push(id);
-                stores_id = id;
+                stores_id = intern(vals, index, mv);
+                c.ids.push(stores_id);
             }
             dedup_tail(&mut c.ids, p_start);
             let produced = (p_start as u32, c.ids.len() as u32);
 
             c.flows.push(FlowCol {
-                index: index as u32,
+                index: index_in_block as u32,
                 consumed,
                 via_load,
                 produced,
@@ -241,7 +310,14 @@ impl BlockColumns {
                 stores_id,
             });
         }
-        c
+        BlockColumns {
+            predec: c.predec.to_vec(),
+            lcp_insts: c.lcp_insts,
+            port_uops: c.port_uops.to_vec(),
+            ids: c.ids.to_vec(),
+            flows: c.flows.to_vec(),
+            values: c.values.to_vec(),
+        }
     }
 }
 

@@ -9,7 +9,11 @@
 //! requirements, and rename-stage behaviour (move elimination, zero idioms,
 //! unlamination). [`AnnotatedBlock`] applies this to a whole basic block and
 //! resolves macro fusion, producing the shared input representation for all
-//! throughput predictors in this workspace.
+//! throughput predictors in this workspace. An annotation borrows its
+//! instructions from the decoded block ([`AnnotatedInst`] is a view
+//! joining each one to its descriptor) and stores its kernel columns
+//! ([`BlockColumns`]) at exact size, so a cold annotation allocates a
+//! fixed number of times per block, not per instruction.
 //!
 //! ```
 //! use facile_isa::AnnotatedBlock;
@@ -36,7 +40,7 @@ pub mod probes;
 pub mod tables;
 pub mod vocab;
 
-pub use annotate::{AnnotatedBlock, AnnotatedInst};
+pub use annotate::{AnnotatedBlock, AnnotatedInst, InstIter, Insts};
 pub use classify::{describe, describe_fused_pair, macro_fuses};
 pub use cols::{BlockColumns, ColValue, FlowCol, PassTiming};
 pub use desc::{InstrDesc, Uop, UopKind};

@@ -1043,7 +1043,7 @@ fn lead_round(shared: &Arc<Shared>) {
 }
 
 /// Dispatch one gathered set of jobs: drop the expired, then one engine
-/// batch per distinct selector, slicing the row fan-out back per job.
+/// batch per distinct selector, moving each job's rows out of the fan-out.
 fn run_gathered(shared: &Arc<Shared>, jobs: Vec<Job>) {
     // Deadlines are judged here, at dequeue: a request whose budget was
     // spent waiting in the queue is answered with an error instead of
@@ -1101,12 +1101,10 @@ fn run_gathered(shared: &Arc<Shared>, jobs: Vec<Job>) {
                 // Rows are item-major: item k's rows are the np
                 // consecutive rows starting at k*np.
                 let np = rows.len() / items.len();
-                let mut offset = 0;
+                let mut rows = rows.into_iter();
                 for job in group {
-                    let take = job.items.len() * np;
-                    let slice = rows[offset..offset + take].to_vec();
-                    offset += take;
-                    let _ = job.reply.send(JobReply::Rows(slice));
+                    let mine = rows.by_ref().take(job.items.len() * np).collect();
+                    let _ = job.reply.send(JobReply::Rows(mine));
                 }
             }
             Ok(Err(e)) => {

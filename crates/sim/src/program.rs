@@ -40,13 +40,11 @@ impl Program {
         let cfg = ab.uarch().config();
         let mut insts: Vec<DynInst> = Vec::new();
         let mut raw: Vec<RawInst> = Vec::new();
-        let all = ab.insts();
-        let mut i = 0;
-        while i < all.len() {
-            let a = &all[i];
+        let mut all = ab.insts().iter().peekable();
+        while let Some(a) = all.next() {
             let fused_idx = insts.len() as u16;
-            let pair = all.get(i + 1).is_some_and(|n| n.fused_with_prev);
-            insts.push(expand(a, fused_idx, cfg, pair));
+            let pair = all.peek().is_some_and(|n| n.fused_with_prev);
+            insts.push(expand(&a, fused_idx, cfg, pair));
             raw.push(RawInst {
                 start: a.start,
                 len: a.inst().len as usize,
@@ -55,8 +53,7 @@ impl Program {
                 fused_idx,
                 completes_unit: !pair,
             });
-            if pair {
-                let b = &all[i + 1];
+            if let Some(b) = all.next_if(|n| n.fused_with_prev) {
                 raw.push(RawInst {
                     start: b.start,
                     len: b.inst().len as usize,
@@ -65,9 +62,6 @@ impl Program {
                     fused_idx,
                     completes_unit: true,
                 });
-                i += 2;
-            } else {
-                i += 1;
             }
         }
         Program {

@@ -109,7 +109,7 @@ impl DynInst {
 /// branch) into its dynamic form.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn expand(a: &AnnotatedInst, index: u16, cfg: &UarchConfig, fused_branch: bool) -> DynInst {
+pub fn expand(a: &AnnotatedInst<'_>, index: u16, cfg: &UarchConfig, fused_branch: bool) -> DynInst {
     let desc: &InstrDesc = a.desc();
     let e = a.effects();
 
@@ -341,7 +341,7 @@ fn distribute(members: &[usize], n: usize, out: &mut Vec<FusedUopTemplate>) {
     }
 }
 
-fn is_fusible(a: &AnnotatedInst, cfg: &UarchConfig) -> bool {
+fn is_fusible(a: &AnnotatedInst<'_>, cfg: &UarchConfig) -> bool {
     use facile_x86::Mnemonic;
     match a.inst().mnemonic {
         Mnemonic::Cmp | Mnemonic::Test => true,
@@ -363,7 +363,7 @@ mod tests {
 
     fn first_dyn(prog: &[(Mnemonic, Vec<Operand>)], u: Uarch) -> DynInst {
         let ab = AnnotatedBlock::new(Block::assemble(prog).unwrap(), u);
-        expand(&ab.insts()[0], 0, u.config(), false)
+        expand(&ab.insts().get(0).unwrap(), 0, u.config(), false)
     }
 
     #[test]
