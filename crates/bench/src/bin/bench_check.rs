@@ -20,41 +20,32 @@
 //!   cannot flake). Parallel-vs-single is additionally required not to be a
 //!   slowdown (>= 0.95 to leave room for timer noise on busy runners).
 //!   Baselines from before the multi-uarch sweep or the Full-detail pass
-//!   existed simply skip those gates (the field probe reports them as
-//!   absent).
+//!   existed simply skip those gates (their paths are absent).
 //! * `server_round_trip` (`BENCH_server.json`, from `bench_server`):
 //!   the served batch stream, `batch_stream.blocks_per_sec` — a client
 //!   streaming chunked `batch` requests through a live daemon, end to
 //!   end — and the lone round trip, `round_trip.clients_1.p50_us`, a
 //!   ceiling: one client's single-block `predict` latency.
 //!
+//! Both files are parsed with `facile_util::json`, and each gated value
+//! is looked up by its path, e.g. `single_thread.warm_cache_blocks_per_sec`.
+//!
 //! Used by CI: each committed file is copied aside, its benchmark
 //! re-runs, and this gate rejects the build if any gated configuration
 //! regressed by more than 25%.
 
+use facile_util::json::{self, Value};
 use std::process::ExitCode;
 
-/// Extract the number following `"key":` after `section` in a flat JSON
-/// text (the bench file is machine-written; no general parser needed).
-fn field(json: &str, section: &str, key: &str) -> Option<f64> {
-    let sec = json.find(&format!("\"{section}\""))?;
-    let tail = &json[sec..];
-    let k = tail.find(&format!("\"{key}\""))?;
-    let tail = &tail[k..];
-    let colon = tail.find(':')?;
-    let rest = tail[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The number at a dotted `path` in a parsed bench file, e.g.
+/// `round_trip.clients_1.p50_us`; `None` when any step is missing.
+fn number_at(doc: &Value, path: &str) -> Option<f64> {
+    path.split('.').try_fold(doc, |v, key| v.get(key))?.as_f64()
 }
 
-/// The string value of the top-level `"benchmark"` field.
-fn benchmark_name(json: &str) -> Option<&str> {
-    let k = json.find("\"benchmark\"")?;
-    let rest = json[k + "\"benchmark\"".len()..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start().strip_prefix('"')?;
-    rest.split('"').next()
+/// The top-level `"benchmark"` name, which picks the gates.
+fn benchmark(doc: &Value) -> Option<&str> {
+    doc.get("benchmark").and_then(Value::as_str)
 }
 
 /// Which way a gated value regresses, with its unit.
@@ -67,8 +58,9 @@ enum Gate {
     Ceiling(&'static str),
 }
 
-fn load(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+fn load(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 fn run() -> Result<(), String> {
@@ -95,29 +87,31 @@ fn run() -> Result<(), String> {
 
     let baseline = load(&baseline_path)?;
     let fresh = load(&fresh_path)?;
-    let name = benchmark_name(&baseline);
-    if benchmark_name(&fresh) != name {
+    if benchmark(&fresh) != benchmark(&baseline) {
         return Err(format!(
             "{baseline_path} and {fresh_path} come from different benchmarks"
         ));
     }
-    let server = name == Some("server_round_trip");
-    // Gated configurations: (label, json section, key, required, gate).
+    check(&baseline, &fresh, max_regression)
+}
+
+/// Apply the gates of `baseline`'s benchmark to `fresh`.
+fn check(baseline: &Value, fresh: &Value, max_regression: f64) -> Result<(), String> {
+    let server = benchmark(baseline) == Some("server_round_trip");
+    // Gated configurations: (label, path, required, gate).
     // `multi_uarch` and `full_detail` are optional so the gate still
     // works against baselines committed before they existed.
-    let gates: &[(&str, &str, &str, bool, Gate)] = if server {
+    let gates: &[(&str, &str, bool, Gate)] = if server {
         &[
             (
                 "served batch stream",
-                "batch_stream",
-                "blocks_per_sec",
+                "batch_stream.blocks_per_sec",
                 true,
                 Gate::Floor("blocks/s"),
             ),
             (
                 "lone round trip p50",
-                "clients_1",
-                "p50_us",
+                "round_trip.clients_1.p50_us",
                 true,
                 Gate::Ceiling("us"),
             ),
@@ -126,59 +120,53 @@ fn run() -> Result<(), String> {
         &[
             (
                 "warm single-thread",
-                "single_thread",
-                "warm_cache_blocks_per_sec",
+                "single_thread.warm_cache_blocks_per_sec",
                 true,
                 Gate::Floor("blocks/s"),
             ),
             (
                 "cold single-thread",
-                "single_thread",
-                "cold_cache_blocks_per_sec",
+                "single_thread.cold_cache_blocks_per_sec",
                 true,
                 Gate::Floor("blocks/s"),
             ),
             (
                 "full-detail warm single-thread",
-                "full_detail",
-                "warm_cache_blocks_per_sec",
+                "full_detail.warm_cache_blocks_per_sec",
                 false,
                 Gate::Floor("blocks/s"),
             ),
             (
                 "multi-uarch sweep warm",
-                "multi_uarch",
-                "warm_cache_blocks_per_sec",
+                "multi_uarch.warm_cache_blocks_per_sec",
                 false,
                 Gate::Floor("blocks/s"),
             ),
             (
                 "multi-uarch sweep cold",
-                "multi_uarch",
-                "cold_cache_blocks_per_sec",
+                "multi_uarch.cold_cache_blocks_per_sec",
                 false,
                 Gate::Floor("blocks/s"),
             ),
             (
                 "annotation cache bytes",
-                "annotation_cache",
-                "bytes",
+                "annotation_cache.bytes",
                 false,
                 Gate::Ceiling("bytes"),
             ),
         ]
     };
-    for &(label, section, key, required, gate) in gates {
-        let base = match field(&baseline, section, key) {
+    for &(label, path, required, gate) in gates {
+        let base = match number_at(baseline, path) {
             Some(v) => v,
             None if !required => {
-                println!("{label}: baseline predates {section}.{key}; gate skipped");
+                println!("{label}: baseline predates {path}; gate skipped");
                 continue;
             }
-            None => return Err(format!("field {section}.{key} not found in baseline")),
+            None => return Err(format!("field {path} not found in baseline")),
         };
-        let fresh_v = field(&fresh, section, key)
-            .ok_or_else(|| format!("field {section}.{key} not found in fresh result"))?;
+        let fresh_v = number_at(fresh, path)
+            .ok_or_else(|| format!("field {path} not found in fresh result"))?;
         let tolerance = max_regression * 100.0;
         match gate {
             Gate::Ceiling(unit) => {
@@ -216,9 +204,8 @@ fn run() -> Result<(), String> {
         println!("bench_check: OK");
         return Ok(());
     }
-    // Top-level field: section and key coincide.
-    let speedup = field(&fresh, "parallel_speedup_warm", "parallel_speedup_warm")
-        .ok_or("field parallel_speedup_warm not found")?;
+    let speedup =
+        number_at(fresh, "parallel_speedup_warm").ok_or("field parallel_speedup_warm not found")?;
     println!("parallel_speedup_warm: {speedup:.3}");
     if speedup < 0.95 {
         return Err(format!(
@@ -236,5 +223,39 @@ fn main() -> ExitCode {
             eprintln!("bench_check: FAIL: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc(text: &str) -> Value {
+        json::parse(text).expect("test document parses")
+    }
+
+    /// A key is looked up in its own section only: a later section's
+    /// value of the same name leaves it missing, so an optional gate is
+    /// skipped instead of comparing against the wrong number.
+    #[test]
+    fn a_later_sections_value_is_not_read() {
+        let baseline = doc(r#"{"benchmark":"engine_batch_throughput",
+                "single_thread":{"warm_cache_blocks_per_sec":100,"cold_cache_blocks_per_sec":50},
+                "full_detail":{},
+                "multi_uarch":{"warm_cache_blocks_per_sec":5},"parallel_speedup_warm":1.0}"#);
+        assert_eq!(
+            number_at(&baseline, "full_detail.warm_cache_blocks_per_sec"),
+            None
+        );
+        assert_eq!(
+            number_at(&baseline, "multi_uarch.warm_cache_blocks_per_sec"),
+            Some(5.0)
+        );
+        // The fresh run's full-detail pass would fail a floor of 5 × 0.75.
+        let fresh = doc(r#"{"benchmark":"engine_batch_throughput",
+                "single_thread":{"warm_cache_blocks_per_sec":100,"cold_cache_blocks_per_sec":50},
+                "full_detail":{"warm_cache_blocks_per_sec":1},
+                "multi_uarch":{"warm_cache_blocks_per_sec":5},"parallel_speedup_warm":1.0}"#);
+        assert_eq!(check(&baseline, &fresh, 0.25), Ok(()));
     }
 }

@@ -36,6 +36,7 @@ use facile_bench::Args;
 use facile_bhive::generate_suite;
 use facile_engine::{host_threads, CacheBudget};
 use facile_server::{BoundAddr, Endpoint, Server, ServerConfig};
+use facile_util::json;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -164,8 +165,8 @@ fn stream_counting(addr: SocketAddr, hexes: &[String], chunk: usize) -> (f64, u6
         }
         req.push_str("]}");
         let reply = client.round_trip(&req);
-        let v = facile_server::json::parse(reply.trim_end()).expect("reply parses");
-        if let Some(facile_server::json::Kind::Arr(r)) = v.get("rows").map(|r| &r.kind) {
+        let v = json::parse(reply.trim_end()).expect("reply parses");
+        if let Some(json::Kind::Arr(r)) = v.get("rows").map(|r| &r.kind) {
             rows += r.len() as u64;
         }
         error_rows += reply.matches("\"status\":\"error\"").count() as u64;
@@ -258,19 +259,18 @@ fn measure_governance(hexes: &[String], budget_mb: usize) -> Governance {
 
     let mut client = Client::connect(addr);
     let reply = client.round_trip(r#"{"op":"stats"}"#);
-    let v = facile_server::json::parse(reply.trim_end()).expect("stats parses");
+    let v = json::parse(reply.trim_end()).expect("stats parses");
     let stats = v.get("stats").expect("stats member");
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    fn num(val: Option<&facile_server::json::Value>) -> u64 {
-        val.and_then(facile_server::json::Value::as_f64)
-            .unwrap_or(0.0) as u64
+    fn num(val: Option<&json::Value>) -> u64 {
+        val.and_then(json::Value::as_f64).unwrap_or(0.0) as u64
     }
     let block_cache = stats.get("engine").and_then(|e| e.get("block_cache"));
     let srv = stats.get("server");
     let breaker_trips = srv
         .and_then(|s| s.get("external"))
         .and_then(|e| match &e.kind {
-            facile_server::json::Kind::Arr(items) => Some(
+            json::Kind::Arr(items) => Some(
                 items
                     .iter()
                     .map(|ext| num(ext.get("breaker_trips")))

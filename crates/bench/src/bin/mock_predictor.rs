@@ -24,6 +24,7 @@
 use facile_core::{Facile, Mode};
 use facile_isa::AnnotatedBlock;
 use facile_uarch::Uarch;
+use facile_util::json::{self, Value};
 use facile_x86::Block;
 use std::io::{BufRead, Write};
 use std::str::FromStr;
@@ -42,20 +43,6 @@ fn usage() -> ! {
          [--offset X] [--version-tag S] [--record FILE]"
     );
     std::process::exit(2);
-}
-
-/// Extract the raw value of `"key":...` from a flat JSON object line:
-/// the quoted string or the bare number/literal after the colon.
-fn field(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = line[at..].trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        Some(stripped[..stripped.find('"')?].to_string())
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim().to_string())
-    }
 }
 
 fn main() {
@@ -108,8 +95,11 @@ fn main() {
         if let Some(rec) = &mut recorder {
             writeln!(rec, "{line}").expect("record request");
         }
-        let id = field(&line, "id").unwrap_or_default();
-        match field(&line, "op").as_deref() {
+        let request = json::parse(&line).ok();
+        let field = |key| request.as_ref().and_then(|r| r.get(key));
+        // The id is echoed verbatim, as the request spelled it.
+        let id = field("id").map_or("", |v| v.raw(&line));
+        match field("op").and_then(Value::as_str) {
             Some("version") => {
                 writeln!(out, "{{\"id\":{id},\"version\":\"{version_tag}\"}}").unwrap();
                 out.flush().unwrap();
@@ -127,7 +117,7 @@ fn main() {
                     }
                     _ => {}
                 }
-                let reply = predict_reply(&line, &mode, offset);
+                let reply = predict_reply(request.as_ref(), &mode, offset);
                 writeln!(out, "{{\"id\":{id},{reply}}}").unwrap();
                 out.flush().unwrap();
                 predicts_answered += 1;
@@ -141,16 +131,16 @@ fn main() {
 }
 
 /// The reply payload (without the id) for one predict request.
-fn predict_reply(line: &str, mode: &MockMode, offset: f64) -> String {
+fn predict_reply(request: Option<&Value>, mode: &MockMode, offset: f64) -> String {
     let parsed = (|| {
-        let hex = field(line, "block")?;
-        let uarch = Uarch::from_str(&field(line, "uarch")?).ok()?;
-        let notion = match field(line, "mode")?.as_str() {
+        let field = |key| request?.get(key)?.as_str();
+        let uarch = Uarch::from_str(field("uarch")?).ok()?;
+        let notion = match field("mode")? {
             "tpu" => Mode::Unrolled,
             "tpl" => Mode::Loop,
             _ => return None,
         };
-        let block = Block::from_hex(&hex).ok()?;
+        let block = Block::from_hex(field("block")?).ok()?;
         Some((block, uarch, notion))
     })();
     let Some((block, uarch, notion)) = parsed else {

@@ -8,8 +8,8 @@
 //! --format csv` prints.
 
 use facile_engine::render::csv_header;
-use facile_server::json::{self, Kind, Value};
 use facile_uarch::Uarch;
+use facile_util::json::{self, Kind, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 #[cfg(unix)]

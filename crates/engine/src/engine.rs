@@ -10,7 +10,7 @@ use facile_explain::Detail;
 use facile_isa::{AnnotatedBlock, InternStats};
 use facile_uarch::Uarch;
 use facile_util::PoisonlessMutex;
-use facile_x86::Block;
+use facile_x86::{hex, Block};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -42,7 +42,7 @@ impl BlockInput {
         match self {
             BlockInput::Hex(h) => {
                 let h = h.trim();
-                let Some(bytes) = parse_hex(h) else {
+                let Some(bytes) = hex::decode(h).filter(|b| !b.is_empty()) else {
                     return Err(PredictError::BadHex {
                         input: h.to_string(),
                     });
@@ -53,7 +53,7 @@ impl BlockInput {
                 })
             }
             BlockInput::Bytes(b) => cache.decode(b).map_err(|source| PredictError::Decode {
-                input: b.iter().map(|x| format!("{x:02x}")).collect(),
+                input: hex::encode(b),
                 source,
             }),
             BlockInput::Block(_) | BlockInput::Shared(_) => {
@@ -67,25 +67,11 @@ impl BlockInput {
     pub fn hex(&self) -> String {
         match self {
             BlockInput::Hex(h) => h.trim().to_lowercase(),
-            BlockInput::Bytes(b) => b.iter().map(|x| format!("{x:02x}")).collect(),
+            BlockInput::Bytes(b) => hex::encode(b),
             BlockInput::Block(b) => b.to_hex(),
             BlockInput::Shared(b) => b.to_hex(),
         }
     }
-}
-
-/// Parse an even-length hex string into bytes (`None` on empty, odd
-/// length, or a non-hex character): the byte-level half of the former
-/// `Block::from_hex` path, split out so the decoded-block cache can be
-/// probed by bytes without decoding first.
-fn parse_hex(h: &str) -> Option<Vec<u8>> {
-    if h.is_empty() || !h.len().is_multiple_of(2) || !h.chars().all(|c| c.is_ascii_hexdigit()) {
-        return None;
-    }
-    (0..h.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&h[i..i + 2], 16).ok())
-        .collect()
 }
 
 /// One unit of batch work: a block on a microarchitecture, with an

@@ -59,6 +59,7 @@ use crate::registry::PredictorRegistry;
 use facile_core::Mode;
 use facile_faults as faults;
 use facile_uarch::Uarch;
+use facile_util::json::{self, Kind};
 use facile_util::{GlobalBudget, HeapSize, PoisonlessMutex, Shrinkable, SlruCache};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -214,169 +215,39 @@ pub struct Reply {
 }
 
 /// Parse one reply line: a flat JSON object with string or number
-/// values. Nested objects/arrays are protocol violations.
+/// values. Nested objects/arrays are protocol violations; unknown keys
+/// and literals are ignored, and a repeated key's last value wins.
 ///
 /// # Errors
 /// A parse diagnosis (position and expectation) on malformed input.
 pub fn parse_reply(line: &str) -> Result<Reply, String> {
-    let mut p = MiniParser {
-        s: line.as_bytes(),
-        i: 0,
+    let start = line.len() - line.trim_start_matches([' ', '\t', '\r', '\n']).len();
+    if !line[start..].starts_with('{') {
+        return Err(format!("byte {start}: expected '{{'"));
+    }
+    let v = json::parse(line).map_err(|e| format!("byte {}: {}", e.at, e.reason))?;
+    let Kind::Obj(members) = v.kind else {
+        unreachable!("a value that starts with '{{' is an object")
     };
     let mut reply = Reply::default();
-    p.skip_ws();
-    p.expect(b'{')?;
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.i += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            match p.peek() {
-                Some(b'"') => {
-                    let v = p.string()?;
-                    match key.as_str() {
-                        "error" => reply.error = Some(v),
-                        "version" => reply.version = Some(v),
-                        _ => {}
-                    }
-                }
-                Some(c) if c == b'-' || c.is_ascii_digit() => {
-                    let v = p.number()?;
-                    match key.as_str() {
-                        "id" if v >= 0.0 && v.fract() == 0.0 => {
-                            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                            {
-                                reply.id = Some(v as u64);
-                            }
-                        }
-                        "throughput" => reply.throughput = Some(v),
-                        _ => {}
-                    }
-                }
-                Some(b't') | Some(b'f') | Some(b'n') => p.literal()?,
-                _ => return Err(format!("byte {}: expected a flat value", p.i)),
+    for (key, value) in members {
+        match (key.as_str(), value.kind) {
+            (_, Kind::Arr(_) | Kind::Obj(_)) => {
+                return Err(format!("byte {}: expected a flat value", value.span.0));
             }
-            p.skip_ws();
-            match p.peek() {
-                Some(b',') => p.i += 1,
-                Some(b'}') => {
-                    p.i += 1;
-                    break;
+            ("error", Kind::Str(s)) => reply.error = Some(s),
+            ("version", Kind::Str(s)) => reply.version = Some(s),
+            ("id", Kind::Num(n)) if n >= 0.0 && n.fract() == 0.0 => {
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                {
+                    reply.id = Some(n as u64);
                 }
-                _ => return Err(format!("byte {}: expected ',' or '}}'", p.i)),
             }
+            ("throughput", Kind::Num(n)) => reply.throughput = Some(n),
+            _ => {}
         }
-    }
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(format!("byte {}: trailing bytes after object", p.i));
     }
     Ok(reply)
-}
-
-/// A minimal scanner for the flat reply objects the protocol allows.
-struct MiniParser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl MiniParser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("byte {}: expected {:?}", self.i, char::from(c)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(format!("byte {}: unterminated string", self.i)),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("byte {}: dangling escape", self.i))?;
-                    self.i += 1;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => {
-                            return Err(format!(
-                                "byte {}: unsupported escape \\{}",
-                                self.i,
-                                char::from(other)
-                            ))
-                        }
-                    });
-                }
-                Some(c) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let start = self.i;
-                    self.i += 1;
-                    while self.i < self.s.len() && (self.s[self.i] & 0xC0) == 0x80 {
-                        self.i += 1;
-                    }
-                    match std::str::from_utf8(&self.s[start..self.i]) {
-                        Ok(chunk) => out.push_str(chunk),
-                        Err(_) => return Err(format!("byte {start}: invalid UTF-8 ({c:#x})")),
-                    }
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .ok_or_else(|| format!("byte {start}: not a number"))
-    }
-
-    fn literal(&mut self) -> Result<(), String> {
-        for lit in ["true", "false", "null"] {
-            if self.s[self.i..].starts_with(lit.as_bytes()) {
-                self.i += lit.len();
-                return Ok(());
-            }
-        }
-        Err(format!("byte {}: expected true/false/null", self.i))
-    }
 }
 
 /// A live subprocess: pipes plus the reader thread's line channel.
@@ -969,6 +840,7 @@ pub fn load_config(registry: &mut PredictorRegistry, path: &str) -> Result<Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn request_lines_are_stable() {
@@ -1004,6 +876,88 @@ mod tests {
             "{\"id\":}",
         ] {
             assert!(parse_reply(bad).is_err(), "{bad:?} should be rejected");
+        }
+    }
+
+    #[test]
+    fn reply_unicode_escapes_decode() {
+        let r = parse_reply(r#"{"id":5,"error":"\u00b5op \ud83d\ude00 \u0001"}"#).unwrap();
+        assert_eq!(r.error.as_deref(), Some("\u{b5}op \u{1F600} \u{1}"));
+        let r = parse_reply(r#"{"id":0,"version":"t\u00e9st","version":"v2"}"#).unwrap();
+        assert_eq!(
+            r.version.as_deref(),
+            Some("v2"),
+            "a repeated key's last value wins"
+        );
+        assert!(parse_reply(r#"{"id":1,"error":"\ud800"}"#).is_err());
+    }
+
+    /// Bytes that make up reply lines, so arbitrary lines get deep into
+    /// the parser, plus any byte at all.
+    fn reply_byte(pick: u8, any: u8) -> u8 {
+        const JSONISH: &[u8] = b"{}[]\":,\\ u0123456789abcdefABCDEF.-+eEtrnlsid\t\n";
+        if pick < 200 {
+            JSONISH[usize::from(pick) % JSONISH.len()]
+        } else {
+            any
+        }
+    }
+
+    /// Text covering every escape `json_escape` writes: quotes,
+    /// backslashes, control characters, and multi-byte characters.
+    fn text(codes: &[u32]) -> String {
+        const WIDE: [char; 5] = ['\u{b5}', '\u{20ac}', '\u{4e2d}', '\u{1F600}', '\u{10FFFF}'];
+        codes
+            .iter()
+            .map(|&c| match c % 4 {
+                0 => char::from_u32(c / 4 % 0x80).expect("ASCII"),
+                1 => ['"', '\\', '/', '\n', '\r', '\t'][(c / 4) as usize % 6],
+                2 => char::from_u32(c / 4 % 0x20).expect("ASCII control"),
+                _ => WIDE[(c / 4) as usize % WIDE.len()],
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A subprocess can write any bytes: `parse_reply` answers every
+        /// line, and every truncation of a valid reply, with `Ok` or
+        /// `Err`, never a panic.
+        #[test]
+        fn parse_reply_never_panics(
+            bytes in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..96),
+            codes in proptest::collection::vec(any::<u32>(), 0..12),
+            id in any::<u64>(),
+        ) {
+            let raw: Vec<u8> = bytes.iter().map(|&(p, b)| reply_byte(p, b)).collect();
+            let _ = parse_reply(&String::from_utf8_lossy(&raw));
+            let reply = format!(
+                "{{\"id\":{id},\"throughput\":-1.5e3,\"error\":\"{}\",\"ok\":null}}",
+                facile_explain::json_escape(&text(&codes))
+            );
+            for end in (0..=reply.len()).filter(|&i| reply.is_char_boundary(i)) {
+                let _ = parse_reply(&reply[..end]);
+            }
+        }
+
+        /// A tool's `error` and `version` strings, written through the
+        /// workspace's JSON writer, read back unchanged.
+        #[test]
+        fn escaped_strings_round_trip(
+            error in proptest::collection::vec(any::<u32>(), 0..24),
+            version in proptest::collection::vec(any::<u32>(), 0..24),
+        ) {
+            let (error, version) = (text(&error), text(&version));
+            let line = format!(
+                "{{\"id\":9,\"error\":\"{}\",\"version\":\"{}\"}}",
+                facile_explain::json_escape(&error),
+                facile_explain::json_escape(&version)
+            );
+            let r = parse_reply(&line).expect("an escaped reply parses");
+            prop_assert_eq!(r.id, Some(9));
+            prop_assert_eq!(r.error, Some(error));
+            prop_assert_eq!(r.version, Some(version));
         }
     }
 

@@ -19,7 +19,9 @@
 //!   prints for the same input. See [`protocol`].
 //!
 //! The `facile serve` and `facile client` CLI subcommands are thin
-//! wrappers over this crate.
+//! wrappers over this crate. Request lines are read with the
+//! workspace's one JSON reader, `facile_util::json`, re-exported here
+//! as [`json`].
 //!
 //! A third property — **fault containment** — is layered across all of
 //! the above: per-item panics become `internal-panic` error rows (the
@@ -32,8 +34,8 @@
 #![warn(missing_docs)]
 
 pub use facile_faults as faults;
+pub use facile_util::json;
 
-pub mod json;
 pub mod protocol;
 pub mod server;
 

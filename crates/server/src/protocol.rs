@@ -32,12 +32,12 @@
 //! than ignored: a typoed `"modes"` silently falling back to defaults
 //! would be a debugging trap.
 
-use crate::json::{self, Kind, Value};
 use facile_engine::render;
 use facile_engine::{BatchItem, BlockInput, Detail, ItemResult};
 use facile_explain::json_escape;
 use facile_explain::Mode;
 use facile_uarch::Uarch;
+use facile_util::json::{self, Kind, Value};
 
 /// How prediction rows are rendered in the reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

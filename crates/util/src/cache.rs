@@ -28,10 +28,10 @@
 //!   toward the low watermark, and each edge crossing is logged exactly
 //!   once.
 
-use crate::fxhash::{FxBuildHasher, FxHashMap};
+use crate::fxhash::FxBuildHasher;
 use crate::sync::PoisonlessMutex;
 use std::borrow::Borrow;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -156,7 +156,11 @@ struct Entry<V> {
 
 #[derive(Debug)]
 struct Shard<K, V> {
-    map: FxHashMap<K, Entry<V>>,
+    /// Keys are caller-controlled bytes (instruction and block
+    /// encodings), so the map uses the standard, randomly keyed hasher:
+    /// FxHash's low bits depend only on the key's low bits, and keys
+    /// differing only in their high bytes would share one bucket.
+    map: HashMap<K, Entry<V>>,
     /// Insertion-ordered queue of probation entries (newest at back).
     probation: VecDeque<(K, u64)>,
     /// Clock queue of protected entries.
@@ -172,7 +176,7 @@ struct Shard<K, V> {
 impl<K, V> Default for Shard<K, V> {
     fn default() -> Self {
         Shard {
-            map: FxHashMap::default(),
+            map: HashMap::new(),
             probation: VecDeque::new(),
             protected: VecDeque::new(),
             bytes: 0,
@@ -329,7 +333,9 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> SlruCache<K, V> {
     }
 
     fn shard_index<Q: Hash + ?Sized>(&self, key: &Q) -> usize {
-        // High bits: the low bits of an Fx hash are the weakest.
+        // High bits: the low bits of an Fx hash are the weakest. FxHash
+        // has no per-process seed, so shard choice, and with it
+        // eviction, is the same on every run.
         (self.hasher.hash_one(key) as usize >> 48) & (SHARDS - 1)
     }
 
@@ -456,8 +462,8 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> SlruCache<K, V> {
     }
 
     /// Visit every resident `(key, value)` pair. Shards are visited in
-    /// index order while holding one shard lock at a time; entries are
-    /// not marked as used.
+    /// index order while holding one shard lock at a time, entries
+    /// within a shard in no fixed order; entries are not marked as used.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         for s in &self.shards {
             let shard = s.lock();

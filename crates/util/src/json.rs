@@ -1,10 +1,13 @@
-//! A minimal, dependency-free JSON parser for the server protocol.
+//! A minimal, dependency-free JSON parser: the workspace's one JSON
+//! reader.
 //!
-//! The workspace renders JSON in several places but the server is the
-//! first component that must *read* untrusted JSON (client request
-//! lines), so this module implements the subset of a JSON parser the
-//! protocol needs: full value parsing with source spans, a recursion
-//! depth cap, and typed errors instead of panics on any input.
+//! It reads untrusted JSON in three places: the server's client request
+//! lines, `facile client`'s reply lines, and the replies of external
+//! predictor subprocesses (`facile-engine`'s `ext:` adapters). The
+//! bench gate reads committed bench files through it too. So this
+//! module implements the subset of a JSON parser those callers need:
+//! full value parsing with source spans, a recursion depth cap, and
+//! typed errors instead of panics on any input.
 //!
 //! Every parsed [`Value`] remembers its byte span in the input line, so
 //! protocol code can echo a request `id` or forward a nested object

@@ -137,13 +137,7 @@ impl Block {
     /// the format used by the BHive suite.
     #[must_use]
     pub fn to_hex(&self) -> String {
-        const DIGITS: &[u8; 16] = b"0123456789abcdef";
-        let mut s = String::with_capacity(2 * self.bytes.len());
-        for b in &self.bytes {
-            s.push(DIGITS[usize::from(b >> 4)] as char);
-            s.push(DIGITS[usize::from(b & 0xf)] as char);
-        }
-        s
+        crate::hex::encode(&self.bytes)
     }
 
     /// Decode a block from a BHive-style hex string.
@@ -152,17 +146,10 @@ impl Block {
     /// Returns [`DecodeError::Invalid`] for non-hex input, otherwise
     /// decodes the bytes.
     pub fn from_hex(hex: &str) -> Result<Block, DecodeError> {
-        let hex = hex.trim();
-        if !hex.len().is_multiple_of(2) || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(DecodeError::Invalid {
-                offset: 0,
-                what: "malformed hex string",
-            });
-        }
-        let bytes: Vec<u8> = (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("validated hex"))
-            .collect();
+        let bytes = crate::hex::decode(hex.trim()).ok_or(DecodeError::Invalid {
+            offset: 0,
+            what: "malformed hex string",
+        })?;
         Block::decode(&bytes)
     }
 }

@@ -39,6 +39,7 @@ pub mod encode;
 pub mod error;
 pub mod flags;
 pub mod forms;
+pub mod hex;
 pub mod inst;
 pub mod mnemonic;
 pub mod operand;
