@@ -14,10 +14,12 @@
 //!   annotate-included first pass), and the nine-uarch sweep — warm and
 //!   cold — which exercises the planner batch API and the two-level
 //!   decode/annotate cache — and the warm single-thread `Detail::Full`
-//!   pass, all floors; plus `annotation_cache.bytes`, a ceiling on the
-//!   accounted bytes the cold and warm passes leave resident (byte
-//!   accounting is deterministic on the fixed corpus, so this gate
-//!   cannot flake). Parallel-vs-single is additionally required not to be a
+//!   pass, all floors; plus two ceilings on accounted bytes (byte
+//!   accounting is deterministic on the fixed corpus, so these gates
+//!   cannot flake): `annotation_cache.bytes`, what the single-uarch cold
+//!   and warm passes leave resident, and `multi_uarch.annotation_bytes`,
+//!   what the cold nine-uarch sweep leaves resident (one shared dataflow
+//!   and nine annotations per block). Parallel-vs-single is additionally required not to be a
 //!   slowdown (>= 0.95 to leave room for timer noise on busy runners).
 //!   Baselines from before the multi-uarch sweep or the Full-detail pass
 //!   existed simply skip those gates (their paths are absent).
@@ -99,8 +101,9 @@ fn run() -> Result<(), String> {
 fn check(baseline: &Value, fresh: &Value, max_regression: f64) -> Result<(), String> {
     let server = benchmark(baseline) == Some("server_round_trip");
     // Gated configurations: (label, path, required, gate).
-    // `multi_uarch` and `full_detail` are optional so the gate still
-    // works against baselines committed before they existed.
+    // `multi_uarch`, its `annotation_bytes` and `full_detail` are
+    // optional so the gate still works against baselines committed
+    // before they existed.
     let gates: &[(&str, &str, bool, Gate)] = if server {
         &[
             (
@@ -151,6 +154,12 @@ fn check(baseline: &Value, fresh: &Value, max_regression: f64) -> Result<(), Str
             (
                 "annotation cache bytes",
                 "annotation_cache.bytes",
+                false,
+                Gate::Ceiling("bytes"),
+            ),
+            (
+                "multi-uarch sweep annotation bytes",
+                "multi_uarch.annotation_bytes",
                 false,
                 Gate::Ceiling("bytes"),
             ),
@@ -257,5 +266,30 @@ mod tests {
                 "full_detail":{"warm_cache_blocks_per_sec":1},
                 "multi_uarch":{"warm_cache_blocks_per_sec":5},"parallel_speedup_warm":1.0}"#);
         assert_eq!(check(&baseline, &fresh, 0.25), Ok(()));
+    }
+
+    /// The sweep's resident bytes are a ceiling, gated only when the
+    /// baseline records them.
+    #[test]
+    fn sweep_annotation_bytes_are_a_ceiling() {
+        let file = |bytes: &str| {
+            doc(&format!(
+                r#"{{"benchmark":"engine_batch_throughput",
+                "single_thread":{{"warm_cache_blocks_per_sec":100,"cold_cache_blocks_per_sec":50}},
+                "multi_uarch":{{{bytes}}},"parallel_speedup_warm":1.0}}"#
+            ))
+        };
+        let baseline = file(r#""annotation_bytes":1000"#);
+        assert_eq!(
+            check(&baseline, &file(r#""annotation_bytes":1200"#), 0.25),
+            Ok(())
+        );
+        let err = check(&baseline, &file(r#""annotation_bytes":1300"#), 0.25).unwrap_err();
+        assert!(err.contains("multi-uarch sweep annotation bytes"), "{err}");
+        // An older baseline without the field skips the gate.
+        assert_eq!(
+            check(&file(""), &file(r#""annotation_bytes":1300"#), 0.25),
+            Ok(())
+        );
     }
 }

@@ -136,6 +136,9 @@ fn main() {
         .collect();
     let sweep_engine = Engine::new(PredictorRegistry::with_builtins()).with_threads(1);
     let (sweep_cold, _) = run(&sweep_engine, &sweep_items, 1);
+    // Accounted bytes the cold sweep leaves resident: one dataflow per
+    // block plus nine per-uarch annotations.
+    let sweep_bytes = sweep_engine.snapshot().annotation.bytes;
     let (sweep_warm, _) = run(&sweep_engine, &sweep_items, 3);
     let sweep_stats = sweep_engine.snapshot();
 
@@ -177,8 +180,9 @@ fn main() {
     facile_core::timing::reset();
     Engine::set_kernel_timing(true);
     let _ = run(&single, &items, 1);
-    // Annotation-side pass timing (table lookup + column build) only
-    // fires on cache misses, so it needs its own cold engine.
+    // Annotation-side pass timing (the dataflow build per block, the
+    // per-uarch annotation) only fires on cache misses, so it needs its
+    // own cold engine.
     facile_isa::cols::reset_pass_timing();
     let fresh = Engine::new(PredictorRegistry::with_builtins()).with_threads(1);
     let _ = run(&fresh, &items, 1);
@@ -202,8 +206,8 @@ fn main() {
         })
         .collect();
     let pass_json: Vec<String> = [
+        ("dataflow", facile_isa::cols::dataflow_timing()),
         ("annotate", facile_isa::cols::annotate_timing()),
-        ("columns", facile_isa::cols::columns_timing()),
     ]
     .into_iter()
     .filter(|(_, t)| t.count > 0)
@@ -223,7 +227,7 @@ fn main() {
 
     let note_json = note.map_or(String::new(), |n| format!("\n  \"note\": \"{n}\","));
     let json = format!(
-        "{{\n  \"benchmark\": \"engine_batch_throughput\",\n  \"predictors\": \"{SELECTOR}\",\n  \"uarch\": \"{uarch}\",\n  \"blocks\": {n},\n  \"rows\": {rows},\n  \"host_cpus\": {host_cpus},\n  \"threads_parallel\": {parallel_threads},{note_json}\n  \"single_thread\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"parallel\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"full_detail\": {{\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"multi_uarch\": {{\n    \"uarchs\": {n_uarchs},\n    \"items\": {sweep_n},\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1},\n    \"decode_hits\": {},\n    \"decode_misses\": {},\n    \"annotate_misses\": {}\n  }},\n  \"parallel_speedup_warm\": {:.3},\n  \"warm_over_cold_speedup_parallel\": {:.3},\n  \"planner\": {{ \"items\": {}, \"deduped\": {} }},\n  \"annotation_cache\": {{ \"hits\": {}, \"misses\": {}, \"decode_hits\": {}, \"decode_misses\": {}, \"entries\": {}, \"blocks\": {}, \"bytes\": {}, \"evictions\": {} }},\n  \"intern_table\": {{ \"hits\": {}, \"misses\": {}, \"core_hits\": {}, \"core_misses\": {}, \"byte_entries\": {}, \"entries\": {}, \"bytes\": {} }},\n  \"solver_paths\": {{ \"acyclic\": {}, \"simple_cycle\": {}, \"longest_path\": {}, \"howard\": {} }},\n  \"static_tables\": {{ \"hits\": {}, \"fallbacks\": {}, \"coverage\": {:.4} }},\n  \"annotation_passes\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ],\n  \"deterministic_across_threads\": true,\n  \"determinism_check_threads\": {check_threads}\n}}\n",
+        "{{\n  \"benchmark\": \"engine_batch_throughput\",\n  \"predictors\": \"{SELECTOR}\",\n  \"uarch\": \"{uarch}\",\n  \"blocks\": {n},\n  \"rows\": {rows},\n  \"host_cpus\": {host_cpus},\n  \"threads_parallel\": {parallel_threads},{note_json}\n  \"single_thread\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"parallel\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"full_detail\": {{\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"multi_uarch\": {{\n    \"uarchs\": {n_uarchs},\n    \"items\": {sweep_n},\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1},\n    \"decode_hits\": {},\n    \"decode_misses\": {},\n    \"annotate_misses\": {},\n    \"annotation_bytes\": {sweep_bytes}\n  }},\n  \"parallel_speedup_warm\": {:.3},\n  \"warm_over_cold_speedup_parallel\": {:.3},\n  \"planner\": {{ \"items\": {}, \"deduped\": {} }},\n  \"annotation_cache\": {{ \"hits\": {}, \"misses\": {}, \"decode_hits\": {}, \"decode_misses\": {}, \"entries\": {}, \"blocks\": {}, \"bytes\": {}, \"evictions\": {} }},\n  \"intern_table\": {{ \"hits\": {}, \"misses\": {}, \"core_hits\": {}, \"core_misses\": {}, \"byte_entries\": {}, \"entries\": {}, \"bytes\": {} }},\n  \"solver_paths\": {{ \"acyclic\": {}, \"simple_cycle\": {}, \"longest_path\": {}, \"howard\": {} }},\n  \"static_tables\": {{ \"hits\": {}, \"fallbacks\": {}, \"coverage\": {:.4} }},\n  \"annotation_passes\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ],\n  \"deterministic_across_threads\": true,\n  \"determinism_check_threads\": {check_threads}\n}}\n",
         cold_single.secs,
         cold_single.blocks_per_sec,
         warm_single.secs,

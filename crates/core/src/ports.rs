@@ -43,7 +43,7 @@ pub struct PortsAnalysis {
 /// per-instruction descriptor lists.
 fn port_loads(ab: &AnnotatedBlock, loads: &mut SmallVec<(PortMask, f64), INLINE_MASKS>) {
     loads.clear();
-    for &(ports, occupancy) in &ab.columns().port_uops {
+    for &(ports, occupancy) in ab.columns().port_uops {
         match loads.as_mut_slice().iter_mut().find(|(m, _)| *m == ports) {
             Some((_, w)) => *w += f64::from(occupancy),
             None => loads.push((ports, f64::from(occupancy))),

@@ -6,7 +6,10 @@
 //!
 //! There is one graph, built from the annotation's dataflow columns
 //! ([`facile_isa::BlockColumns`]): values are dense per-block ids, so
-//! last writers resolve by direct indexing. The bound alone is solved by
+//! last writers resolve by direct indexing. The flows are the block's
+//! shared, uarch-independent ones; the annotation's latency column gives
+//! each its latency on the uarch and marks macro-fused tails, whose flows
+//! the graph skips. The bound alone is solved by
 //! [`solve_value`]; the critical chain comes from Howard's cycle on the
 //! same graph, its value ids named through the column value table.
 //! `tests/chain_oracle.rs` checks both against a typed builder.
@@ -15,7 +18,7 @@ use crate::mcr::{max_cycle_ratio_howard, solve_value, Mcr, REdge, RatioGraph};
 use facile_explain::{
     ChainStep, Component, ComponentAnalysis, Evidence, PrecedenceEvidence, ValueRef,
 };
-use facile_isa::{AnnotatedBlock, BlockColumns, ColValue};
+use facile_isa::{AnnotatedBlock, BlockColumns, ColValue, FlowCol, SKIPPED_FLOW};
 use facile_util::FxHashMap;
 use std::cell::RefCell;
 use std::ops::Range;
@@ -36,7 +39,7 @@ pub struct PrecedenceAnalysis {
 }
 
 /// One graph node: a value consumed or produced by one flow (an entry
-/// of [`BlockColumns::flows`]).
+/// of [`BlockColumns::flows`], which is also the instruction's index).
 #[derive(Debug, Clone, Copy)]
 struct NodeMeta {
     flow: u32,
@@ -84,16 +87,26 @@ fn span((start, end): (u32, u32)) -> Range<usize> {
     start as usize..end as usize
 }
 
+/// The flows of the graph with their indices and latencies: every flow
+/// but those of macro-fused tails.
+fn live_flows<'a>(cols: BlockColumns<'a>) -> impl Iterator<Item = (usize, &'a FlowCol, u8)> + 'a {
+    cols.flows
+        .iter()
+        .zip(cols.latency)
+        .enumerate()
+        .filter(|(_, (_, &lat))| lat != SKIPPED_FLOW)
+        .map(|(i, (f, &lat))| (i, f, lat))
+}
+
 /// Build the dependence graph of the block's dataflow columns into
 /// `s.graph`. Returns `None` when the block has no flows, otherwise
 /// whether any loop-carried edge exists (if none does, the graph cannot
 /// have a cycle: intra edges point consumed -> produced within a flow
 /// and count-0 dependence edges point to a strictly later flow).
 fn build_graph(ab: &AnnotatedBlock, s: &mut PrecScratch) -> Option<bool> {
-    let BlockColumns {
-        ids, flows, values, ..
-    } = ab.columns();
-    if flows.is_empty() {
+    let cols = ab.columns();
+    let BlockColumns { ids, values, .. } = cols;
+    if cols.flows.is_empty() {
         return None;
     }
     let load_lat = f64::from(ab.uarch().config().load_latency);
@@ -110,7 +123,7 @@ fn build_graph(ab: &AnnotatedBlock, s: &mut PrecScratch) -> Option<bool> {
     nodes.clear();
     val_node.clear();
     val_node.resize(ids.len(), 0);
-    for (fi, f) in flows.iter().enumerate() {
+    for (fi, f, _) in live_flows(cols) {
         for (range, produced) in [(f.consumed, false), (f.produced, true)] {
             let start = nodes.len();
             for vi in span(range) {
@@ -132,12 +145,12 @@ fn build_graph(ab: &AnnotatedBlock, s: &mut PrecScratch) -> Option<bool> {
     graph.reset(nodes.len());
 
     // Intra-instruction latency edges: consumed -> produced.
-    for f in flows {
+    for (_, f, latency) in live_flows(cols) {
         for ci in span(f.consumed) {
             let c = ids[ci];
             let through_load = span(f.via_load).any(|vi| ids[vi] == c);
             for pi in span(f.produced) {
-                let mut w = f64::from(f.latency);
+                let mut w = f64::from(latency);
                 if through_load {
                     w += load_lat;
                 }
@@ -162,7 +175,7 @@ fn build_graph(ab: &AnnotatedBlock, s: &mut PrecScratch) -> Option<bool> {
             pnode: 0,
         },
     );
-    for (i, f) in flows.iter().enumerate() {
+    for (i, f, _) in live_flows(cols) {
         for pi in span(f.produced) {
             last_writer[ids[pi] as usize] = Writer {
                 flow_tag: i as u32 | WRAP,
@@ -171,7 +184,7 @@ fn build_graph(ab: &AnnotatedBlock, s: &mut PrecScratch) -> Option<bool> {
         }
     }
     let mut any_carried = false;
-    for (j, f) in flows.iter().enumerate() {
+    for (j, f, _) in live_flows(cols) {
         for ci in span(f.consumed) {
             // The most recent writer: this iteration if already seen
             // (count 0), else the block's last writer (count 1).
@@ -223,7 +236,7 @@ fn precedence_with(
         Mcr::Ratio { value, cycle } => {
             p.bound = value;
             if want_chain {
-                p.critical_chain = typed_chain(&cycle, ab.columns(), &s.nodes, &s.graph);
+                p.critical_chain = typed_chain(&cycle, ab.columns().values, &s.nodes, &s.graph);
             }
         }
     }
@@ -261,7 +274,7 @@ fn value_ref(v: ColValue) -> ValueRef {
 /// `Σ latency / #loop-carried` over the chain equals the bound.
 fn typed_chain(
     cycle: &[usize],
-    cols: &BlockColumns,
+    values: &[ColValue],
     nodes: &[NodeMeta],
     graph: &RatioGraph,
 ) -> Vec<ChainStep> {
@@ -288,8 +301,8 @@ fn typed_chain(
         let intra = edge((k + len - 1) % len);
         let dep = edge(k);
         chain.push(ChainStep {
-            inst: cols.flows[nm.flow as usize].index,
-            value: value_ref(cols.values[nm.value as usize]),
+            inst: nm.flow,
+            value: value_ref(values[nm.value as usize]),
             latency: intra.weight,
             loop_carried: dep.count > 0,
         });
@@ -331,7 +344,7 @@ mod tests {
     use facile_uarch::Uarch;
     use facile_x86::reg::names::*;
     use facile_x86::reg::Width;
-    use facile_x86::{Block, Mem, Mnemonic, Operand, Reg};
+    use facile_x86::{Block, Cond, Mem, Mnemonic, Operand, Reg};
 
     fn annotate(prog: &[(Mnemonic, Vec<Operand>)], u: Uarch) -> AnnotatedBlock {
         AnnotatedBlock::new(Block::assemble(prog).unwrap(), u)
@@ -431,6 +444,27 @@ mod tests {
         ];
         let p = precedence(&annotate(&prog, Uarch::Skl));
         assert_eq!(p.bound, 0.0);
+    }
+
+    #[test]
+    fn fused_tails_add_no_graph_nodes() {
+        // dec+jne fuse on SKL but not on SNB. On SKL the pair's dataflow
+        // is the dec's own, so the jne's flag read adds no node or edge;
+        // on SNB it does.
+        let dec = || (Mnemonic::Dec, vec![Operand::Reg(RDX)]);
+        let jne = || (Mnemonic::Jcc(Cond::Ne), vec![Operand::Rel(-5)]);
+        let size = |prog: &[(Mnemonic, Vec<Operand>)], u| {
+            let mut s = PrecScratch::default();
+            build_graph(&annotate(prog, u), &mut s);
+            (s.graph.num_nodes(), s.graph.num_edges())
+        };
+        let alone = size(&[dec()], Uarch::Skl);
+        assert_eq!(size(&[dec(), jne()], Uarch::Skl), alone);
+        let (nodes, edges) = size(&[dec(), jne()], Uarch::Snb);
+        assert!(
+            nodes > alone.0 && edges > alone.1,
+            "{nodes} nodes, {edges} edges"
+        );
     }
 
     #[test]

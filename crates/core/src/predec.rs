@@ -77,7 +77,7 @@ fn predec_impl(ab: &AnnotatedBlock, mode: Mode, evidence: Option<&mut PredecEvid
         // Per-instruction placement facts come from the annotation's
         // precomputed column — a flat array built once per block, not
         // re-derived per prediction (let alone per unrolled copy).
-        let facts = &ab.columns().predec;
+        let facts = ab.columns().predec;
         // Placements of all instruction instances across the unrolled
         // copies, counted directly (no materialized placement list).
         for copy in 0..u {

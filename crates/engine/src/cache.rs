@@ -9,12 +9,15 @@
 //! that kept a flat `(bytes, uarch)` table re-decoded every block nine
 //! times. The cache therefore has two levels:
 //!
-//! * **Level 1 — per bytes**: the decoded [`Block`], stored once and
-//!   shared via `Arc` (this is also where hex/byte inputs are decoded at
-//!   most once per distinct byte string).
+//! * **Level 1 — per bytes**: the decoded [`Block`] inside its
+//!   uarch-independent [`Dataflow`], built once and shared via `Arc`
+//!   (this is also where hex/byte inputs are decoded at most once per
+//!   distinct byte string).
 //! * **Level 2 — per uarch**: the [`AnnotatedBlock`], stored in a fixed
 //!   array indexed by the microarchitecture — the second uarch of a sweep
-//!   costs an array probe, not a rehash of the block bytes.
+//!   costs an array probe, not a rehash of the block bytes, and its
+//!   annotation specialises the resident dataflow instead of rebuilding
+//!   it.
 //!
 //! Storage is a byte-bounded, sharded segmented LRU
 //! ([`facile_util::SlruCache`]): a long-running server fed an endless
@@ -24,7 +27,7 @@
 //! an evicted block simply re-decodes/re-annotates on its next
 //! occurrence with bit-identical results.
 
-use facile_isa::AnnotatedBlock;
+use facile_isa::{AnnotatedBlock, Dataflow};
 use facile_uarch::Uarch;
 use facile_util::{GlobalBudget, HeapSize, Shrinkable, SlruCache};
 use facile_x86::{Block, DecodeError};
@@ -56,13 +59,14 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// One level-1 entry: the decoded block, its canonical hex rendering
-/// (batch rows carry it; rendering once per distinct bytes beats
-/// re-formatting it per row), and the per-uarch annotations (an array
-/// index per [`Uarch`], not a second map).
+/// One level-1 entry: the block's dataflow (which owns the decoded
+/// block), its canonical hex rendering (batch rows carry it; rendering
+/// once per distinct bytes beats re-formatting it per row), and the
+/// per-uarch annotations (an array index per [`Uarch`], not a second
+/// map).
 #[derive(Debug)]
 struct ByteEntry {
-    block: Arc<Block>,
+    dataflow: Arc<Dataflow>,
     hex: Arc<str>,
     annos: [Option<Arc<AnnotatedBlock>>; Uarch::ALL.len()],
     /// Running total of [`HeapSize::heap_bytes`]: the cache asks for it
@@ -72,14 +76,23 @@ struct ByteEntry {
 }
 
 impl ByteEntry {
-    fn new(block: Arc<Block>) -> ByteEntry {
-        let hex: Arc<str> = block.to_hex().into();
+    /// Assemble an entry from its dataflow and hex, both built
+    /// beforehand (the accounting walks the block's instructions, so
+    /// callers assemble it outside the shard lock where they can).
+    fn new(dataflow: Arc<Dataflow>, hex: Arc<str>) -> ByteEntry {
         ByteEntry {
-            bytes: std::mem::size_of::<Block>() + block.heap_bytes() + hex.len(),
+            bytes: std::mem::size_of::<Dataflow>() + dataflow.heap_bytes() + hex.len(),
+            dataflow,
             hex,
-            block,
             annos: Default::default(),
         }
+    }
+
+    /// A new entry for a block whose bytes missed: builds its dataflow
+    /// and hex, so callers run it before taking the shard lock.
+    fn build(block: Arc<Block>) -> ByteEntry {
+        let hex = block.to_hex().into();
+        ByteEntry::new(Arc::new(Dataflow::new(block)), hex)
     }
 
     /// Publish `ab` (accounted at `bytes`) into slot `ui` unless a racing
@@ -93,14 +106,15 @@ impl ByteEntry {
     }
 }
 
-/// Accounted bytes of one resident annotation (its interned
-/// descriptors count as pointers; the intern table owns those).
+/// Accounted bytes of one resident annotation (its shared dataflow and
+/// interned descriptors count as pointers; the level-1 entry and the
+/// intern table own those).
 fn annotation_bytes(ab: &AnnotatedBlock) -> usize {
     std::mem::size_of::<AnnotatedBlock>() + ab.heap_bytes()
 }
 
-/// Accounting: the entry owns its decoded block (deep, once — the
-/// annotations share it by pointer), the hex rendering, and each
+/// Accounting: the entry owns its dataflow and decoded block (deep, once
+/// — the annotations share both by pointer), the hex rendering, and each
 /// resident annotation, summed as they are inserted.
 impl HeapSize for ByteEntry {
     fn heap_bytes(&self) -> usize {
@@ -181,26 +195,28 @@ impl AnnotationCache {
     }
 
     /// The decoded block for `bytes`, decoding at most once per distinct
-    /// byte string. Decode failures are not cached (error inputs are the
-    /// rare path and keeping them out bounds the table by valid blocks).
+    /// byte string (a first decode also builds the block's dataflow, which
+    /// its annotations share). Decode failures are not cached (error
+    /// inputs are the rare path and keeping them out bounds the table by
+    /// valid blocks).
     ///
     /// # Errors
     /// Whatever [`Block::decode`] reports for the bytes.
     pub fn decode(&self, bytes: &[u8]) -> Result<Arc<Block>, DecodeError> {
-        if let Some(block) = self.table.read(bytes, |e| Arc::clone(&e.block)) {
+        if let Some(block) = self.table.read(bytes, |e| Arc::clone(e.dataflow.block())) {
             self.decode_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(block);
         }
-        // Decode outside the lock; a racing duplicate decode is
-        // deterministic and harmless.
+        // Decode and build the entry outside the lock; a racing duplicate
+        // is deterministic and harmless (first writer wins).
         facile_faults::maybe_panic(facile_faults::Point::DecodePanic, bytes);
-        let block = Arc::new(Block::decode(bytes)?);
+        let entry = ByteEntry::build(Arc::new(Block::decode(bytes)?));
         self.decode_misses.fetch_add(1, Ordering::Relaxed);
         Ok(self.table.get_or_insert_with(
             bytes,
             || bytes.into(),
-            move || ByteEntry::new(block),
-            |e| Arc::clone(&e.block),
+            move || entry,
+            |e| Arc::clone(e.dataflow.block()),
         ))
     }
 
@@ -213,58 +229,7 @@ impl AnnotationCache {
         block: &Arc<Block>,
         uarch: Uarch,
     ) -> (Arc<AnnotatedBlock>, Arc<str>) {
-        let bytes = block.bytes();
-        let ui = uarch as usize;
-        match self.probe(bytes, ui) {
-            Probe::Hit(hit) => hit,
-            Probe::Block(shared) => self.finish_annotation(bytes, shared, ui),
-            Probe::Miss => self.finish_annotation(bytes, Arc::clone(block), ui),
-        }
-    }
-
-    /// One locked probe of both levels, with the hit counters applied.
-    fn probe(&self, bytes: &[u8], ui: usize) -> Probe {
-        let probe = self.table.read(bytes, |e| match &e.annos[ui] {
-            Some(hit) => Ok((Arc::clone(hit), Arc::clone(&e.hex))),
-            None => Err(Arc::clone(&e.block)),
-        });
-        match probe {
-            Some(Ok(hit)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.decode_hits.fetch_add(1, Ordering::Relaxed);
-                Probe::Hit(hit)
-            }
-            Some(Err(block)) => {
-                self.decode_hits.fetch_add(1, Ordering::Relaxed);
-                Probe::Block(block)
-            }
-            None => {
-                self.decode_misses.fetch_add(1, Ordering::Relaxed);
-                Probe::Miss
-            }
-        }
-    }
-
-    /// Shared tail of the annotate paths: annotate outside the lock (so
-    /// workers don't serialize on misses; a racing duplicate annotation
-    /// is deterministic and harmless), then publish the entry (first
-    /// writer wins; an entry evicted since the probe is re-inserted).
-    fn finish_annotation(
-        &self,
-        bytes: &[u8],
-        block: Arc<Block>,
-        ui: usize,
-    ) -> (Arc<AnnotatedBlock>, Arc<str>) {
-        facile_faults::maybe_panic(facile_faults::Point::AnnotatePanic, bytes);
-        let ab = Arc::new(AnnotatedBlock::new_shared(Arc::clone(&block), ui_uarch(ui)));
-        let ab_bytes = annotation_bytes(&ab);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.table.get_or_insert_with(
-            bytes,
-            || bytes.into(),
-            move || ByteEntry::new(block),
-            move |e| (Arc::clone(e.insert(ui, ab, ab_bytes)), Arc::clone(&e.hex)),
-        )
+        self.annotate_or_register(block.bytes(), uarch as usize, || Arc::clone(block))
     }
 
     /// [`AnnotationCache::annotate_shared`] from a borrowed block: the
@@ -281,13 +246,73 @@ impl AnnotationCache {
         block: &Block,
         uarch: Uarch,
     ) -> (Arc<AnnotatedBlock>, Arc<str>) {
-        let bytes = block.bytes();
-        let ui = uarch as usize;
-        match self.probe(bytes, ui) {
-            Probe::Hit(hit) => hit,
-            Probe::Block(shared) => self.finish_annotation(bytes, shared, ui),
-            // The clone happens only when the bytes were never registered.
-            Probe::Miss => self.finish_annotation(bytes, Arc::new(block.clone()), ui),
+        self.annotate_or_register(block.bytes(), uarch as usize, || Arc::new(block.clone()))
+    }
+
+    /// Both annotate paths. One locked probe of both levels; on a miss,
+    /// annotate outside the lock (so workers don't serialize on misses; a
+    /// racing duplicate annotation is deterministic and harmless), then
+    /// publish with one insert (first writer wins). Bytes never seen get
+    /// their entry, dataflow and hex built here too, from the block
+    /// `owned` hands over, and the insert only moves it in; an entry
+    /// evicted since the probe, the rare case, is re-assembled from the
+    /// same dataflow and hex.
+    fn annotate_or_register(
+        &self,
+        bytes: &[u8],
+        ui: usize,
+        owned: impl FnOnce() -> Arc<Block>,
+    ) -> (Arc<AnnotatedBlock>, Arc<str>) {
+        let (dataflow, hex, mut fresh) = match self.probe(bytes, ui) {
+            Probe::Hit(hit) => return hit,
+            Probe::Block(dataflow, hex) => (dataflow, hex, None),
+            Probe::Miss => {
+                let entry = ByteEntry::build(owned());
+                (
+                    Arc::clone(&entry.dataflow),
+                    Arc::clone(&entry.hex),
+                    Some(entry),
+                )
+            }
+        };
+        facile_faults::maybe_panic(facile_faults::Point::AnnotatePanic, bytes);
+        let ab = Arc::new(AnnotatedBlock::from_dataflow(
+            Arc::clone(&dataflow),
+            ui_uarch(ui),
+        ));
+        let ab_bytes = annotation_bytes(&ab);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if let Some(entry) = &mut fresh {
+            entry.insert(ui, Arc::clone(&ab), ab_bytes);
+        }
+        self.table.get_or_insert_with(
+            bytes,
+            || bytes.into(),
+            move || fresh.unwrap_or_else(|| ByteEntry::new(dataflow, hex)),
+            move |e| (Arc::clone(e.insert(ui, ab, ab_bytes)), Arc::clone(&e.hex)),
+        )
+    }
+
+    /// One locked probe of both levels, with the hit counters applied.
+    fn probe(&self, bytes: &[u8], ui: usize) -> Probe {
+        let probe = self.table.read(bytes, |e| match &e.annos[ui] {
+            Some(hit) => Ok((Arc::clone(hit), Arc::clone(&e.hex))),
+            None => Err((Arc::clone(&e.dataflow), Arc::clone(&e.hex))),
+        });
+        match probe {
+            Some(Ok(hit)) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.decode_hits.fetch_add(1, Ordering::Relaxed);
+                Probe::Hit(hit)
+            }
+            Some(Err((dataflow, hex))) => {
+                self.decode_hits.fetch_add(1, Ordering::Relaxed);
+                Probe::Block(dataflow, hex)
+            }
+            None => {
+                self.decode_misses.fetch_add(1, Ordering::Relaxed);
+                Probe::Miss
+            }
         }
     }
 
@@ -324,8 +349,8 @@ impl AnnotationCache {
 enum Probe {
     /// Level-2 hit: the annotation and hex.
     Hit((Arc<AnnotatedBlock>, Arc<str>)),
-    /// Level-1 hit only: the resident decoded block.
-    Block(Arc<Block>),
+    /// Level-1 hit only: the resident dataflow and hex.
+    Block(Arc<Dataflow>, Arc<str>),
     /// The bytes were never seen.
     Miss,
 }
@@ -357,29 +382,34 @@ mod tests {
         assert_eq!(cache.stats(), CacheStats::default());
     }
 
+    fn loop_block() -> Block {
+        Block::assemble(&[
+            (Mnemonic::Add, vec![RAX.into(), RCX.into()]),
+            (Mnemonic::Dec, vec![RDX.into()]),
+            (
+                Mnemonic::Jcc(facile_x86::Cond::Ne),
+                vec![facile_x86::Operand::Rel(-7)],
+            ),
+        ])
+        .unwrap()
+    }
+
     #[test]
     fn running_byte_total_matches_a_recount() {
-        let b = Arc::new(
-            Block::assemble(&[
-                (Mnemonic::Add, vec![RAX.into(), RCX.into()]),
-                (Mnemonic::Dec, vec![RDX.into()]),
-                (
-                    Mnemonic::Jcc(facile_x86::Cond::Ne),
-                    vec![facile_x86::Operand::Rel(-7)],
-                ),
-            ])
-            .unwrap(),
-        );
-        let mut e = ByteEntry::new(Arc::clone(&b));
+        let b = Arc::new(loop_block());
+        let df = Arc::new(Dataflow::new(Arc::clone(&b)));
+        let mut e = ByteEntry::new(Arc::clone(&df), b.to_hex().into());
         for (ui, &u) in Uarch::ALL.iter().enumerate() {
-            let ab = Arc::new(AnnotatedBlock::new_shared(Arc::clone(&b), u));
+            let ab = Arc::new(AnnotatedBlock::from_dataflow(Arc::clone(&df), u));
             let n = annotation_bytes(&ab);
             e.insert(ui, Arc::clone(&ab), n);
             // A racing duplicate loses and adds nothing.
             e.insert(ui, ab, n);
         }
-        let recount = std::mem::size_of::<Block>()
-            + b.heap_bytes()
+        // The dataflow (with its block) is counted once, however many
+        // annotations share it.
+        let recount = std::mem::size_of::<Dataflow>()
+            + df.heap_bytes()
             + e.hex.len()
             + e.annos
                 .iter()
@@ -387,6 +417,28 @@ mod tests {
                 .map(|a| annotation_bytes(a))
                 .sum::<usize>();
         assert_eq!(e.heap_bytes(), recount);
+    }
+
+    #[test]
+    fn a_nine_uarch_sweep_builds_one_dataflow() {
+        let cache = AnnotationCache::new();
+        let b = Arc::new(loop_block());
+        let annos: Vec<_> = Uarch::ALL
+            .iter()
+            .map(|&u| cache.annotate_shared(&b, u).0)
+            .collect();
+        let resident = cache
+            .table
+            .read(b.bytes(), |e| Arc::clone(&e.dataflow))
+            .expect("the block is resident");
+        for a in &annos {
+            assert!(Arc::ptr_eq(a.dataflow(), &resident), "{}", a.uarch());
+        }
+        // The entry and the nine annotations hold the only references.
+        assert_eq!(Arc::strong_count(&resident), 1 + 1 + annos.len());
+        let s = cache.stats();
+        assert_eq!((s.blocks, s.entries), (1, Uarch::ALL.len()));
+        assert_eq!(s.decode_misses, 1);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use facile_isa::{AnnotatedBlock, InternStats};
 use facile_uarch::Uarch;
 use facile_util::PoisonlessMutex;
 use facile_x86::{hex, Block};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -686,14 +687,17 @@ impl Engine {
         // inputs, the trimmed string for hex): equal inputs are equal
         // work by construction, and unequal spellings of the same block
         // merely miss a dedup opportunity (the block cache still shares
-        // the decode).
+        // the decode). The keys are the caller's bytes, so the map keeps
+        // the standard, randomly keyed hasher: FxHash collisions can be
+        // solved for, and 32,768 colliding items would plan in quadratic
+        // time (`tests/planner_linear_time.rs`).
         #[derive(PartialEq, Eq, Hash)]
         enum InputKey<'a> {
             Bytes(&'a [u8]),
             Hex(&'a str),
         }
-        let mut seen: facile_util::FxHashMap<(InputKey<'_>, Uarch, i8, u8), u32> =
-            facile_util::FxHashMap::with_capacity_and_hasher(items.len(), Default::default());
+        let mut seen: HashMap<(InputKey<'_>, Uarch, i8, u8), u32> =
+            HashMap::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {
             let input = match &item.input {
                 BlockInput::Block(b) => InputKey::Bytes(b.bytes()),

@@ -1,26 +1,27 @@
 //! Annotated basic blocks: instructions paired with their performance
 //! descriptors and macro-fusion structure for one microarchitecture.
 //!
-//! An annotation borrows its instructions from the decoded block instead
-//! of copying them. It holds the shared `Arc<Block>` and one small
-//! descriptor entry per decoded instruction, fused tails included, so entry
-//! `i` annotates `block.insts()[i]`. A cold annotation therefore
-//! allocates a fixed number of times per block (the entry list and the
-//! kernel columns), however many instructions the block has; only
-//! macro-fused pairs add a boxed pair descriptor each.
-//! [`AnnotatedInst`] is the borrowed view that joins an entry to its
-//! instruction.
+//! An annotation is the per-uarch half of a block's input to the
+//! predictors. It shares the block's uarch-independent
+//! [`Dataflow`] (the decoded block, effects-derived columns, shape keys)
+//! by `Arc`, and holds one small descriptor entry per decoded
+//! instruction, fused tails included, so entry `i` annotates
+//! `block.insts()[i]`, plus the two per-uarch kernel columns (dispatched
+//! µops and per-flow latencies). A nine-uarch sweep therefore builds the
+//! dataflow once and specialises it nine times, and a per-uarch
+//! annotation allocates a fixed number of times per block, however many
+//! instructions it has; only macro-fused pairs add a boxed pair
+//! descriptor each. [`AnnotatedInst`] is the borrowed view that joins an
+//! entry to its instruction.
 
-use crate::classify::{
-    describe, describe_fused_pair, describe_fused_pair_with_effects, macro_fuses,
-};
-use crate::cols::{self, BlockColumns};
+use crate::classify::{describe, describe_fused_pair, describe_fused_pair_loading, macro_fuses};
+use crate::cols::{self, BlockColumns, SKIPPED_FLOW};
+use crate::dataflow::Dataflow;
 use crate::desc::InstrDesc;
-use crate::form::shape_key;
 use crate::intern::InternedInst as Interned;
 use crate::intern::{interner, DescInterner, InternedInst};
 use crate::tables;
-use facile_uarch::Uarch;
+use facile_uarch::{PortMask, Uarch};
 use facile_x86::{Block, Effects, Inst};
 use std::ops::Range;
 use std::sync::Arc;
@@ -60,7 +61,7 @@ pub(crate) enum DescEntry {
     /// Served from the build-time static tables: a `&'static` borrow,
     /// with no classifier run, no interner hashing or locking and no
     /// allocation. Effects are not stored: the hot kernels read the
-    /// block's precomputed columns, and the few remaining consumers
+    /// block's dataflow columns, and the few remaining consumers
     /// recompute them on demand.
     Static(&'static InstrDesc),
     /// A macro-fused pair head. Pair descriptors are trivial (a branch
@@ -144,7 +145,7 @@ impl<'a> AnnotatedInst<'a> {
     /// Returned by value: interned entries clone their stored effects
     /// (a couple of inline small-vectors), the others derive them from
     /// the instruction on demand. The per-prediction hot paths never
-    /// call this — they consume the precomputed
+    /// call this — they consume the block's dataflow through
     /// [`AnnotatedBlock::columns`] instead — so the annotation doesn't
     /// retain a per-instruction `Effects` just to answer occasional
     /// queries (detail rendering, simulation).
@@ -244,11 +245,11 @@ impl<'a> Iterator for InstIter<'a> {
 
 impl ExactSizeIterator for InstIter<'_> {}
 
-/// Accounting: the entry list and kernel columns. The backing
-/// `Arc<Block>` and interned descriptors count as pointers — the
-/// annotation cache's level-1 entry owns the block, and the intern
-/// table owns the interned descriptors, so a process-global budget
-/// never double counts them.
+/// Accounting: the entry list and the per-uarch columns. The shared
+/// [`Dataflow`] (with its block) and interned descriptors count as
+/// pointers — the annotation cache's level-1 entry owns the dataflow, and
+/// the intern table owns the interned descriptors, so a process-global
+/// budget never double counts them.
 impl facile_util::HeapSize for AnnotatedBlock {
     fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<DescEntry>()
@@ -257,7 +258,8 @@ impl facile_util::HeapSize for AnnotatedBlock {
                 .iter()
                 .map(DescEntry::heap_bytes)
                 .sum::<usize>()
-            + self.cols.heap_bytes()
+            + self.port_uops.capacity() * std::mem::size_of::<(PortMask, u8)>()
+            + self.latency.capacity()
     }
 }
 
@@ -268,14 +270,18 @@ impl facile_util::HeapSize for AnnotatedBlock {
 #[derive(Debug, Clone)]
 pub struct AnnotatedBlock {
     uarch: Uarch,
-    block: Arc<Block>,
-    /// One entry per decoded instruction of `block`, fused tails
+    /// The block and its uarch-independent columns, shared with every
+    /// other annotation of the same block.
+    dataflow: Arc<Dataflow>,
+    /// One entry per decoded instruction of the block, fused tails
     /// included: entry `i` describes `block.insts()[i]`.
     entries: Vec<DescEntry>,
-    /// Struct-of-arrays kernel inputs, built once at annotation time;
-    /// the predecoder, port, and precedence kernels run over these flat
-    /// columns instead of re-walking the instruction list.
-    cols: BlockColumns,
+    /// `(port mask, occupancy)` per µop that reaches the execution ports
+    /// (see [`BlockColumns::port_uops`]).
+    port_uops: Vec<(PortMask, u8)>,
+    /// Per-flow latency, [`SKIPPED_FLOW`] for a fused tail (see
+    /// [`BlockColumns::latency`]).
+    latency: Vec<u8>,
     // µop totals are consumed by several per-prediction bounds; cache them
     // at annotation time so predictions don't re-walk the block.
     total_fused: u32,
@@ -288,15 +294,24 @@ impl AnnotatedBlock {
     /// process-wide intern table) and apply macro fusion.
     #[must_use]
     pub fn new(block: Block, uarch: Uarch) -> AnnotatedBlock {
-        AnnotatedBlock::build(Arc::new(block), uarch, Some(interner()))
+        AnnotatedBlock::new_shared(Arc::new(block), uarch)
     }
 
-    /// Annotate an already-shared block: a nine-uarch sweep reuses one
-    /// `Arc<Block>` instead of cloning the decoded block per
-    /// microarchitecture (the engine's two-level cache uses this).
+    /// Annotate an already-shared block, building its dataflow afresh.
+    /// A sweep over several uarchs should build the [`Dataflow`] once
+    /// and call [`AnnotatedBlock::from_dataflow`] per uarch instead (the
+    /// engine's two-level cache does).
     #[must_use]
     pub fn new_shared(block: Arc<Block>, uarch: Uarch) -> AnnotatedBlock {
-        AnnotatedBlock::build(block, uarch, Some(interner()))
+        AnnotatedBlock::from_dataflow(Arc::new(Dataflow::new(block)), uarch)
+    }
+
+    /// Annotate the block behind a built dataflow for `uarch`, sharing
+    /// the dataflow: only descriptors, fusion and the per-uarch columns
+    /// are computed.
+    #[must_use]
+    pub fn from_dataflow(dataflow: Arc<Dataflow>, uarch: Uarch) -> AnnotatedBlock {
+        AnnotatedBlock::build(dataflow, uarch, Some(interner()))
     }
 
     /// Annotate without the intern table: every descriptor is classified
@@ -305,94 +320,105 @@ impl AnnotatedBlock {
     /// exactly that.
     #[must_use]
     pub fn new_uninterned(block: Block, uarch: Uarch) -> AnnotatedBlock {
-        AnnotatedBlock::build(Arc::new(block), uarch, None)
+        let dataflow = Arc::new(Dataflow::new(Arc::new(block)));
+        AnnotatedBlock::build(dataflow, uarch, None)
     }
 
-    fn build(block: Arc<Block>, uarch: Uarch, table: Option<&DescInterner>) -> AnnotatedBlock {
+    fn build(
+        dataflow: Arc<Dataflow>,
+        uarch: Uarch,
+        table: Option<&DescInterner>,
+    ) -> AnnotatedBlock {
         let t_annotate = cols::timing_enabled().then(Instant::now);
         let cfg = uarch.config();
+        let block = dataflow.block();
         let raw = block.insts();
-        let bytes = block.bytes();
-        // Each entry comes paired with the instruction's effects: the
-        // column builder consumes them transiently, so table-served
-        // entries never pay for the effects walk twice and never retain
-        // the result.
-        let single = |i: usize| -> (DescEntry, Effects) {
+        // Table coverage, reported once per annotation.
+        let (mut hits, mut fallbacks) = (0, 0);
+        let mut single = |i: usize| -> DescEntry {
             let Some(t) = table else {
                 // The uninterned reference path stays entirely on the
                 // runtime classifier — it is the oracle the static
                 // tables are tested against.
-                let entry = Arc::new(Interned::uninterned(raw[i].clone(), describe(&raw[i], cfg)));
-                let effects = entry.effects().clone();
-                return (DescEntry::Interned(entry), effects);
+                let entry = Interned::uninterned(raw[i].clone(), describe(&raw[i], cfg));
+                return DescEntry::Interned(Arc::new(entry));
             };
             // Fast path: serve the descriptor from the build-time static
             // tables, skipping the classifier and the interner.
-            let effects = raw[i].effects();
-            if let Some(desc) = tables::lookup(raw[i].mnemonic, shape_key(&raw[i], &effects), uarch)
+            if let Some(desc) = tables::lookup_uncounted(raw[i].mnemonic, dataflow.shape(i), uarch)
             {
-                return (DescEntry::Static(desc), effects);
+                hits += 1;
+                return DescEntry::Static(desc);
             }
+            fallbacks += 1;
             let start = block.offset(i);
             let end = start + raw[i].len as usize;
-            (
-                DescEntry::Interned(t.single(&bytes[start..end], &raw[i], cfg)),
-                effects,
-            )
+            DescEntry::Interned(t.single(&block.bytes()[start..end], &raw[i], cfg))
         };
-        let (entries, cols) = cols::with_scratch(|scratch| {
-            // The effects go to per-thread scratch, parallel to
-            // `entries`; a fused tail gets an empty placeholder (the
-            // pair's dataflow is carried by its head).
-            let effs = &mut scratch.effs;
-            effs.reserve(raw.len());
-            let mut entries: Vec<DescEntry> = Vec::with_capacity(raw.len());
-            let mut i = 0;
-            while i < raw.len() {
-                if i + 1 < raw.len() && macro_fuses(&raw[i], &raw[i + 1], cfg) {
-                    let (pair, effects) = if table.is_some() {
-                        // Pair descriptors are a branch µop plus an
-                        // optional load: cheaper to rebuild than to intern.
-                        let effects = raw[i].effects();
-                        let desc = describe_fused_pair_with_effects(&raw[i], &effects, cfg);
-                        (DescEntry::Pair(Box::new(desc)), effects)
-                    } else {
-                        let entry = Arc::new(Interned::uninterned(
-                            raw[i].clone(),
-                            describe_fused_pair(&raw[i], &raw[i + 1], cfg),
-                        ));
-                        let effects = entry.effects().clone();
-                        (DescEntry::Interned(entry), effects)
-                    };
-                    entries.extend([pair, DescEntry::FusedTail]);
-                    effs.extend([effects, Effects::default()]);
-                    i += 2;
+        let mut entries: Vec<DescEntry> = Vec::with_capacity(raw.len());
+        let mut i = 0;
+        while i < raw.len() {
+            if i + 1 < raw.len() && macro_fuses(&raw[i], &raw[i + 1], cfg) {
+                let pair = if table.is_some() {
+                    // Pair descriptors are a branch µop plus an optional
+                    // load: cheaper to rebuild than to intern.
+                    DescEntry::Pair(Box::new(describe_fused_pair_loading(
+                        dataflow.loads(i),
+                        cfg,
+                    )))
                 } else {
-                    let (entry, effects) = single(i);
-                    entries.push(entry);
-                    effs.push(effects);
-                    i += 1;
+                    let desc = describe_fused_pair(&raw[i], &raw[i + 1], cfg);
+                    DescEntry::Interned(Arc::new(Interned::uninterned(raw[i].clone(), desc)))
+                };
+                entries.extend([pair, DescEntry::FusedTail]);
+                i += 2;
+            } else {
+                entries.push(single(i));
+                i += 1;
+            }
+        }
+        tables::record_lookups(hits, fallbacks);
+        // One pass for the latency column, the µop totals and the length
+        // of the dispatched-µop column, so that column is allocated at
+        // its exact length.
+        let mut latency = Vec::with_capacity(entries.len());
+        let (mut total_fused, mut total_issue, mut total_unfused) = (0, 0, 0);
+        let mut dispatched = 0;
+        for e in &entries {
+            let d = e.desc();
+            total_fused += u32::from(d.fused_uops);
+            total_issue += u32::from(d.issue_uops);
+            total_unfused += d.unfused_uops() as u32;
+            if !d.eliminated {
+                dispatched += d.uops.iter().filter(|u| !u.ports.is_empty()).count();
+            }
+            latency.push(match e {
+                DescEntry::FusedTail => SKIPPED_FLOW,
+                _ => {
+                    debug_assert_ne!(d.latency, SKIPPED_FLOW);
+                    d.latency
                 }
-            }
-            let t_cols = cols::timing_enabled().then(Instant::now);
-            let cols = scratch.columns(&block, &entries);
-            if let Some(t) = t_cols {
-                cols::record_columns(t.elapsed());
-            }
-            (entries, cols)
-        });
-        let descs = || entries.iter().map(DescEntry::desc);
-        let total_fused = descs().map(|d| u32::from(d.fused_uops)).sum();
-        let total_issue = descs().map(|d| u32::from(d.issue_uops)).sum();
-        let total_unfused = descs().map(|d| d.unfused_uops() as u32).sum();
+            });
+        }
+        let mut port_uops = Vec::with_capacity(dispatched);
+        port_uops.extend(
+            entries
+                .iter()
+                .map(DescEntry::desc)
+                .filter(|d| !d.eliminated)
+                .flat_map(|d| d.uops.iter())
+                .filter(|u| !u.ports.is_empty())
+                .map(|u| (u.ports, u.occupancy)),
+        );
         if let Some(t) = t_annotate {
             cols::record_annotate(t.elapsed());
         }
         AnnotatedBlock {
             uarch,
-            block,
+            dataflow,
             entries,
-            cols,
+            port_uops,
+            latency,
             total_fused,
             total_issue,
             total_unfused,
@@ -403,13 +429,13 @@ impl AnnotatedBlock {
     fn view(&self, i: usize) -> AnnotatedInst<'_> {
         let entry = &self.entries[i];
         AnnotatedInst {
-            start: self.block.offset(i),
+            start: self.block().offset(i),
             fused_with_prev: matches!(entry, DescEntry::FusedTail),
             // An interned entry answers with its own copy, so the
             // equivalence checks compare what the intern table holds.
             inst: match entry {
                 DescEntry::Interned(e) => e.inst(),
-                _ => &self.block.insts()[i],
+                _ => &self.block().insts()[i],
             },
             entry,
         }
@@ -424,7 +450,13 @@ impl AnnotatedBlock {
     /// The underlying basic block.
     #[must_use]
     pub fn block(&self) -> &Block {
-        &self.block
+        self.dataflow.block()
+    }
+
+    /// The block's shared, uarch-independent dataflow.
+    #[must_use]
+    pub fn dataflow(&self) -> &Arc<Dataflow> {
+        &self.dataflow
     }
 
     /// All instructions, including macro-fused branches.
@@ -433,11 +465,21 @@ impl AnnotatedBlock {
         Insts { ab: self }
     }
 
-    /// The block's struct-of-arrays kernel columns (placement facts,
-    /// dispatched µops, interned dataflow), built at annotation time.
+    /// The block's struct-of-arrays kernel columns: the shared
+    /// dataflow's (placement facts, interned dataflow) joined with this
+    /// annotation's dispatched µops and per-flow latencies.
     #[must_use]
-    pub fn columns(&self) -> &BlockColumns {
-        &self.cols
+    pub fn columns(&self) -> BlockColumns<'_> {
+        let df = &*self.dataflow;
+        BlockColumns {
+            predec: &df.predec,
+            lcp_insts: df.lcp_insts,
+            port_uops: &self.port_uops,
+            ids: &df.ids,
+            flows: &df.flows,
+            latency: &self.latency,
+            values: &df.values,
+        }
     }
 
     /// Instructions as seen *after* macro fusion (fused branches skipped).
@@ -467,13 +509,13 @@ impl AnnotatedBlock {
     /// Length of the block in bytes.
     #[must_use]
     pub fn byte_len(&self) -> usize {
-        self.block.byte_len()
+        self.block().byte_len()
     }
 
     /// Whether the block ends in a branch (a TPL-style loop benchmark).
     #[must_use]
     pub fn ends_in_branch(&self) -> bool {
-        self.block.ends_in_branch()
+        self.block().ends_in_branch()
     }
 
     /// Whether the JCC-erratum mitigation affects this block on its

@@ -444,19 +444,15 @@ pub fn macro_fuses(a: &Inst, b: &Inst, cfg: &UarchConfig) -> bool {
 /// as a single branch µop (plus a load µop if the producer reads memory).
 #[must_use]
 pub fn describe_fused_pair(a: &Inst, _b: &Inst, cfg: &UarchConfig) -> InstrDesc {
-    describe_fused_pair_with_effects(a, &a.effects(), cfg)
+    describe_fused_pair_loading(a.effects().loads, cfg)
 }
 
-/// [`describe_fused_pair`] with the producer's effects precomputed (see
-/// [`describe_with_effects`]).
+/// [`describe_fused_pair`] given only whether the producer loads from
+/// memory, the one fact about the pair that the descriptor depends on.
 #[must_use]
-pub fn describe_fused_pair_with_effects(
-    _a: &Inst,
-    effects: &Effects,
-    cfg: &UarchConfig,
-) -> InstrDesc {
+pub fn describe_fused_pair_loading(loads: bool, cfg: &UarchConfig) -> InstrDesc {
     let mut uops: SmallVec<Uop, MAX_UOPS> = SmallVec::new();
-    if effects.loads {
+    if loads {
         uops.push(Uop {
             ports: cfg.ports.load,
             kind: UopKind::Load,

@@ -27,7 +27,7 @@
 //! the same bytes (the pair's first instruction boundary falls strictly
 //! inside the byte string).
 
-use crate::classify::{describe_fused_pair_with_effects, describe_with_effects};
+use crate::classify::{describe_fused_pair_loading, describe_with_effects};
 use crate::desc::InstrDesc;
 use facile_uarch::{Uarch, UarchConfig};
 use facile_util::{GlobalBudget, HeapSize, Shrinkable, SlruCache};
@@ -271,7 +271,7 @@ impl DescInterner {
                 inst: first.clone(),
                 effects: first.effects(),
             },
-            |core| describe_fused_pair_with_effects(&core.inst, &core.effects, cfg),
+            |core| describe_fused_pair_loading(core.effects.loads, cfg),
         )
     }
 

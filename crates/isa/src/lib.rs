@@ -9,11 +9,15 @@
 //! requirements, and rename-stage behaviour (move elimination, zero idioms,
 //! unlamination). [`AnnotatedBlock`] applies this to a whole basic block and
 //! resolves macro fusion, producing the shared input representation for all
-//! throughput predictors in this workspace. An annotation borrows its
-//! instructions from the decoded block ([`AnnotatedInst`] is a view
-//! joining each one to its descriptor) and stores its kernel columns
-//! ([`BlockColumns`]) at exact size, so a cold annotation allocates a
-//! fixed number of times per block, not per instruction.
+//! throughput predictors in this workspace. The uarch-independent half of
+//! an annotation — the decoded block, its interned dataflow, predecoder
+//! facts and shape keys — is a [`Dataflow`], built once per block and
+//! shared by `Arc` across microarchitectures. An annotation adds only
+//! per-uarch descriptors, dispatched µops and latencies, borrowing its
+//! instructions from the block ([`AnnotatedInst`] is a view joining each
+//! one to its descriptor), so it allocates a fixed number of times per
+//! block, not per instruction. [`BlockColumns`] joins both halves for the
+//! kernels.
 //!
 //! ```
 //! use facile_isa::AnnotatedBlock;
@@ -33,6 +37,7 @@
 pub mod annotate;
 pub mod classify;
 pub mod cols;
+pub mod dataflow;
 pub mod desc;
 pub mod form;
 pub mod intern;
@@ -42,7 +47,8 @@ pub mod vocab;
 
 pub use annotate::{AnnotatedBlock, AnnotatedInst, InstIter, Insts};
 pub use classify::{describe, describe_fused_pair, macro_fuses};
-pub use cols::{BlockColumns, ColValue, FlowCol, PassTiming};
+pub use cols::{BlockColumns, PassTiming, SKIPPED_FLOW};
+pub use dataflow::{ColValue, Dataflow, FlowCol};
 pub use desc::{InstrDesc, Uop, UopKind};
 pub use intern::{
     attach_intern_budget, intern_stats, set_intern_capacity, DescInterner, InternStats,

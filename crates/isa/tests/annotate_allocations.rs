@@ -2,10 +2,11 @@
 //! however many instructions it has: the annotated instructions borrow
 //! the decoded block instead of cloning each `Inst` (whose operands are
 //! a heap vector), and the kernel columns are assembled in per-thread
-//! scratch and copied out once each.
+//! scratch and copied out once each. Annotating a built dataflow for
+//! one more uarch allocates only the per-uarch columns.
 
 use facile_isa::form::shape_key;
-use facile_isa::AnnotatedBlock;
+use facile_isa::{AnnotatedBlock, Dataflow};
 use facile_uarch::Uarch;
 use facile_x86::reg::names::*;
 use facile_x86::{Block, Mem, Mnemonic, Operand, Width};
@@ -106,5 +107,33 @@ fn annotation_allocates_per_block_not_per_instruction() {
     assert_eq!(
         n_small, n_large,
         "8 instructions allocate {n_small} times, 64 allocate {n_large} times"
+    );
+}
+
+/// The per-uarch half: annotating an existing dataflow allocates only the
+/// descriptor entries and the two per-uarch columns, fewer times than a
+/// whole annotation did before the dataflow was shared (6), and the same
+/// number of times for 8 and 64 instructions.
+#[test]
+fn annotating_a_shared_dataflow_allocates_only_per_uarch_columns() {
+    let (small, large) = (
+        Arc::new(Dataflow::new(block(8))),
+        Arc::new(Dataflow::new(block(64))),
+    );
+    let annotate = |df: &Arc<Dataflow>| {
+        let ab = AnnotatedBlock::from_dataflow(Arc::clone(df), Uarch::Skl);
+        assert_eq!(ab.fused_insts().count(), df.block().num_insts());
+        drop(ab);
+    };
+    annotate(&large);
+    let n_small = allocations(|| annotate(&small));
+    let n_large = allocations(|| annotate(&large));
+    assert_eq!(
+        n_small, n_large,
+        "8 instructions allocate {n_small} times, 64 allocate {n_large} times"
+    );
+    assert!(
+        n_small < 6,
+        "a per-uarch annotation allocates {n_small} times"
     );
 }
