@@ -34,12 +34,14 @@ OPTIONS:
                               section)
     --queue-cap <N>           admission bound on queued + in-flight
                               batch items (default 65536); requests over
-                              it are rejected with `overloaded`
-    --cache-budget-mb <N>     total memory budget for the annotation,
-                              intern, and external-result caches
-                              (default: unbounded). Above 80% / 95% of
-                              pressure the server sheds batch / all
-                              prediction work; `health` reports the tier
+                              it are rejected with `overloaded`. Above
+                              80% / 95% of it the server sheds batch /
+                              all prediction work; `health` reports the
+                              tier
+    --cache-budget-mb <N>     total memory budget, split 55% / 30% / 15%
+                              among the annotation, intern, and
+                              external-result caches, each capped at its
+                              share (default: unbounded)
     --conn-max-items <N>      largest single request one connection may
                               send, in items (default 0 = unlimited)
     --conn-rps <N>            per-connection prediction requests per

@@ -29,10 +29,10 @@
 
 use facile_isa::{AnnotatedBlock, Dataflow};
 use facile_uarch::Uarch;
-use facile_util::{GlobalBudget, HeapSize, Shrinkable, SlruCache};
+use facile_util::{HeapSize, SlruCache};
 use facile_x86::{Block, DecodeError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Hit/miss counters of a [`AnnotationCache`], per level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -131,7 +131,7 @@ fn ui_uarch(ui: usize) -> Uarch {
 /// bytes to the shared decoded block and its per-uarch annotations.
 #[derive(Debug)]
 pub struct AnnotationCache {
-    table: Arc<SlruCache<Box<[u8]>, ByteEntry>>,
+    table: SlruCache<Box<[u8]>, ByteEntry>,
     hits: AtomicU64,
     misses: AtomicU64,
     decode_hits: AtomicU64,
@@ -155,7 +155,7 @@ impl AnnotationCache {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> AnnotationCache {
         AnnotationCache {
-            table: Arc::new(SlruCache::new("annotation", capacity)),
+            table: SlruCache::new(capacity),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             decode_hits: AtomicU64::new(0),
@@ -184,14 +184,6 @@ impl AnnotationCache {
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.table.evictions()
-    }
-
-    /// Register this cache as a member of `budget`: byte deltas are
-    /// reported there and the cache participates in proportional
-    /// shrinking when the budget's high watermark is crossed.
-    pub fn attach_budget(&self, budget: &Arc<GlobalBudget>) {
-        budget.register(Arc::downgrade(&self.table) as Weak<dyn Shrinkable>);
-        self.table.set_budget(budget);
     }
 
     /// The decoded block for `bytes`, decoding at most once per distinct

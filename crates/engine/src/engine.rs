@@ -290,17 +290,15 @@ impl EngineStats {
 }
 
 /// How a process-wide cache byte budget is split among the memoization
-/// layers, and where its shrink watermarks sit.
+/// layers.
 ///
 /// The split reflects per-entry weight: the annotation cache dominates
 /// (whole decoded blocks plus per-uarch annotations, 55%), the intern
 /// table is bounded by distinct instruction encodings (30%), and the
 /// remaining 15% is reserved for auxiliary caches (the external-predictor
-/// result cache, when one is configured). The [`facile_util::GlobalBudget`]
-/// watermarks sit at 90% (high: crossing it triggers a proportional
-/// shrink of every member) and 70% (low: the shrink target) of the
-/// total, so per-cache caps leave headroom before the global shrink
-/// ever fires.
+/// result cache, when one is configured). The three shares sum to the
+/// total, and each cache enforces its own share at every insert, so the
+/// shares alone bound the accounted bytes: nothing re-checks their sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheBudget {
     /// Total budget across all member caches, in bytes.
@@ -336,19 +334,6 @@ impl CacheBudget {
     #[must_use]
     pub fn external_capacity(&self) -> usize {
         self.total / 100 * 15
-    }
-
-    /// Global high watermark: crossing it triggers a proportional shrink.
-    #[must_use]
-    pub fn high_watermark(&self) -> usize {
-        self.total / 100 * 90
-    }
-
-    /// Global low watermark: the shrink target, and the edge that must be
-    /// receded below before another high-watermark crossing is logged.
-    #[must_use]
-    pub fn low_watermark(&self) -> usize {
-        self.total / 100 * 70
     }
 }
 
@@ -473,25 +458,12 @@ impl Engine {
     }
 
     /// Bound the engine's caches by `budget`: caps the annotation cache
-    /// and the process-wide intern table at their shares, and registers
-    /// both with a fresh [`facile_util::GlobalBudget`] whose watermarks
-    /// trigger a proportional shrink of every member when the *combined*
-    /// accounted bytes cross the high mark. Returns the budget handle so
-    /// further caches (e.g. an external predictor's result cache) can be
-    /// registered against the same pool. `log` turns on the once-per-edge
-    /// watermark log lines.
-    pub fn apply_cache_budget(
-        &self,
-        budget: &CacheBudget,
-        log: bool,
-    ) -> Arc<facile_util::GlobalBudget> {
-        let global =
-            facile_util::GlobalBudget::new(budget.high_watermark(), budget.low_watermark(), log);
+    /// and the process-wide intern table at their shares. (An external
+    /// predictor's result cache takes the external share; its owner caps
+    /// it with [`crate::ExternalPredictor::set_cache_capacity`].)
+    pub fn apply_cache_budget(&self, budget: &CacheBudget) {
         self.cache.set_capacity(budget.annotation_capacity());
-        self.cache.attach_budget(&global);
         facile_isa::set_intern_capacity(budget.intern_capacity());
-        facile_isa::attach_intern_budget(&global);
-        global
     }
 
     /// The worker count.

@@ -60,11 +60,11 @@ use facile_core::Mode;
 use facile_faults as faults;
 use facile_uarch::Uarch;
 use facile_util::json::{self, Kind};
-use facile_util::{GlobalBudget, HeapSize, PoisonlessMutex, Shrinkable, SlruCache};
+use facile_util::{HeapSize, PoisonlessMutex, SlruCache};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default per-request timeout.
@@ -309,7 +309,7 @@ pub struct ExternalPredictor {
     state: PoisonlessMutex<State>,
     /// Successful predictions, in a byte-bounded cache (unbounded by
     /// default; capped when a budget governs the process).
-    cache: Arc<SlruCache<ExtKey, f64>>,
+    cache: SlruCache<ExtKey, f64>,
 }
 
 impl ExternalPredictor {
@@ -333,7 +333,7 @@ impl ExternalPredictor {
                 consecutive_trips: 0,
                 trips: 0,
             }),
-            cache: Arc::new(SlruCache::new("external", usize::MAX)),
+            cache: SlruCache::new(usize::MAX),
         }
     }
 
@@ -377,12 +377,6 @@ impl ExternalPredictor {
     /// Cap the result cache at `bytes`, evicting down to it if needed.
     pub fn set_cache_capacity(&self, bytes: usize) {
         self.cache.set_capacity(bytes);
-    }
-
-    /// Register the result cache with a process-wide byte budget.
-    pub fn attach_cache_budget(&self, budget: &Arc<GlobalBudget>) {
-        budget.register(Arc::downgrade(&self.cache) as Weak<dyn Shrinkable>);
-        self.cache.set_budget(budget);
     }
 
     /// Lifetime circuit-breaker trips (monotonic).

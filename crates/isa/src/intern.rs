@@ -30,10 +30,10 @@
 use crate::classify::{describe_fused_pair_loading, describe_with_effects};
 use crate::desc::InstrDesc;
 use facile_uarch::{Uarch, UarchConfig};
-use facile_util::{GlobalBudget, HeapSize, Shrinkable, SlruCache};
+use facile_util::{HeapSize, SlruCache};
 use facile_x86::{Effects, Inst};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 /// Default byte capacity of the intern table. Keys include immediates
 /// and displacements, so a streaming corpus with varied constants can
@@ -165,7 +165,7 @@ impl DescInterner {
     #[must_use]
     pub fn new() -> DescInterner {
         DescInterner {
-            table: SlruCache::new("intern", DEFAULT_CAPACITY),
+            table: SlruCache::new(DEFAULT_CAPACITY),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             core_hits: AtomicU64::new(0),
@@ -182,11 +182,6 @@ impl DescInterner {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.table.capacity()
-    }
-
-    /// Report byte deltas to (and accept shrinks from) `budget`.
-    pub fn attach_budget(&self, budget: &Arc<GlobalBudget>) {
-        self.table.set_budget(budget);
     }
 
     fn lookup(
@@ -305,42 +300,15 @@ impl DescInterner {
     }
 }
 
-/// A [`GlobalBudget`] member view of the interner.
-impl Shrinkable for DescInterner {
-    fn label(&self) -> &'static str {
-        "intern"
-    }
-
-    fn accounted_bytes(&self) -> usize {
-        self.table.bytes()
-    }
-
-    fn shrink_toward(&self, target: usize) {
-        self.table.shrink_to(target);
-    }
-}
-
-fn interner_arc() -> &'static Arc<DescInterner> {
-    static GLOBAL: OnceLock<Arc<DescInterner>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(DescInterner::new()))
-}
-
 /// The process-wide interner used by [`crate::AnnotatedBlock::new`].
 pub fn interner() -> &'static DescInterner {
-    interner_arc()
+    static GLOBAL: OnceLock<DescInterner> = OnceLock::new();
+    GLOBAL.get_or_init(DescInterner::new)
 }
 
 /// Bound the process-wide interner at `bytes` accounted bytes.
 pub fn set_intern_capacity(bytes: usize) {
     interner().set_capacity(bytes);
-}
-
-/// Register the process-wide interner as a member of `budget`: its
-/// byte deltas are reported there and it participates in proportional
-/// shrinking when the budget's high watermark is crossed.
-pub fn attach_intern_budget(budget: &Arc<GlobalBudget>) {
-    budget.register(Arc::downgrade(interner_arc()) as Weak<dyn Shrinkable>);
-    interner().attach_budget(budget);
 }
 
 /// Counters of the process-wide interner (plumbed into

@@ -50,8 +50,5 @@ pub use classify::{describe, describe_fused_pair, macro_fuses};
 pub use cols::{BlockColumns, PassTiming, SKIPPED_FLOW};
 pub use dataflow::{ColValue, Dataflow, FlowCol};
 pub use desc::{InstrDesc, Uop, UopKind};
-pub use intern::{
-    attach_intern_budget, intern_stats, set_intern_capacity, DescInterner, InternStats,
-    InternedInst,
-};
+pub use intern::{intern_stats, set_intern_capacity, DescInterner, InternStats, InternedInst};
 pub use tables::{reset_static_table_stats, static_table_stats, StaticTableStats, TABLE_HASH};

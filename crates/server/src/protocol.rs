@@ -302,8 +302,7 @@ pub fn pong_reply(id: Option<&str>) -> String {
 
 /// Render a `health` reply line: the degradation tier
 /// (`ok`/`degraded`/`shedding`) and the load pressure that produced it
-/// (the max of queue occupancy and budget occupancy, as a fraction of
-/// the respective shedding thresholds).
+/// (queue occupancy: pending items over the admission cap).
 #[must_use]
 pub fn health_reply(id: Option<&str>, tier: &str, pressure: f64) -> String {
     format!(

@@ -36,10 +36,10 @@
 
 use crate::protocol::{self, Parsed, ProtoError, Request};
 use facile_engine::{
-    panic_payload, BatchItem, BreakerSpec, CacheBudget, Engine, ExternalPredictor, ExternalSpec,
-    ItemResult, Predictor,
+    panic_payload, BatchItem, BreakerSpec, CacheBudget, Engine, EngineStats, ExternalPredictor,
+    ExternalSpec, ItemResult, Predictor,
 };
-use facile_util::{GlobalBudget, PoisonlessMutex};
+use facile_util::PoisonlessMutex;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -230,8 +230,6 @@ struct Shared {
     /// Set once: stop accepting, drain, exit.
     draining: AtomicBool,
     counters: ServerCounters,
-    /// The global cache budget (when `cfg.cache_budget` is set).
-    budget: Option<Arc<GlobalBudget>>,
     /// The registered external predictors, kept for stats and breaker
     /// introspection.
     externals: Vec<Arc<ExternalPredictor>>,
@@ -252,23 +250,16 @@ impl Shared {
         self.draining.load(Ordering::SeqCst) || sig::requested()
     }
 
-    /// Load pressure in `[0, ∞)`: the max of queue occupancy (pending
-    /// items over the admission cap) and memory occupancy (accounted
-    /// cache bytes over the budget's high watermark).
+    /// Load pressure in `[0, ∞)`: queue occupancy, pending items over
+    /// the admission cap. Memory is not a term: each cache enforces its
+    /// share of the budget at insert, and shedding work would free none
+    /// of it.
     fn pressure(&self) -> f64 {
-        let queue = if self.cfg.queue_cap == 0 {
+        if self.cfg.queue_cap == 0 {
             0.0
         } else {
             self.pending_items.load(Ordering::Relaxed) as f64 / self.cfg.queue_cap as f64
-        };
-        let memory = self.budget.as_ref().map_or(0.0, |b| {
-            if b.high() == 0 {
-                0.0
-            } else {
-                b.total() as f64 / b.high() as f64
-            }
-        });
-        queue.max(memory)
+        }
     }
 
     /// Fold the current pressure into the degradation tier, logging each
@@ -293,8 +284,10 @@ impl Shared {
 
     /// The `stats` reply's `"server"` object: the monotonic counters
     /// plus governance state (tier, pressure, budget occupancy, and
-    /// per-external breaker/cache figures).
-    fn server_stats_json(&self) -> String {
+    /// per-external breaker/cache figures). `engine` is the snapshot the
+    /// same reply renders, so the budget's `bytes` is the sum of the
+    /// cache bytes printed beside it.
+    fn server_stats_json(&self, engine: &EngineStats) -> String {
         let mut s = self.counters.to_json();
         s.pop(); // reopen the counters object to append members
         let tier = self.tier.load(Ordering::Relaxed);
@@ -303,19 +296,16 @@ impl Shared {
             TIER_NAMES[tier as usize],
             self.pressure()
         ));
-        if let Some(b) = &self.budget {
+        let ext_bytes: Vec<usize> = self.externals.iter().map(|e| e.cache_bytes()).collect();
+        if let Some(b) = &self.cfg.cache_budget {
             s.push_str(&format!(
-                ",\"budget\":{{\"bytes\":{},\"high_watermark\":{},\"low_watermark\":{},\
-                 \"shrinks\":{},\"high_crossings\":{}}}",
-                b.total(),
-                b.high(),
-                b.low(),
-                b.shrinks(),
-                b.high_crossings()
+                ",\"budget\":{{\"bytes\":{},\"total\":{}}}",
+                engine.annotation.bytes + engine.intern.bytes + ext_bytes.iter().sum::<usize>(),
+                b.total
             ));
         }
         s.push_str(",\"external\":[");
-        for (i, ext) in self.externals.iter().enumerate() {
+        for (i, (ext, bytes)) in self.externals.iter().zip(&ext_bytes).enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -325,7 +315,7 @@ impl Shared {
                 ext.name(),
                 ext.breaker_open(),
                 ext.breaker_trips(),
-                ext.cache_bytes(),
+                bytes,
                 ext.cache_evictions()
             ));
         }
@@ -529,17 +519,12 @@ impl Server {
             externals.push(Arc::clone(&pred));
             engine.registry_mut().register(pred);
         }
-        let budget = cfg.cache_budget.as_ref().map(|b| {
-            let global = engine.apply_cache_budget(b, true);
-            if !externals.is_empty() {
-                let per = b.external_capacity() / externals.len();
-                for ext in &externals {
-                    ext.set_cache_capacity(per);
-                    ext.attach_cache_budget(&global);
-                }
+        if let Some(b) = &cfg.cache_budget {
+            engine.apply_cache_budget(b);
+            for ext in &externals {
+                ext.set_cache_capacity(b.external_capacity() / externals.len());
             }
-            global
-        });
+        }
 
         let (listener, bound) = match &cfg.endpoint {
             #[cfg(unix)]
@@ -575,7 +560,6 @@ impl Server {
             pending_items: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             counters: ServerCounters::default(),
-            budget,
             externals,
             tier: AtomicU8::new(0),
         });
@@ -836,11 +820,10 @@ fn handle_line(line: &str, shared: &Arc<Shared>, conn: &mut ConnState) -> String
     let id = id.as_deref();
     match request {
         Request::Ping => protocol::pong_reply(id),
-        Request::Stats => protocol::stats_reply(
-            id,
-            &shared.server_stats_json(),
-            &shared.engine.snapshot().to_json(),
-        ),
+        Request::Stats => {
+            let engine = shared.engine.snapshot();
+            protocol::stats_reply(id, &shared.server_stats_json(&engine), &engine.to_json())
+        }
         Request::Health => {
             let pressure = shared.pressure();
             let tier = shared.observe_tier(pressure);

@@ -218,11 +218,11 @@ fn cache_budget_bounds_memory() {
         "stats missing external: {stats}"
     );
     let budget = srv.get("budget").expect("budget object");
-    let high = budget
-        .get("high_watermark")
+    let total = budget
+        .get("total")
         .and_then(|t| t.as_f64())
-        .expect("budget high watermark");
-    assert_eq!(high as usize, (budget_mb << 20) / 100 * 90);
+        .expect("budget total");
+    assert_eq!(total as usize, budget_mb << 20);
     let accounted = budget
         .get("bytes")
         .and_then(|t| t.as_f64())
@@ -242,6 +242,30 @@ fn cache_budget_bounds_memory() {
     assert!(
         (cache_bytes as usize) <= budget_mb << 20,
         "cache bytes {cache_bytes} above the {budget_mb} MiB budget"
+    );
+    // The budget's bytes are the three caches' bytes of the same reply.
+    let intern_bytes = v
+        .get("stats")
+        .and_then(|s| s.get("engine"))
+        .and_then(|e| e.get("intern_table"))
+        .and_then(|c| c.get("bytes"))
+        .and_then(|b| b.as_f64())
+        .expect("intern_table bytes");
+    let external_bytes: f64 = match &srv.get("external").expect("external").kind {
+        facile_server::json::Kind::Arr(items) => items
+            .iter()
+            .map(|e| {
+                e.get("cache_bytes")
+                    .and_then(|b| b.as_f64())
+                    .expect("cache_bytes")
+            })
+            .sum(),
+        _ => panic!("external is not an array: {stats}"),
+    };
+    assert_eq!(
+        accounted,
+        cache_bytes + intern_bytes + external_bytes,
+        "{stats}"
     );
 
     server.stop();

@@ -1,5 +1,4 @@
-//! Bounded, byte-accounted caching: a sharded segmented-LRU plus a
-//! process-global memory budget.
+//! Bounded, byte-accounted caching: a sharded segmented-LRU.
 //!
 //! Every memo table that makes this workspace fast (the descriptor
 //! intern table, the engine's block-annotation cache, the external
@@ -22,19 +21,22 @@
 //!   no list splicing; the referenced bits are consumed lazily by the
 //!   eviction scan. Shards are guarded by [`PoisonlessMutex`] so one
 //!   contained panic cannot wedge the cache.
-//! * [`GlobalBudget`] — a process-wide byte budget with high/low
-//!   watermarks: when the accounted total crosses the high watermark,
-//!   every registered [`Shrinkable`] member is shrunk proportionally
-//!   toward the low watermark, and each edge crossing is logged exactly
-//!   once.
+//!
+//! Each cache's capacity is its whole bound: every insert evicts its
+//! shard back under `capacity / 16` before the lock is released, so a
+//! process that splits one memory budget into per-cache capacities
+//! (as `facile serve --cache-budget-mb` does) is bounded by their sum
+//! with no shared ledger to consult. Byte and eviction counts live in
+//! the shards and are summed on read, so the insert path writes no
+//! cache-wide counter.
 
 use crate::fxhash::FxBuildHasher;
 use crate::sync::PoisonlessMutex;
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Bytes of owned heap storage reachable from a value (excluding the
 /// value's own inline `size_of` footprint, which the container that
@@ -42,8 +44,8 @@ use std::sync::{Arc, OnceLock, Weak};
 ///
 /// Implementations are *accounting policy*, not forensic truth: shared
 /// (`Arc`ed) substructure should be counted by exactly one owner and
-/// treated as pointer-sized by everyone else, so a process-global
-/// budget sums cache contributions without double counting.
+/// treated as pointer-sized by everyone else, so the byte counts of
+/// several caches sharing it sum without double counting.
 pub trait HeapSize {
     /// Owned heap bytes reachable from `self`.
     fn heap_bytes(&self) -> usize;
@@ -169,6 +171,8 @@ struct Shard<K, V> {
     bytes: usize,
     /// Accounted bytes of the protected segment.
     protected_bytes: usize,
+    /// Entries this shard has evicted since the last clear.
+    evictions: u64,
     /// Monotonic stamp source for queue/entry pairing.
     next_stamp: u64,
 }
@@ -181,19 +185,10 @@ impl<K, V> Default for Shard<K, V> {
             protected: VecDeque::new(),
             bytes: 0,
             protected_bytes: 0,
+            evictions: 0,
             next_stamp: 0,
         }
     }
-}
-
-/// What one shard operation changed, applied to the cache-wide atomics
-/// (and the attached [`GlobalBudget`]) *after* the shard lock is
-/// released, so budget-triggered shrinks never run under a shard lock.
-#[derive(Debug, Default, Clone, Copy)]
-struct Delta {
-    added: usize,
-    freed: usize,
-    evicted: u64,
 }
 
 impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> Shard<K, V> {
@@ -207,9 +202,8 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> Shard<K, V> {
     }
 
     /// Evict exactly one entry (probation first, then a clock scan of
-    /// the protected segment). Returns the freed bytes, or `None` when
-    /// the shard is empty.
-    fn evict_one(&mut self, shard_cap: usize) -> Option<usize> {
+    /// the protected segment). Returns `false` when the shard is empty.
+    fn evict_one(&mut self, shard_cap: usize) -> bool {
         // Probation scan: referenced entries are promoted (their second
         // touch proved reuse), unreferenced ones are evicted.
         while let Some((key, stamp)) = self.probation.pop_front() {
@@ -230,7 +224,7 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> Shard<K, V> {
             let bytes = e.bytes;
             self.map.remove(&key);
             self.bytes -= bytes;
-            return Some(bytes);
+            return true;
         }
         // Protected clock scan: first pass clears referenced bits, so
         // the loop terminates after at most one full revolution.
@@ -250,9 +244,9 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> Shard<K, V> {
             self.map.remove(&key);
             self.bytes -= bytes;
             self.protected_bytes -= bytes;
-            return Some(bytes);
+            return true;
         }
-        None
+        false
     }
 
     /// Demote the protected segment's LRU tail back to probation while
@@ -276,15 +270,9 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> Shard<K, V> {
     }
 
     /// Evict until the shard holds at most `target` accounted bytes.
-    fn evict_to(&mut self, target: usize, shard_cap: usize, delta: &mut Delta) {
-        while self.bytes > target {
-            match self.evict_one(shard_cap) {
-                Some(freed) => {
-                    delta.freed += freed;
-                    delta.evicted += 1;
-                }
-                None => return,
-            }
+    fn evict_to(&mut self, target: usize, shard_cap: usize) {
+        while self.bytes > target && self.evict_one(shard_cap) {
+            self.evictions += 1;
         }
     }
 }
@@ -301,35 +289,21 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> Shard<K, V> {
 /// key distribution cannot let one shard starve the others.
 #[derive(Debug)]
 pub struct SlruCache<K, V> {
-    label: &'static str,
     shards: [PoisonlessMutex<Shard<K, V>>; SHARDS],
     hasher: FxBuildHasher,
     capacity: AtomicUsize,
-    bytes: AtomicUsize,
-    evictions: AtomicU64,
-    budget: OnceLock<Arc<GlobalBudget>>,
 }
 
 impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> SlruCache<K, V> {
     /// An empty cache holding at most `capacity` accounted bytes
     /// (`usize::MAX` for effectively unbounded-but-accounted).
     #[must_use]
-    pub fn new(label: &'static str, capacity: usize) -> SlruCache<K, V> {
+    pub fn new(capacity: usize) -> SlruCache<K, V> {
         SlruCache {
-            label,
             shards: std::array::from_fn(|_| PoisonlessMutex::new(Shard::default())),
             hasher: FxBuildHasher::default(),
             capacity: AtomicUsize::new(capacity),
-            bytes: AtomicUsize::new(0),
-            evictions: AtomicU64::new(0),
-            budget: OnceLock::new(),
         }
-    }
-
-    /// The cache's label (used in budget logs and stats).
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        self.label
     }
 
     fn shard_index<Q: Hash + ?Sized>(&self, key: &Q) -> usize {
@@ -341,27 +315,6 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> SlruCache<K, V> {
 
     fn shard_cap(&self) -> usize {
         self.capacity.load(Ordering::Relaxed) / SHARDS
-    }
-
-    /// Apply a shard delta to the cache-wide counters and the attached
-    /// budget. Called after the shard lock is dropped.
-    fn settle(&self, delta: Delta) {
-        if delta.added > 0 {
-            self.bytes.fetch_add(delta.added, Ordering::Relaxed);
-        }
-        if delta.freed > 0 {
-            self.bytes.fetch_sub(delta.freed, Ordering::Relaxed);
-        }
-        if delta.evicted > 0 {
-            self.evictions.fetch_add(delta.evicted, Ordering::Relaxed);
-        }
-        if let Some(budget) = self.budget.get() {
-            if delta.freed > delta.added {
-                budget.sub(delta.freed - delta.added);
-            } else if delta.added > delta.freed {
-                budget.add(delta.added - delta.freed);
-            }
-        }
     }
 
     /// Read a resident value through `f`, marking the entry as
@@ -397,59 +350,42 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> SlruCache<K, V> {
         Q: Hash + Eq + ?Sized,
     {
         let shard_cap = self.shard_cap();
-        let mut delta = Delta::default();
+        let mut guard = self.shards[self.shard_index(key)].lock();
+        let shard = &mut *guard;
         let result;
-        {
-            let mut guard = self.shards[self.shard_index(key)].lock();
-            let shard = &mut *guard;
-            if let Some(e) = shard.map.get_mut(key) {
-                // The key is unchanged, so only the value's heap
-                // contribution can move.
-                let before = e.value.heap_bytes();
-                result = with(&mut e.value);
-                let after = e.value.heap_bytes();
-                e.referenced = true;
-                if after >= before {
-                    let grown = after - before;
-                    e.bytes += grown;
-                    if e.protected {
-                        shard.protected_bytes += grown;
-                    }
-                    shard.bytes += grown;
-                    delta.added += grown;
-                } else {
-                    let shrunk = before - after;
-                    e.bytes -= shrunk;
-                    if e.protected {
-                        shard.protected_bytes -= shrunk;
-                    }
-                    shard.bytes -= shrunk;
-                    delta.freed += shrunk;
-                }
-            } else {
-                let owned_key = make_key();
-                let mut value = make();
-                result = with(&mut value);
-                let bytes = Shard::entry_bytes(&owned_key, &value);
-                let stamp = shard.next_stamp;
-                shard.next_stamp += 1;
-                shard.probation.push_back((owned_key.clone(), stamp));
-                shard.map.insert(
-                    owned_key,
-                    Entry {
-                        value,
-                        bytes,
-                        stamp,
-                        referenced: false,
-                        protected: false,
-                    },
-                );
-                shard.bytes += bytes;
-                delta.added += bytes;
+        if let Some(e) = shard.map.get_mut(key) {
+            // The key is unchanged, so only the value's heap
+            // contribution can move.
+            let before = e.value.heap_bytes();
+            result = with(&mut e.value);
+            let after = e.value.heap_bytes();
+            e.referenced = true;
+            e.bytes = e.bytes + after - before;
+            if e.protected {
+                shard.protected_bytes = shard.protected_bytes + after - before;
             }
-            shard.evict_to(shard_cap, shard_cap, &mut delta);
+            shard.bytes = shard.bytes + after - before;
+        } else {
+            let owned_key = make_key();
+            let mut value = make();
+            result = with(&mut value);
+            let bytes = Shard::entry_bytes(&owned_key, &value);
+            let stamp = shard.next_stamp;
+            shard.next_stamp += 1;
+            shard.probation.push_back((owned_key.clone(), stamp));
+            shard.map.insert(
+                owned_key,
+                Entry {
+                    value,
+                    bytes,
+                    stamp,
+                    referenced: false,
+                    protected: false,
+                },
+            );
+            shard.bytes += bytes;
         }
-        self.settle(delta);
+        shard.evict_to(shard_cap, shard_cap);
         result
     }
 
@@ -488,7 +424,7 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> SlruCache<K, V> {
     /// Accounted bytes currently resident.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| s.lock().bytes).sum()
     }
 
     /// The configured capacity in accounted bytes.
@@ -500,7 +436,7 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> SlruCache<K, V> {
     /// Lifetime eviction count (reset by [`SlruCache::clear`]).
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| s.lock().evictions).sum()
     }
 
     /// Change the capacity, evicting down to it if the cache is over.
@@ -513,220 +449,23 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> SlruCache<K, V> {
     /// is brought under its proportional share).
     pub fn shrink_to(&self, target: usize) {
         let shard_cap = self.shard_cap();
-        let per_shard = target / SHARDS;
         for s in &self.shards {
-            let mut delta = Delta::default();
-            s.lock().evict_to(per_shard, shard_cap, &mut delta);
-            self.settle(delta);
+            s.lock().evict_to(target / SHARDS, shard_cap);
         }
     }
 
-    /// Drop every entry and reset the byte/eviction counters. Releases
-    /// the freed bytes from the attached budget; outstanding `Arc`s
-    /// held by callers stay valid.
+    /// Drop every entry and reset the byte/eviction counters;
+    /// outstanding `Arc`s held by callers stay valid.
     pub fn clear(&self) {
-        let mut freed = 0;
         for s in &self.shards {
             let mut shard = s.lock();
-            freed += shard.bytes;
             shard.map.clear();
             shard.probation.clear();
             shard.protected.clear();
             shard.bytes = 0;
             shard.protected_bytes = 0;
+            shard.evictions = 0;
         }
-        self.bytes.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        if let Some(budget) = self.budget.get() {
-            budget.sub(freed);
-        }
-    }
-
-    /// Attach a process-global budget: from now on every byte delta is
-    /// reported to it (crossing its high watermark triggers a
-    /// proportional shrink of all registered members). The cache's
-    /// current occupancy is added to the budget immediately. A second
-    /// attach is ignored.
-    pub fn set_budget(&self, budget: &Arc<GlobalBudget>) {
-        if self.budget.set(Arc::clone(budget)).is_ok() {
-            budget.add(self.bytes());
-        }
-    }
-}
-
-impl<K: Hash + Eq + Clone + HeapSize + Send, V: HeapSize + Send> Shrinkable for SlruCache<K, V> {
-    fn label(&self) -> &'static str {
-        self.label
-    }
-
-    fn accounted_bytes(&self) -> usize {
-        self.bytes()
-    }
-
-    fn shrink_toward(&self, target: usize) {
-        self.shrink_to(target);
-    }
-}
-
-/// A cache (or cache-like table) that a [`GlobalBudget`] can ask to
-/// give memory back.
-pub trait Shrinkable: Send + Sync {
-    /// Short name used in budget logs.
-    fn label(&self) -> &'static str;
-    /// Accounted bytes currently held.
-    fn accounted_bytes(&self) -> usize;
-    /// Evict down toward `target` accounted bytes (best effort).
-    fn shrink_toward(&self, target: usize);
-}
-
-/// A process-global memory budget with high/low watermarks.
-///
-/// Caches report byte deltas via [`GlobalBudget::add`]/[`GlobalBudget::sub`].
-/// When the accounted total crosses `high`, every registered
-/// [`Shrinkable`] member is shrunk *proportionally* toward the `low`
-/// watermark (each member's target is its share of `low` scaled by its
-/// current occupancy), and the transition is logged exactly once per
-/// edge; the matching "receded below low" edge is logged when the
-/// total next falls under `low`.
-#[derive(Debug)]
-pub struct GlobalBudget {
-    high: usize,
-    low: usize,
-    total: AtomicUsize,
-    members: PoisonlessMutex<Vec<Weak<dyn Shrinkable>>>,
-    shrinks: AtomicU64,
-    high_crossings: AtomicU64,
-    over_high: AtomicBool,
-    shrinking: AtomicBool,
-    log: bool,
-}
-
-impl GlobalBudget {
-    /// A budget that shrinks members toward `low` whenever the
-    /// accounted total exceeds `high`. `log` controls the once-per-edge
-    /// stderr watermark messages.
-    #[must_use]
-    pub fn new(high: usize, low: usize, log: bool) -> Arc<GlobalBudget> {
-        Arc::new(GlobalBudget {
-            high,
-            low: low.min(high),
-            total: AtomicUsize::new(0),
-            members: PoisonlessMutex::new(Vec::new()),
-            shrinks: AtomicU64::new(0),
-            high_crossings: AtomicU64::new(0),
-            over_high: AtomicBool::new(false),
-            shrinking: AtomicBool::new(false),
-            log,
-        })
-    }
-
-    /// Register a member for proportional shrinking. Members are held
-    /// weakly: a dropped cache simply stops participating.
-    pub fn register(&self, member: Weak<dyn Shrinkable>) {
-        self.members.lock().push(member);
-    }
-
-    /// The high watermark in bytes.
-    #[must_use]
-    pub fn high(&self) -> usize {
-        self.high
-    }
-
-    /// The low watermark in bytes.
-    #[must_use]
-    pub fn low(&self) -> usize {
-        self.low
-    }
-
-    /// Accounted bytes currently reported by all attached caches.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// How many proportional shrink passes have run.
-    #[must_use]
-    pub fn shrinks(&self) -> u64 {
-        self.shrinks.load(Ordering::Relaxed)
-    }
-
-    /// How many times the total has crossed the high watermark upward.
-    #[must_use]
-    pub fn high_crossings(&self) -> u64 {
-        self.high_crossings.load(Ordering::Relaxed)
-    }
-
-    /// Report `delta` newly accounted bytes; may trigger a shrink pass.
-    pub fn add(&self, delta: usize) {
-        if delta == 0 {
-            return;
-        }
-        let total = self.total.fetch_add(delta, Ordering::Relaxed) + delta;
-        if total > self.high {
-            self.shrink_all(total);
-        }
-    }
-
-    /// Report `delta` released bytes.
-    pub fn sub(&self, delta: usize) {
-        if delta == 0 {
-            return;
-        }
-        // Saturating: a racing clear() can momentarily over-report.
-        let mut cur = self.total.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(delta);
-            match self
-                .total
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    cur = next;
-                    break;
-                }
-                Err(now) => cur = now,
-            }
-        }
-        if cur < self.low && self.over_high.swap(false, Ordering::Relaxed) && self.log {
-            eprintln!(
-                "facile: memory budget receded below low watermark ({} / {} bytes)",
-                cur, self.low
-            );
-        }
-    }
-
-    /// Proportionally shrink every live member toward the low
-    /// watermark. Re-entrancy (a shrink-triggered delta re-crossing the
-    /// watermark) is cut off by a guard flag.
-    fn shrink_all(&self, total_now: usize) {
-        if self.shrinking.swap(true, Ordering::Acquire) {
-            return;
-        }
-        if !self.over_high.swap(true, Ordering::Relaxed) {
-            self.high_crossings.fetch_add(1, Ordering::Relaxed);
-            if self.log {
-                eprintln!(
-                    "facile: memory budget crossed high watermark ({} / {} bytes); shrinking caches toward {} bytes",
-                    total_now, self.high, self.low
-                );
-            }
-        }
-        let members: Vec<Arc<dyn Shrinkable>> = {
-            let mut guard = self.members.lock();
-            guard.retain(|w| w.strong_count() > 0);
-            guard.iter().filter_map(Weak::upgrade).collect()
-        };
-        if !members.is_empty() && total_now > 0 {
-            for m in &members {
-                // Each member keeps its occupancy share of the low
-                // watermark: target_i = bytes_i * low / total.
-                let bytes = m.accounted_bytes();
-                let target = ((bytes as u128 * self.low as u128) / total_now as u128) as usize;
-                m.shrink_toward(target);
-            }
-            self.shrinks.fetch_add(1, Ordering::Relaxed);
-        }
-        self.shrinking.store(false, Ordering::Release);
     }
 }
 
@@ -735,7 +474,7 @@ mod tests {
     use super::*;
 
     fn cache(cap: usize) -> SlruCache<Box<[u8]>, Vec<u8>> {
-        SlruCache::new("test", cap)
+        SlruCache::new(cap)
     }
 
     fn key(i: u32) -> Box<[u8]> {
@@ -857,32 +596,6 @@ mod tests {
         c.set_capacity(4096);
         assert!(c.bytes() <= 4096);
         assert_eq!(c.capacity(), 4096);
-    }
-
-    #[test]
-    fn budget_triggers_proportional_shrink_once_per_edge() {
-        let a = Arc::new(cache(usize::MAX));
-        let b = Arc::new(cache(usize::MAX));
-        let budget = GlobalBudget::new(64 * 1024, 32 * 1024, false);
-        budget.register(Arc::downgrade(&a) as Weak<dyn Shrinkable>);
-        budget.register(Arc::downgrade(&b) as Weak<dyn Shrinkable>);
-        a.set_budget(&budget);
-        b.set_budget(&budget);
-        for i in 0..400 {
-            a.insert(key(i), vec![0; 64]);
-            b.insert(key(i), vec![0; 192]);
-        }
-        assert!(budget.shrinks() >= 1);
-        assert!(budget.high_crossings() >= 1);
-        assert!(
-            budget.total() <= budget.high(),
-            "total {} stayed over high {}",
-            budget.total(),
-            budget.high()
-        );
-        assert_eq!(budget.total(), a.bytes() + b.bytes());
-        // The bigger member gave back more.
-        assert!(a.evictions() > 0 || b.evictions() > 0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod json;
 mod smallvec;
 pub mod sync;
 
-pub use cache::{GlobalBudget, HeapSize, Shrinkable, SlruCache};
+pub use cache::{HeapSize, SlruCache};
 pub use fxhash::{hash_bytes, FxBuildHasher, FxHashMap, FxHasher};
 pub use smallvec::SmallVec;
 pub use sync::{recover, PoisonlessMutex};

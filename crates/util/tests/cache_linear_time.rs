@@ -29,7 +29,7 @@ fn keys(n: usize) -> Vec<Vec<u8>> {
 fn fill_secs(keys: &[Vec<u8>], reps: u32) -> f64 {
     let t = Instant::now();
     for _ in 0..reps {
-        let cache: SlruCache<Vec<u8>, u32> = SlruCache::new("probe", usize::MAX);
+        let cache: SlruCache<Vec<u8>, u32> = SlruCache::new(usize::MAX);
         for (i, k) in keys.iter().enumerate() {
             cache.insert(k.clone(), i as u32);
         }

@@ -9,8 +9,43 @@ use facile_baselines::{
 use facile_bhive::{generate_suite, measure_block, round2};
 use facile_core::Mode;
 use facile_engine::AnnotationCache;
+use facile_isa::AnnotatedBlock;
 use facile_metrics::mape;
 use facile_uarch::Uarch;
+use std::sync::Arc;
+
+/// The suite's measured blocks on `uarch` in `mode`: each block with a
+/// positive measurement, paired with its annotation. Generating and
+/// simulating the suite is the expensive part, so a comparison builds
+/// these once and scores every predictor on them.
+fn measured_suite(
+    cache: &AnnotationCache,
+    uarch: Uarch,
+    mode: Mode,
+    seed: u64,
+) -> Vec<(f64, Arc<AnnotatedBlock>)> {
+    let suite = generate_suite(100, seed);
+    let mut measured = Vec::new();
+    for b in &suite {
+        let block = match mode {
+            Mode::Unrolled => &b.unrolled,
+            Mode::Loop => &b.looped,
+        };
+        let m = measure_block(block, uarch, mode == Mode::Loop);
+        if m > 0.0 {
+            measured.push((m, cache.annotate(block, uarch)));
+        }
+    }
+    measured
+}
+
+fn score(measured: &[(f64, Arc<AnnotatedBlock>)], p: &dyn Predictor, mode: Mode) -> f64 {
+    let pairs: Vec<(f64, f64)> = measured
+        .iter()
+        .map(|(m, ab)| (*m, round2(p.predict(ab, mode))))
+        .collect();
+    mape(&pairs)
+}
 
 fn suite_mape(
     cache: &AnnotationCache,
@@ -19,20 +54,7 @@ fn suite_mape(
     mode: Mode,
     seed: u64,
 ) -> f64 {
-    let suite = generate_suite(100, seed);
-    let mut pairs = Vec::new();
-    for b in &suite {
-        let block = match mode {
-            Mode::Unrolled => &b.unrolled,
-            Mode::Loop => &b.looped,
-        };
-        let m = measure_block(block, uarch, mode == Mode::Loop);
-        if m > 0.0 {
-            let ab = cache.annotate(block, uarch);
-            pairs.push((m, round2(p.predict(&ab, mode))));
-        }
-    }
-    mape(&pairs)
+    score(&measured_suite(cache, uarch, mode, seed), p, mode)
 }
 
 #[test]
@@ -52,14 +74,15 @@ fn facile_beats_every_baseline() {
         ("DiffTune-like", &difftune),
         ("learning-bl", &learning_bl),
     ];
-    // One cache for the whole comparison: the suites are regenerated from
-    // the same seed per mode, so annotations are shared across all
-    // predictors the way the engine's batch path serves them.
+    // Each mode's suite is generated, measured and annotated once; every
+    // predictor is scored on the same pairs, the way the engine's batch
+    // path serves one annotation to all predictors.
     let cache = AnnotationCache::new();
     for mode in [Mode::Unrolled, Mode::Loop] {
-        let facile = suite_mape(&cache, &FacilePredictor, uarch, mode, seed);
+        let measured = measured_suite(&cache, uarch, mode, seed);
+        let facile = score(&measured, &FacilePredictor, mode);
         for (name, b) in &baselines {
-            let e = suite_mape(&cache, *b, uarch, mode, seed);
+            let e = score(&measured, *b, mode);
             assert!(
                 facile < e,
                 "{mode}: Facile ({facile:.4}) should beat {name} ({e:.4})"
