@@ -3,7 +3,7 @@
 //! the original tool (see DESIGN.md §2).
 
 use crate::predictor::Predictor;
-use facile_core::mcr::{solve_value, RatioGraph};
+use facile_core::mcr::{max_cycle_ratio_howard, RatioGraph};
 use facile_core::{dec, dsb, issue, lsd, ports, predec, Mode};
 use facile_isa::AnnotatedBlock;
 use facile_x86::{flags, Reg};
@@ -118,7 +118,7 @@ pub(crate) fn naive_dependence_bound(ab: &AnnotatedBlock) -> f64 {
     for (a, b, w, c) in edges {
         g.add_edge(a, b, w, c);
     }
-    solve_value(&g).value()
+    max_cycle_ratio_howard(&g).value()
 }
 
 /// llvm-mca-like: models the back end from the scheduling database but

@@ -227,7 +227,7 @@ fn main() {
 
     let note_json = note.map_or(String::new(), |n| format!("\n  \"note\": \"{n}\","));
     let json = format!(
-        "{{\n  \"benchmark\": \"engine_batch_throughput\",\n  \"predictors\": \"{SELECTOR}\",\n  \"uarch\": \"{uarch}\",\n  \"blocks\": {n},\n  \"rows\": {rows},\n  \"host_cpus\": {host_cpus},\n  \"threads_parallel\": {parallel_threads},{note_json}\n  \"single_thread\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"parallel\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"full_detail\": {{\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"multi_uarch\": {{\n    \"uarchs\": {n_uarchs},\n    \"items\": {sweep_n},\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1},\n    \"decode_hits\": {},\n    \"decode_misses\": {},\n    \"annotate_misses\": {},\n    \"annotation_bytes\": {sweep_bytes}\n  }},\n  \"parallel_speedup_warm\": {:.3},\n  \"warm_over_cold_speedup_parallel\": {:.3},\n  \"planner\": {{ \"items\": {}, \"deduped\": {} }},\n  \"annotation_cache\": {{ \"hits\": {}, \"misses\": {}, \"decode_hits\": {}, \"decode_misses\": {}, \"entries\": {}, \"blocks\": {}, \"bytes\": {}, \"evictions\": {} }},\n  \"intern_table\": {{ \"hits\": {}, \"misses\": {}, \"core_hits\": {}, \"core_misses\": {}, \"byte_entries\": {}, \"entries\": {}, \"bytes\": {} }},\n  \"solver_paths\": {{ \"acyclic\": {}, \"simple_cycle\": {}, \"longest_path\": {}, \"howard\": {} }},\n  \"static_tables\": {{ \"hits\": {}, \"fallbacks\": {}, \"coverage\": {:.4} }},\n  \"annotation_passes\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ],\n  \"deterministic_across_threads\": true,\n  \"determinism_check_threads\": {check_threads}\n}}\n",
+        "{{\n  \"benchmark\": \"engine_batch_throughput\",\n  \"predictors\": \"{SELECTOR}\",\n  \"uarch\": \"{uarch}\",\n  \"blocks\": {n},\n  \"rows\": {rows},\n  \"host_cpus\": {host_cpus},\n  \"threads_parallel\": {parallel_threads},{note_json}\n  \"single_thread\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"parallel\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"full_detail\": {{\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"multi_uarch\": {{\n    \"uarchs\": {n_uarchs},\n    \"items\": {sweep_n},\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1},\n    \"decode_hits\": {},\n    \"decode_misses\": {},\n    \"annotate_misses\": {},\n    \"annotation_bytes\": {sweep_bytes}\n  }},\n  \"parallel_speedup_warm\": {:.3},\n  \"warm_over_cold_speedup_parallel\": {:.3},\n  \"planner\": {{ \"items\": {}, \"deduped\": {} }},\n  \"annotation_cache\": {{ \"hits\": {}, \"misses\": {}, \"decode_hits\": {}, \"decode_misses\": {}, \"entries\": {}, \"blocks\": {}, \"bytes\": {}, \"evictions\": {} }},\n  \"intern_table\": {{ \"hits\": {}, \"misses\": {}, \"core_hits\": {}, \"core_misses\": {}, \"byte_entries\": {}, \"entries\": {}, \"bytes\": {} }},\n  \"solver_paths\": {{ \"acyclic\": {}, \"howard\": {} }},\n  \"static_tables\": {{ \"hits\": {}, \"fallbacks\": {}, \"coverage\": {:.4} }},\n  \"annotation_passes\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ],\n  \"deterministic_across_threads\": true,\n  \"determinism_check_threads\": {check_threads}\n}}\n",
         cold_single.secs,
         cold_single.blocks_per_sec,
         warm_single.secs,
@@ -265,8 +265,6 @@ fn main() {
         intern.entries,
         intern.bytes,
         solver.acyclic,
-        solver.simple_cycle,
-        solver.longest_path,
         solver.howard,
         tables.hits,
         tables.fallbacks,

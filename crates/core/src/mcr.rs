@@ -4,29 +4,22 @@
 //! maximum, over all cycles `C` of a dependence graph, of
 //! `Σ latency(e) / Σ iteration_count(e)` for `e ∈ C`.
 //!
-//! * [`solve_value`] — the bound solver: a scratch-pooled iterative
-//!   Tarjan SCC condensation, with cheap linear-time fast paths inside
-//!   each nontrivial SCC (a simple cycle is summed directly; an SCC whose
-//!   only loop-carried edge closes an otherwise acyclic subgraph is
-//!   solved by a longest-path DP in topological order) and Howard policy
-//!   iteration only for the SCCs that genuinely need it. Dependence
-//!   graphs of straight-line blocks are overwhelmingly acyclic or close
-//!   small cycles, so the common case is O(V+E) instead of policy
-//!   iteration over the whole graph. It returns the ratio only.
 //! * [`max_cycle_ratio_howard`] — Howard's policy-iteration algorithm
-//!   over the full graph, as used by the paper (citing Dasdan's survey).
-//!   The precedence kernel takes the critical chain from its cycle (the
-//!   cycle choice, rotation included, is what the golden reports pin),
-//!   and the property tests pin [`solve_value`] against it.
+//!   over the full graph, as used by the paper (citing Dasdan's survey):
+//!   the one production solver. The precedence kernel takes the bound
+//!   and the critical chain from the same call (the cycle choice,
+//!   rotation included, is what the golden reports pin). A linear
+//!   worklist first peels every node that cannot lie on a cycle, so the
+//!   long acyclic tails of straight-line dependence graphs cost O(V+E)
+//!   and an acyclic graph is answered without policy iteration.
 //! * [`max_cycle_ratio_lawler`] — Lawler's binary search over λ with
 //!   Bellman–Ford positive-cycle detection: Howard's fallback if policy
 //!   iteration fails to converge, and its cross-check in the tests.
 //!
 //! All edge weights that reach these solvers are sums of small integral
-//! latencies, so cycle/path sums are exact in `f64` regardless of
-//! summation order; [`solve_value`] and [`max_cycle_ratio_howard`]
-//! therefore agree *bit for bit* on the ratio (both compute the same
-//! `Σw / Σt` division), which the equivalence proptests assert.
+//! latencies, so cycle sums are exact in `f64` regardless of summation
+//! order, and Howard's ratio is the exact `Σw / Σt` of its critical
+//! cycle.
 
 /// An edge of a ratio graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,9 +129,8 @@ impl Mcr {
 }
 
 /// Reusable buffers for [`max_cycle_ratio_howard`]. The solver runs
-/// once per explained prediction, and inside [`solve_value`] for the
-/// SCCs that need it; without reuse each call makes a dozen vector
-/// allocations.
+/// once per prediction whose dependence graph has a loop-carried edge;
+/// without reuse each call makes a dozen vector allocations.
 #[derive(Debug, Default)]
 struct HowardScratch {
     alive: Vec<bool>,
@@ -243,10 +235,18 @@ fn peel_dead_nodes(g: &RatioGraph, s: &mut HowardScratch) {
     }
 }
 
-/// Maximum cycle ratio via Howard's policy iteration.
+/// Maximum cycle ratio via Howard's policy iteration, with one critical
+/// cycle. Callers that want the bound alone take [`Mcr::value`].
 #[must_use]
 pub fn max_cycle_ratio_howard(g: &RatioGraph) -> Mcr {
-    HOWARD_SCRATCH.with(|s| howard_with(g, &mut s.borrow_mut()))
+    let mcr = HOWARD_SCRATCH.with(|s| howard_with(g, &mut s.borrow_mut()));
+    let counter = if matches!(mcr, Mcr::Acyclic) {
+        &SOLVE_ACYCLIC
+    } else {
+        &SOLVE_HOWARD
+    };
+    counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    mcr
 }
 
 #[allow(clippy::too_many_lines)]
@@ -413,70 +413,24 @@ fn howard_with(g: &RatioGraph, s: &mut HowardScratch) -> Mcr {
     best
 }
 
-/// Reusable buffers for [`solve_value`] (one set per thread). The solver runs
-/// once per prediction on the batch hot path, so everything — CSR
-/// adjacency, Tarjan state, SCC buckets, the per-SCC subgraph, and the
-/// DP arrays — lives in pooled vectors that warm up once.
-#[derive(Debug, Default)]
-struct SolveScratch {
-    // CSR adjacency: edge indices of node v are csr[head[v]..head[v+1]].
-    head: Vec<u32>,
-    csr: Vec<u32>,
-    // Iterative Tarjan state.
-    order: Vec<u32>, // 0 = unvisited, else DFS index + 1
-    low: Vec<u32>,
-    on_stack: Vec<bool>,
-    stack: Vec<u32>,
-    call: Vec<(u32, u32)>, // (node, cursor into its CSR window)
-    comp: Vec<u32>,        // SCC id per node, in completion order
-    // SCC buckets: members grouped by component, edges grouped by the
-    // component both endpoints share.
-    comp_members: Vec<u32>,
-    member_start: Vec<u32>,
-    comp_edges: Vec<u32>,
-    edge_start: Vec<u32>,
-    // Per-SCC fast paths: local ids, out-degrees, DP state.
-    local: Vec<u32>,
-    out_deg: Vec<u32>,
-    indeg: Vec<u32>,
-    dist: Vec<f64>,
-    topo: Vec<u32>,
-    // Howard-inside-SCC subproblem.
-    sub: RatioGraph,
-    howard: HowardScratch,
-}
-
-thread_local! {
-    static SOLVE_SCRATCH: std::cell::RefCell<SolveScratch> =
-        std::cell::RefCell::new(SolveScratch::default());
-}
-
-/// Which per-SCC strategies [`solve_value`] has taken, process-wide: how often
-/// the query ended with no nontrivial SCC at all, and how many SCCs were
-/// resolved by direct simple-cycle summation, the single-carried-edge
-/// longest-path DP, and Howard policy iteration respectively. Relaxed
-/// counters; cheap enough to stay on in production and exposed so the
-/// perf harness can show *why* the fast paths win.
+/// How often [`max_cycle_ratio_howard`] has run, process-wide, by
+/// outcome: one relaxed counter bump per call, cheap enough to stay on
+/// in production, so the perf harness can show what share of solves
+/// find a cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolvePathCounts {
-    /// Queries that found no cycle (acyclic graph).
+    /// Calls that found no cycle through counted edges.
     pub acyclic: u64,
-    /// SCCs resolved as a single simple cycle (one summation).
+    /// Always 0; kept so readers that sum all four fields still build.
     pub simple_cycle: u64,
-    /// SCCs resolved by the longest-path DP over one carried edge.
+    /// Always 0; kept so readers that sum all four fields still build.
     pub longest_path: u64,
-    /// SCCs that needed Howard policy iteration.
+    /// Calls that found a cycle (a ratio, or an unbounded one).
     pub howard: u64,
 }
 
 static SOLVE_ACYCLIC: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static SOLVE_SIMPLE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static SOLVE_DP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static SOLVE_HOWARD: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-fn bump(counter: &std::sync::atomic::AtomicU64) {
-    counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-}
 
 /// Current [`SolvePathCounts`].
 #[must_use]
@@ -484,362 +438,10 @@ pub fn solve_path_counts() -> SolvePathCounts {
     use std::sync::atomic::Ordering::Relaxed;
     SolvePathCounts {
         acyclic: SOLVE_ACYCLIC.load(Relaxed),
-        simple_cycle: SOLVE_SIMPLE.load(Relaxed),
-        longest_path: SOLVE_DP.load(Relaxed),
+        simple_cycle: 0,
+        longest_path: 0,
         howard: SOLVE_HOWARD.load(Relaxed),
     }
-}
-
-/// Maximum cycle ratio via SCC condensation with linear fast paths: the
-/// bound solver. Bit-identical in ratio to [`max_cycle_ratio_howard`]
-/// whenever edge weights are exactly representable sums (integral
-/// latencies are), which the proptests pin. It finds the ratio only: a
-/// returned [`Mcr::Ratio`] has an empty `cycle`.
-#[must_use]
-pub fn solve_value(g: &RatioGraph) -> Mcr {
-    SOLVE_SCRATCH.with(|s| solve_with(g, &mut s.borrow_mut()))
-}
-
-/// Component id of nodes in trivial SCCs (single node, no self-loop):
-/// they cannot lie on a cycle and are skipped everywhere.
-const TRIVIAL: u32 = u32::MAX;
-
-/// Iterative Tarjan over the CSR adjacency in `s`. Nodes of trivial
-/// components get `comp = TRIVIAL`; each *nontrivial* component (size
-/// ≥ 2, or a single node with a self-loop) is assigned an id in
-/// completion order and its members — which Tarjan pops consecutively —
-/// are appended to `s.comp_members`, with `s.member_start` delimiting
-/// the per-component ranges. Returns the number of nontrivial
-/// components; when it is zero the graph is acyclic and the caller is
-/// done without any bucketing passes.
-fn tarjan(g: &RatioGraph, s: &mut SolveScratch) -> usize {
-    let n = g.num_nodes();
-    reset(&mut s.order, n, 0u32);
-    reset(&mut s.comp, n, TRIVIAL);
-    // `low` and `on_stack` are written at push time before any read, so
-    // they only need capacity, not re-initialization.
-    if s.low.len() < n {
-        s.low.resize(n, 0);
-    }
-    if s.on_stack.len() < n {
-        s.on_stack.resize(n, false);
-    }
-    s.stack.clear();
-    s.call.clear();
-    s.comp_members.clear();
-    s.member_start.clear();
-    s.member_start.push(0);
-    let mut next_order = 1u32;
-    let mut ncomp = 0usize;
-    for root in 0..n {
-        if s.order[root] != 0 {
-            continue;
-        }
-        s.call.push((root as u32, s.head[root]));
-        s.order[root] = next_order;
-        s.low[root] = next_order;
-        next_order += 1;
-        s.stack.push(root as u32);
-        s.on_stack[root] = true;
-        while let Some(&mut (v, ref mut cursor)) = s.call.last_mut() {
-            let v = v as usize;
-            if *cursor < s.head[v + 1] {
-                let w = g.edges()[s.csr[*cursor as usize] as usize].to;
-                *cursor += 1;
-                if s.order[w] == 0 {
-                    s.call.push((w as u32, s.head[w]));
-                    s.order[w] = next_order;
-                    s.low[w] = next_order;
-                    next_order += 1;
-                    s.stack.push(w as u32);
-                    s.on_stack[w] = true;
-                } else if s.on_stack[w] {
-                    s.low[v] = s.low[v].min(s.order[w]);
-                }
-            } else {
-                s.call.pop();
-                if let Some(&(p, _)) = s.call.last() {
-                    let p = p as usize;
-                    s.low[p] = s.low[p].min(s.low[v]);
-                }
-                if s.low[v] == s.order[v] {
-                    // v is the root of a component: pop it off the stack.
-                    let first = s.comp_members.len();
-                    loop {
-                        let w = s.stack.pop().expect("stack holds the component") as usize;
-                        s.on_stack[w] = false;
-                        s.comp[w] = ncomp as u32;
-                        s.comp_members.push(w as u32);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    let size = s.comp_members.len() - first;
-                    let nontrivial = size > 1
-                        || (s.head[v] as usize..s.head[v + 1] as usize)
-                            .any(|i| g.edges()[s.csr[i] as usize].to == v);
-                    if nontrivial {
-                        ncomp += 1;
-                        s.member_start.push(s.comp_members.len() as u32);
-                    } else {
-                        s.comp[v] = TRIVIAL;
-                        s.comp_members.truncate(first);
-                    }
-                }
-            }
-        }
-    }
-    ncomp
-}
-
-fn solve_with(g: &RatioGraph, s: &mut SolveScratch) -> Mcr {
-    let n = g.num_nodes();
-    if n == 0 || g.num_edges() == 0 {
-        bump(&SOLVE_ACYCLIC);
-        return Mcr::Acyclic;
-    }
-
-    // CSR adjacency (counting sort of edges by source).
-    let ne = g.num_edges();
-    reset(&mut s.head, n + 1, 0u32);
-    for e in g.edges() {
-        s.head[e.from + 1] += 1;
-    }
-    for v in 0..n {
-        s.head[v + 1] += s.head[v];
-    }
-    reset(&mut s.csr, ne, 0u32);
-    {
-        // `head` doubles as the write cursor and is rewound afterwards.
-        for (ei, e) in g.edges().iter().enumerate() {
-            s.csr[s.head[e.from] as usize] = ei as u32;
-            s.head[e.from] += 1;
-        }
-        for v in (1..=n).rev() {
-            s.head[v] = s.head[v - 1];
-        }
-        s.head[0] = 0;
-    }
-
-    let ncomp = tarjan(g, s);
-    if ncomp == 0 {
-        bump(&SOLVE_ACYCLIC);
-        return Mcr::Acyclic; // every component is trivial: no cycle at all
-    }
-
-    // Bucket intra-SCC edges by (nontrivial) component: a counting sort
-    // over `ncomp` buckets — `ncomp` is almost always 1 or 2, so these
-    // arrays are tiny regardless of graph size.
-    reset(&mut s.edge_start, ncomp + 1, 0u32);
-    for e in g.edges() {
-        let c = s.comp[e.from];
-        if c != TRIVIAL && c == s.comp[e.to] {
-            s.edge_start[c as usize + 1] += 1;
-        }
-    }
-    for c in 0..ncomp {
-        s.edge_start[c + 1] += s.edge_start[c];
-    }
-    let intra_total = s.edge_start[ncomp] as usize;
-    reset(&mut s.comp_edges, intra_total, 0u32);
-    for (ei, e) in g.edges().iter().enumerate() {
-        let c = s.comp[e.from];
-        if c != TRIVIAL && c == s.comp[e.to] {
-            s.comp_edges[s.edge_start[c as usize] as usize] = ei as u32;
-            s.edge_start[c as usize] += 1;
-        }
-    }
-    for c in (1..=ncomp).rev() {
-        s.edge_start[c] = s.edge_start[c - 1];
-    }
-    s.edge_start[0] = 0;
-
-    // `local` is written for every member before any read, per SCC.
-    if s.local.len() < n {
-        s.local.resize(n, 0);
-    }
-    let mut best = f64::NEG_INFINITY;
-    for c in 0..ncomp {
-        let members = s.member_start[c] as usize..s.member_start[c + 1] as usize;
-        let edges = s.edge_start[c] as usize..s.edge_start[c + 1] as usize;
-        let (m, k) = (members.len(), edges.len());
-        debug_assert!(k > 0, "a nontrivial SCC has at least one intra edge");
-        match scc_ratio(g, s, members, edges, m, k) {
-            None => return Mcr::Unbounded,
-            Some(value) => best = best.max(value),
-        }
-    }
-    Mcr::Ratio {
-        value: best.max(0.0),
-        cycle: Vec::new(),
-    }
-}
-
-/// The maximum cycle ratio contributed by one nontrivial SCC, via the
-/// cheapest applicable method: direct summation of a simple cycle, a
-/// longest-path DP when a single carried edge closes an acyclic
-/// subgraph, or Howard policy iteration on the induced subproblem.
-/// `None` means the SCC is unbounded.
-fn scc_ratio(
-    g: &RatioGraph,
-    s: &mut SolveScratch,
-    members: std::ops::Range<usize>,
-    edges: std::ops::Range<usize>,
-    m: usize,
-    k: usize,
-) -> Option<f64> {
-    // Local ids + per-member out-degree within the SCC.
-    for (li, &v) in s.comp_members[members.clone()].iter().enumerate() {
-        s.local[v as usize] = li as u32;
-    }
-    reset(&mut s.out_deg, m, 0u32);
-    let mut carried = 0usize;
-    let mut carried_edge = 0usize;
-    for &ei in &s.comp_edges[edges.clone()] {
-        let e = &g.edges()[ei as usize];
-        s.out_deg[s.local[e.from] as usize] += 1;
-        if e.count > 0 {
-            carried += 1;
-            carried_edge = ei as usize;
-        }
-    }
-
-    // Fast path 1 — a simple cycle: as many intra edges as members and
-    // every member with exactly one in-SCC successor. Strong
-    // connectivity then forces a single Hamiltonian cycle; its ratio is
-    // one summation.
-    if k == m && s.out_deg.iter().all(|&d| d == 1) {
-        bump(&SOLVE_SIMPLE);
-        let start = s.comp_members[members.start] as usize;
-        let mut w_sum = 0.0;
-        let mut t_sum = 0u32;
-        let mut v = start;
-        loop {
-            // The unique in-SCC out-edge of v (first CSR hit suffices).
-            let ei = (s.head[v] as usize..s.head[v + 1] as usize)
-                .map(|i| s.csr[i] as usize)
-                .find(|&ei| {
-                    let e = &g.edges()[ei];
-                    s.comp[e.from] == s.comp[e.to]
-                })
-                .expect("member has one in-SCC out-edge");
-            let e = &g.edges()[ei];
-            w_sum += e.weight;
-            t_sum += e.count;
-            v = e.to;
-            if v == start {
-                break;
-            }
-        }
-        if t_sum == 0 {
-            return (w_sum <= EPS).then_some(0.0);
-        }
-        return Some(w_sum / f64::from(t_sum));
-    }
-
-    // Fast path 2 — exactly one loop-carried edge: removing it must
-    // leave the SCC acyclic (every cycle of a well-formed dependence
-    // graph crosses an iteration boundary), and then the maximum ratio
-    // is the longest path closing that edge, found by one DP pass in
-    // topological order.
-    if carried == 1 {
-        if let Some(r) = single_carried_ratio(g, s, &members, &edges, m, carried_edge) {
-            bump(&SOLVE_DP);
-            return Some(r);
-        }
-        // A residual zero-count cycle exists: fall through to Howard,
-        // which classifies it (Unbounded or ratio-0) consistently.
-    }
-
-    // General case: Howard policy iteration, but only on this SCC's
-    // induced subgraph.
-    bump(&SOLVE_HOWARD);
-    s.sub.reset(m);
-    for &ei in &s.comp_edges[edges.clone()] {
-        let e = &g.edges()[ei as usize];
-        s.sub.add_edge(
-            s.local[e.from] as usize,
-            s.local[e.to] as usize,
-            e.weight,
-            e.count,
-        );
-    }
-    match howard_with(&s.sub, &mut s.howard) {
-        Mcr::Unbounded => None,
-        // A nontrivial SCC always contains a cycle; Howard can only
-        // report Acyclic here if every cycle has ratio ≤ 0, i.e. 0.
-        Mcr::Acyclic => Some(0.0),
-        Mcr::Ratio { value, .. } => Some(value),
-    }
-}
-
-/// Fast path 2 of [`scc_ratio`]: the SCC's single carried edge closes an
-/// otherwise acyclic subgraph, so the maximum ratio is
-/// `(longest path from the edge's head back to its tail + its weight) /
-/// its count`. Returns `None` when the residual subgraph still has a
-/// (zero-count) cycle and the caller must fall back to Howard.
-fn single_carried_ratio(
-    g: &RatioGraph,
-    s: &mut SolveScratch,
-    members: &std::ops::Range<usize>,
-    edges: &std::ops::Range<usize>,
-    m: usize,
-    carried_edge: usize,
-) -> Option<f64> {
-    let ce = g.edges()[carried_edge];
-    // Kahn topological order over the intra edges minus the carried one.
-    reset(&mut s.indeg, m, 0u32);
-    for &ei in &s.comp_edges[edges.clone()] {
-        if ei as usize == carried_edge {
-            continue;
-        }
-        s.indeg[s.local[g.edges()[ei as usize].to] as usize] += 1;
-    }
-    s.topo.clear();
-    for li in 0..m {
-        if s.indeg[li] == 0 {
-            s.topo.push(li as u32);
-        }
-    }
-    // The DP runs interleaved with Kahn's scan: dist is final for a node
-    // by the time it is popped, because all predecessors came first.
-    reset(&mut s.dist, m, f64::NEG_INFINITY);
-    let src = s.local[ce.to] as usize;
-    s.dist[src] = 0.0;
-    let mut popped = 0usize;
-    while popped < s.topo.len() {
-        let li = s.topo[popped] as usize;
-        popped += 1;
-        let v = s.comp_members[members.start + li] as usize;
-        let d = s.dist[li];
-        for i in s.head[v] as usize..s.head[v + 1] as usize {
-            let ei = s.csr[i] as usize;
-            if ei == carried_edge {
-                continue;
-            }
-            let e = &g.edges()[ei];
-            if s.comp[e.from] != s.comp[e.to] {
-                continue;
-            }
-            let lt = s.local[e.to] as usize;
-            if d > f64::NEG_INFINITY && d + e.weight > s.dist[lt] {
-                s.dist[lt] = d + e.weight;
-            }
-            s.indeg[lt] -= 1;
-            if s.indeg[lt] == 0 {
-                s.topo.push(lt as u32);
-            }
-        }
-    }
-    if popped < m {
-        return None; // residual cycle: not actually acyclic without ce
-    }
-    let sink = s.local[ce.from] as usize;
-    debug_assert!(
-        s.dist[sink] > f64::NEG_INFINITY,
-        "strong connectivity guarantees a path back to the carried edge"
-    );
-    Some((s.dist[sink] + ce.weight) / f64::from(ce.count))
 }
 
 /// Maximum cycle ratio via Lawler's binary search with Bellman–Ford

@@ -9,12 +9,12 @@
 //! last writers resolve by direct indexing. The flows are the block's
 //! shared, uarch-independent ones; the annotation's latency column gives
 //! each its latency on the uarch and marks macro-fused tails, whose flows
-//! the graph skips. The bound alone is solved by
-//! [`solve_value`]; the critical chain comes from Howard's cycle on the
-//! same graph, its value ids named through the column value table.
+//! the graph skips. One Howard solve of the graph gives both the bound
+//! and the critical cycle; the chain names that cycle's value ids
+//! through the column value table, and bound-only queries skip it.
 //! `tests/chain_oracle.rs` checks both against a typed builder.
 
-use crate::mcr::{max_cycle_ratio_howard, solve_value, Mcr, REdge, RatioGraph};
+use crate::mcr::{max_cycle_ratio_howard, Mcr, REdge, RatioGraph};
 use facile_explain::{
     ChainStep, Component, ComponentAnalysis, Evidence, PrecedenceEvidence, ValueRef,
 };
@@ -219,17 +219,9 @@ fn precedence_with(
     if build_graph(ab, s) != Some(true) {
         return p;
     }
-    // Bound-only queries (the batch hot path) use the structure-aware
-    // SCC solver. The chain comes from full-graph Howard, whose
-    // critical-cycle choice — including its rotation — is what the
-    // golden reports pin; the two agree bit-identically on the bound
-    // (property-tested).
-    let mcr = if want_chain {
-        max_cycle_ratio_howard(&s.graph)
-    } else {
-        solve_value(&s.graph)
-    };
-    match mcr {
+    // Howard's critical-cycle choice, rotation included, is what the
+    // golden reports pin; bound-only queries ignore the cycle.
+    match max_cycle_ratio_howard(&s.graph) {
         Mcr::Acyclic => {}
         // Cannot occur: every cycle crosses an iteration boundary.
         Mcr::Unbounded => p.bound = f64::INFINITY,

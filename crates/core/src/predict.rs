@@ -376,10 +376,18 @@ fn attribute(ab: &AnnotatedBlock, components: &[ComponentAnalysis]) -> Vec<InstA
             _ => None,
         })
         .unwrap_or(&[]);
+    // One pass over the chain. Each sum starts at -0.0 and adds its
+    // steps in chain order, as `Iterator::sum` would, so an off-chain
+    // instruction reports -0.
+    let mut chain_latency = vec![-0.0f64; ab.insts().len()];
+    for s in chain {
+        chain_latency[s.inst as usize] += s.latency;
+    }
     ab.insts()
         .iter()
+        .zip(chain_latency)
         .enumerate()
-        .map(|(i, a)| {
+        .map(|(i, (a, lat))| {
             let mut uops = 0.0;
             if let Some(cp) = critical {
                 if !a.desc().eliminated {
@@ -390,11 +398,6 @@ fn attribute(ab: &AnnotatedBlock, components: &[ComponentAnalysis]) -> Vec<InstA
                     }
                 }
             }
-            let lat = chain
-                .iter()
-                .filter(|s| s.inst as usize == i)
-                .map(|s| s.latency)
-                .sum();
             InstAttribution {
                 inst: i as u32,
                 critical_port_uops: uops,

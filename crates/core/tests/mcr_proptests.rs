@@ -1,18 +1,21 @@
 //! Property tests for the maximum-cycle-ratio solvers: Howard's policy
-//! iteration must agree with the independent Lawler binary-search solver
-//! on random graphs, and the reported critical cycle must actually attain
-//! the reported ratio.
+//! iteration must agree with the independent Lawler binary-search solver,
+//! and the reported critical cycle must actually attain the reported
+//! ratio. Inputs are random counted graphs, dense single-SCC graphs with
+//! many interleaved carried cycles, and graphs of several such SCCs
+//! chained by forward bridges.
 
 use facile_core::mcr::{max_cycle_ratio_howard, max_cycle_ratio_lawler, Mcr, RatioGraph};
 use proptest::prelude::*;
 
-/// Random graph where every edge has count 1 (every cycle crosses at least
-/// one iteration boundary — the shape dependence graphs have).
+/// Random graph where backward edges always carry (count 1), so every
+/// cycle crosses an iteration boundary — the shape dependence graphs
+/// have, which also rules out `Unbounded`.
 fn counted_graph() -> impl Strategy<Value = RatioGraph> {
-    (2usize..12).prop_flat_map(|n| {
+    (2usize..14).prop_flat_map(|n| {
         proptest::collection::vec(
             (0..n, 0..n, 0u32..20, prop_oneof![Just(0u32), Just(1u32)]),
-            1..30,
+            1..40,
         )
         .prop_map(move |edges| {
             let mut g = RatioGraph::new(n);
@@ -26,11 +29,72 @@ fn counted_graph() -> impl Strategy<Value = RatioGraph> {
     })
 }
 
+/// A dense SCC: a carried ring through all `m` nodes (guaranteeing
+/// strong connectivity) plus many chords, several of them carried, so
+/// policy iteration has multiple interleaved cycles to choose among.
+fn dense_scc_edges(
+    base: usize,
+    m: usize,
+    chords: Vec<(usize, usize, u32, u32)>,
+) -> Vec<(usize, usize, f64, u32)> {
+    let mut edges: Vec<(usize, usize, f64, u32)> = (0..m)
+        .map(|i| (base + i, base + (i + 1) % m, 1.0, 1))
+        .collect();
+    for (a, b, w, c) in chords {
+        edges.push((base + a % m, base + b % m, f64::from(w), c.min(1)));
+    }
+    edges
+}
+
+fn dense_cycle_graph() -> impl Strategy<Value = RatioGraph> {
+    (3usize..10).prop_flat_map(|m| {
+        proptest::collection::vec((0..m, 0..m, 0u32..16, 0u32..2), m..4 * m).prop_map(
+            move |chords| {
+                let mut g = RatioGraph::new(m);
+                for (a, b, w, c) in dense_scc_edges(0, m, chords) {
+                    g.add_edge(a, b, w, c);
+                }
+                g
+            },
+        )
+    })
+}
+
+/// Several disjoint dense SCCs chained by forward (non-carried) edges:
+/// the answer is the best component's, and no cycle crosses a bridge.
+fn multi_scc_graph() -> impl Strategy<Value = RatioGraph> {
+    (2usize..5, 2usize..6).prop_flat_map(|(k, m)| {
+        proptest::collection::vec(
+            proptest::collection::vec((0..m, 0..m, 0u32..16, 0u32..2), 0..3 * m),
+            k..k + 1,
+        )
+        .prop_map(move |clusters| {
+            let n = k * m;
+            let mut g = RatioGraph::new(n);
+            for (ci, chords) in clusters.into_iter().enumerate() {
+                for (a, b, w, c) in dense_scc_edges(ci * m, m, chords) {
+                    g.add_edge(a, b, w, c);
+                }
+                if ci + 1 < k {
+                    // Forward bridge: keeps the clusters separate SCCs.
+                    g.add_edge(ci * m, (ci + 1) * m, 2.0, 0);
+                }
+            }
+            g
+        })
+    })
+}
+
+/// Every generator above: the inputs of the Howard checks.
+fn any_graph() -> impl Strategy<Value = RatioGraph> {
+    prop_oneof![counted_graph(), dense_cycle_graph(), multi_scc_graph()]
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn howard_agrees_with_lawler(g in counted_graph()) {
+    fn howard_agrees_with_lawler(g in any_graph()) {
         let h = max_cycle_ratio_howard(&g);
         let l = max_cycle_ratio_lawler(&g);
         match (&h, &l) {
@@ -46,7 +110,7 @@ proptest! {
     }
 
     #[test]
-    fn critical_cycle_attains_the_ratio(g in counted_graph()) {
+    fn critical_cycle_attains_the_ratio(g in any_graph()) {
         if let Mcr::Ratio { value, cycle } = max_cycle_ratio_howard(&g) {
             prop_assert!(!cycle.is_empty());
             // Walk the cycle and accumulate the best edge between each
