@@ -28,6 +28,15 @@
 //! counterfactual speedups, and [`report::Report`] renders an
 //! explanation as text.
 //!
+//! Each bound depends only on the inputs its kernel reads. The
+//! predecoder and precedence bounds read the block's uarch-independent
+//! [`facile_isa::Dataflow`] plus a few per-uarch inputs, so the
+//! bound-only [`predec::predec`] and [`precedence::precedence_bound`]
+//! keep, per thread, the bounds of the last dataflow they saw. A
+//! nine-uarch sweep that predicts a block's uarchs one after another
+//! computes each distinct bound once, with results bit-identical to
+//! computing it per uarch.
+//!
 //! ```
 //! use facile_core::{Facile, Mode};
 //! use facile_isa::AnnotatedBlock;
@@ -55,6 +64,7 @@ pub mod dsb;
 pub mod issue;
 pub mod lsd;
 pub mod mcr;
+mod memo;
 pub mod ports;
 pub mod precedence;
 pub mod predec;

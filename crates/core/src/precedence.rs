@@ -310,10 +310,14 @@ pub fn precedence(ab: &AnnotatedBlock) -> PrecedenceAnalysis {
 
 /// The `Precedence` throughput bound alone, skipping the critical-chain
 /// extraction (which allocates the chain vector). Always equal to
-/// `precedence(ab).bound`; the batch engine uses this variant.
+/// `precedence(ab).bound`; the batch engine uses this variant. Another
+/// annotation of the same dataflow with the same latency column and
+/// load latency reuses the bound (see `crate::memo`).
 #[must_use]
 pub fn precedence_bound(ab: &AnnotatedBlock) -> f64 {
-    PREC_SCRATCH.with(|s| precedence_with(ab, &mut s.borrow_mut(), false).bound)
+    crate::memo::precedence_bound(ab, || {
+        PREC_SCRATCH.with(|s| precedence_with(ab, &mut s.borrow_mut(), false).bound)
+    })
 }
 
 /// The precedence bound as a typed [`ComponentAnalysis`], with the

@@ -29,10 +29,12 @@ thread_local! {
 /// The full predecoder model: per-16-byte-block cycle counts with boundary
 /// and LCP penalties (the paper's `Predec`).
 ///
-/// Returns predicted cycles per iteration.
+/// Returns predicted cycles per iteration. Another annotation of the
+/// same dataflow with the same predecode width reuses the bound (see
+/// `crate::memo`).
 #[must_use]
 pub fn predec(ab: &AnnotatedBlock, mode: Mode) -> f64 {
-    predec_impl(ab, mode, None)
+    crate::memo::predec(ab, mode, || predec_impl(ab, mode, None))
 }
 
 /// The predecoder bound as a typed [`ComponentAnalysis`], with the

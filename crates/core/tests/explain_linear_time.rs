@@ -57,12 +57,15 @@ fn chain_block(n: usize) -> AnnotatedBlock {
     annotate(&prog)
 }
 
-/// Minimum over several samples of `reps` back-to-back runs of `run`.
-fn min_secs(ab: &AnnotatedBlock, reps: u32, run: Run) -> f64 {
+/// Minimum over several samples of one run of `run` on each of `abs`.
+/// Each annotation has its own dataflow, so a run never reuses the
+/// bounds the previous one computed (the bound-only path keeps them per
+/// dataflow).
+fn min_secs(abs: &[AnnotatedBlock], run: Run) -> f64 {
     (0..7)
         .map(|_| {
             let t = Instant::now();
-            for _ in 0..reps {
+            for ab in abs {
                 assert!(run(ab) > 0.0);
             }
             t.elapsed().as_secs_f64()
@@ -71,16 +74,17 @@ fn min_secs(ab: &AnnotatedBlock, reps: u32, run: Run) -> f64 {
 }
 
 fn assert_linear(shape: &str, block: fn(usize) -> AnnotatedBlock, mode: Mode) {
-    let (small, large) = (block(512), block(4096));
+    // The small block is timed eight times over, so both samples last
+    // about as long and a preempted run is as likely in either.
+    let small: Vec<AnnotatedBlock> = (0..8).map(|_| block(512)).collect();
+    let large: Vec<AnnotatedBlock> = (0..2).map(|_| block(4096)).collect();
     let model = Facile::new();
     let explain = |ab: &AnnotatedBlock| model.explain(ab, mode).throughput;
     let predict = |ab: &AnnotatedBlock| model.predict(ab, mode).throughput;
     let runs: [(&str, Run); 2] = [("explain", &explain), ("predict", &predict)];
     for (what, run) in runs {
-        // The small block is timed eight times over, so both samples
-        // last about as long and a preempted run is as likely in either.
-        let t_small = min_secs(&small, 8, run) / 8.0;
-        let t_large = min_secs(&large, 1, run);
+        let t_small = min_secs(&small, run) / 8.0;
+        let t_large = min_secs(&large, run) / 2.0;
         let ratio = t_large / t_small;
         assert!(
             ratio <= 24.0,

@@ -20,7 +20,9 @@
 //! - the value behind each id, so the critical chain found on the
 //!   id-built graph can be named;
 //! - per-instruction shape keys ([`crate::form::shape_key`]), which index
-//!   the static descriptor tables without re-walking the effects.
+//!   the static descriptor tables without re-walking the effects;
+//! - a process-unique id ([`Dataflow::id`]), by which a kernel that
+//!   keeps results across calls recognises the dataflow.
 //!
 //! The kernels read these columns through [`crate::BlockColumns`].
 //! Building is linear in the block: ids and values are assembled in
@@ -28,8 +30,9 @@
 //! found by scanning the few values of an ordinary block, or through a
 //! hash index once a block has more.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,8 +96,9 @@ pub struct FlowCol {
 /// The uarch-independent columns of one decoded block; see the module
 /// docs. Built once per block (the engine's annotation cache keeps it in
 /// its per-bytes entry) and shared by every annotation of the block.
-#[derive(Debug)]
 pub struct Dataflow {
+    /// Process-unique id; see [`Dataflow::id`].
+    id: u64,
     block: Arc<Block>,
     /// Shape key per instruction.
     shapes: Vec<u32>,
@@ -110,6 +114,22 @@ pub struct Dataflow {
     pub(crate) flows: Vec<FlowCol>,
     /// The distinct values of the block, indexed by value id.
     pub(crate) values: Vec<ColValue>,
+}
+
+/// The columns only: the id tells two builds of one block apart, but
+/// they hold the same content and print alike.
+impl std::fmt::Debug for Dataflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dataflow")
+            .field("block", &self.block)
+            .field("shapes", &self.shapes)
+            .field("predec", &self.predec)
+            .field("lcp_insts", &self.lcp_insts)
+            .field("ids", &self.ids)
+            .field("flows", &self.flows)
+            .field("values", &self.values)
+            .finish()
+    }
 }
 
 /// Accounting: the dataflow owns its block (deep; annotations share both
@@ -154,6 +174,7 @@ impl Dataflow {
             cols::record_dataflow(t.elapsed());
         }
         Dataflow {
+            id: next_id(),
             block,
             shapes,
             predec,
@@ -162,6 +183,15 @@ impl Dataflow {
             flows,
             values,
         }
+    }
+
+    /// An id that no other dataflow of this process has, before or
+    /// after: unlike an address, it is never handed out again once the
+    /// dataflow is freed. Kernels that keep results across calls key
+    /// them by it.
+    #[must_use]
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// The decoded block.
@@ -180,6 +210,31 @@ impl Dataflow {
         let (start, end) = self.flows[i].via_load;
         start != end
     }
+}
+
+/// Ids are handed out from per-thread ranges of this many, so building
+/// a block writes the shared counter once per range, not once per block.
+const ID_RANGE: u64 = 1 << 16;
+
+/// The start of the next unclaimed id range.
+static NEXT_RANGE: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The next id of this thread's range and the range's end.
+    static IDS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// A process-unique dataflow id.
+fn next_id() -> u64 {
+    IDS.with(|ids| {
+        let (mut next, mut end) = ids.get();
+        if next == end {
+            next = NEXT_RANGE.fetch_add(ID_RANGE, Ordering::Relaxed);
+            end = next + ID_RANGE;
+        }
+        ids.set((next + 1, end));
+        next
+    })
 }
 
 /// Remove *consecutive* duplicate ids from `ids[start..]` (an
@@ -375,6 +430,22 @@ impl Scratch {
 mod tests {
     use super::*;
     use facile_x86::Width;
+
+    /// Every build gets its own id, on one thread or several, even for
+    /// the same block.
+    #[test]
+    fn ids_are_never_shared() {
+        let block = Arc::new(Block::decode(&[0x90]).unwrap());
+        let build = |b: &Arc<Block>| Dataflow::new(Arc::clone(b)).id();
+        let mut ids: Vec<u64> = (0..4).map(|_| build(&block)).collect();
+        let other = std::thread::spawn({
+            let block = Arc::clone(&block);
+            move || (0..4).map(|_| build(&block)).collect::<Vec<u64>>()
+        });
+        ids.extend(other.join().unwrap());
+        let distinct: std::collections::HashSet<u64> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), ids.len(), "{ids:?}");
+    }
 
     /// Distinct values have distinct keys, over every full register,
     /// `None` operands, and extreme displacements and scales.

@@ -1161,7 +1161,23 @@ mod tests {
         let BoundAddr::Tcp(addr) = *server.bound() else {
             panic!("expected a TCP address");
         };
-        for _ in 0..64 {
+        for i in 0..64 {
+            if i > 0 {
+                // The previous connection is closed, but its thread may
+                // not have seen EOF yet: an accept only joins threads
+                // that have exited, so wait for it (once the acceptor
+                // has stored its handle) before the next connect.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                loop {
+                    let conns = server.conns.lock();
+                    if !conns.is_empty() && conns.iter().all(std::thread::JoinHandle::is_finished) {
+                        break;
+                    }
+                    drop(conns);
+                    assert!(Instant::now() < deadline, "connection {i} never exited");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
             let mut tx = TcpStream::connect(addr).expect("connects");
             tx.write_all(b"{\"op\":\"ping\"}\n")
                 .expect("request writes");
