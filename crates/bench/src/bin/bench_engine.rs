@@ -210,48 +210,38 @@ fn main() {
 
     // Per-kernel timing from a separate instrumented warm pass (the
     // timed measurements above run without instrumentation, so the
-    // recorded throughput never pays for the clock reads).
-    facile_core::timing::reset();
+    // recorded throughput never pays for the clock reads), then a cold
+    // pass on a fresh engine: annotation-side pass timing (the dataflow
+    // build per block, the per-uarch annotation) only fires on cache
+    // misses.
+    let pass_cells = [
+        ("dataflow", &facile_isa::cols::DATAFLOW),
+        ("annotate", &facile_isa::cols::ANNOTATE),
+    ];
+    for cell in facile_core::timing::KERNELS
+        .iter()
+        .chain(pass_cells.map(|(_, c)| c))
+    {
+        cell.reset();
+    }
     Engine::set_kernel_timing(true);
     let _ = run(&single, &items, Passes::Once);
-    // Annotation-side pass timing (the dataflow build per block, the
-    // per-uarch annotation) only fires on cache misses, so it needs its
-    // own cold engine.
-    facile_isa::cols::reset_pass_timing();
     let fresh = Engine::new(PredictorRegistry::with_builtins()).with_threads(1);
     let _ = run(&fresh, &items, Passes::Once);
     Engine::set_kernel_timing(false);
     let kernels = facile_core::timing::snapshot();
     let kernel_json: Vec<String> = facile_core::Component::ALL
         .into_iter()
-        .map(|c| (c, kernels[c as usize]))
+        .map(|c| (c.name(), kernels[c as usize]))
         .filter(|(_, k)| k.count > 0)
-        .map(|(c, k)| {
-            format!(
-                "    {{ \"kernel\": \"{}\", \"count\": {}, \"mean_us\": {:.3}, \
-                 \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"max_us\": {:.3} }}",
-                c.name(),
-                k.count,
-                k.mean_us,
-                k.p50_us,
-                k.p99_us,
-                k.max_us
-            )
-        })
+        .map(|(name, k)| format!("    {}", k.json_row("kernel", name)))
         .collect();
-    let pass_json: Vec<String> = [
-        ("dataflow", facile_isa::cols::dataflow_timing()),
-        ("annotate", facile_isa::cols::annotate_timing()),
-    ]
-    .into_iter()
-    .filter(|(_, t)| t.count > 0)
-    .map(|(name, t)| {
-        format!(
-            "    {{ \"pass\": \"{name}\", \"count\": {}, \"mean_us\": {:.3}, \"max_us\": {:.3} }}",
-            t.count, t.mean_us, t.max_us
-        )
-    })
-    .collect();
+    let pass_json: Vec<String> = pass_cells
+        .into_iter()
+        .map(|(name, cell)| (name, cell.snapshot()))
+        .filter(|(_, t)| t.count > 0)
+        .map(|(name, t)| format!("    {}", t.json_row("pass", name)))
+        .collect();
     let solver = facile_core::mcr::solve_path_counts();
     let tables = stats.static_tables;
 

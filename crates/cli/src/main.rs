@@ -108,8 +108,9 @@ OPTIONS:
     --threads <N>      batch worker threads (default: all cores)
     --stats            report run counters after the run (batch planner
                        dedup, two-level block cache, descriptor intern
-                       table, per-kernel mean/max timing): a trailing JSON
-                       object with --format json, stderr lines otherwise
+                       table, per-kernel mean/p50/p99/max timing): a
+                       trailing JSON object with --format json, stderr
+                       lines otherwise
     --list-predictors  list registered predictor keys
     --list-kernels     list the built-in corpus kernels
     --help             show this help

@@ -218,15 +218,11 @@ impl Facile {
         let mut components: Vec<ComponentAnalysis> = Vec::with_capacity(7);
         // Opt-in per-kernel accounting (`--stats`, bench_engine): one
         // relaxed load when off; timers only run when on.
-        let timed = crate::timing::enabled();
+        let start = facile_util::timing::start;
         let time = |a: ComponentAnalysis, t0: Option<std::time::Instant>| -> ComponentAnalysis {
-            if let Some(t0) = t0 {
-                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                crate::timing::record(a.component, ns);
-            }
+            crate::timing::KERNELS[a.component as usize].record_since(t0);
             a
         };
-        let start = || timed.then(std::time::Instant::now);
 
         // Front-end path selection (Eq. 3) and contribution.
         let front_end = match mode {

@@ -21,10 +21,10 @@
 use facile_core::{Facile, Mode};
 use facile_isa::AnnotatedBlock;
 use facile_uarch::Uarch;
+use facile_util::timing::{assert_ratio, Clock};
 use facile_x86::reg::names::{RAX, RCX};
 use facile_x86::reg::Width;
 use facile_x86::{Block, Mem, Mnemonic, Operand};
-use std::time::Instant;
 
 type Prog = Vec<(Mnemonic, Vec<Operand>)>;
 
@@ -57,25 +57,11 @@ fn chain_block(n: usize) -> AnnotatedBlock {
     annotate(&prog)
 }
 
-/// Minimum over several samples of one run of `run` on each of `abs`.
-/// Each annotation has its own dataflow, so a run never reuses the
-/// bounds the previous one computed (the bound-only path keeps them per
-/// dataflow).
-fn min_secs(abs: &[AnnotatedBlock], run: Run) -> f64 {
-    (0..7)
-        .map(|_| {
-            let t = Instant::now();
-            for ab in abs {
-                assert!(run(ab) > 0.0);
-            }
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 fn assert_linear(shape: &str, block: fn(usize) -> AnnotatedBlock, mode: Mode) {
-    // The small block is timed eight times over, so both samples last
-    // about as long and a preempted run is as likely in either.
+    // Eight small blocks and two large ones, each timed once per sample.
+    // Each annotation has its own dataflow, so a run never reuses the
+    // bounds the previous one computed (the bound-only path keeps them
+    // per dataflow).
     let small: Vec<AnnotatedBlock> = (0..8).map(|_| block(512)).collect();
     let large: Vec<AnnotatedBlock> = (0..2).map(|_| block(4096)).collect();
     let model = Facile::new();
@@ -83,13 +69,12 @@ fn assert_linear(shape: &str, block: fn(usize) -> AnnotatedBlock, mode: Mode) {
     let predict = |ab: &AnnotatedBlock| model.predict(ab, mode).throughput;
     let runs: [(&str, Run); 2] = [("explain", &explain), ("predict", &predict)];
     for (what, run) in runs {
-        let t_small = min_secs(&small, run) / 8.0;
-        let t_large = min_secs(&large, run) / 2.0;
-        let ratio = t_large / t_small;
-        assert!(
-            ratio <= 24.0,
-            "{shape}, {what}: 4096 instructions took {t_large:.6} s, \
-             512 took {t_small:.6} s: ratio {ratio:.1} > 24"
+        assert_ratio(
+            Clock::Thread,
+            &format!("{shape}, {what}: 4096 instructions vs 512"),
+            24.0,
+            (8, |i| assert!(run(&small[i]) > 0.0)),
+            (2, |i| assert!(run(&large[i]) > 0.0)),
         );
     }
 }

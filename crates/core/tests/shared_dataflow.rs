@@ -246,7 +246,12 @@ fn rebuilt_dataflows_of_same_length_blocks_match_fresh_references() {
         .collect();
     let want: Vec<Vec<String>> = blocks
         .iter()
-        .map(|b| Uarch::ALL.iter().map(|&u| reference_outputs(b, u)).collect())
+        .map(|b| {
+            Uarch::ALL
+                .iter()
+                .map(|&u| reference_outputs(b, u))
+                .collect()
+        })
         .collect();
     for round in 0..50 {
         for (b, block) in blocks.iter().enumerate() {

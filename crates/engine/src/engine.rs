@@ -4,11 +4,11 @@ use crate::cache::{AnnotationCache, CacheStats};
 use crate::error::PredictError;
 use crate::predictor::{PredictRequest, Prediction, Predictor};
 use crate::registry::PredictorRegistry;
-use facile_core::timing::KernelTiming;
 use facile_core::Mode;
 use facile_explain::Detail;
 use facile_isa::{AnnotatedBlock, InternStats};
 use facile_uarch::Uarch;
+use facile_util::timing::Timing;
 use facile_util::PoisonlessMutex;
 use facile_x86::{hex, Block};
 use std::collections::HashMap;
@@ -32,6 +32,13 @@ pub enum BlockInput {
     /// (the multi-uarch matrix, the server's cross-connection batches)
     /// costs one allocation total, not one per item.
     Shared(Arc<Block>),
+}
+
+/// [`BlockInput::key`]: a block as its input spells it.
+#[derive(PartialEq, Eq, Hash)]
+enum InputKey<'a> {
+    Bytes(&'a [u8]),
+    Hex(&'a str),
 }
 
 impl BlockInput {
@@ -60,6 +67,18 @@ impl BlockInput {
             BlockInput::Block(_) | BlockInput::Shared(_) => {
                 unreachable!("pre-decoded inputs skip decode_cached")
             }
+        }
+    }
+
+    /// The input's own spelling of its block: bytes for decoded and byte
+    /// inputs, the trimmed string for hex. Equal keys are the same block;
+    /// unequal spellings of one block merely compare unequal.
+    fn key(&self) -> InputKey<'_> {
+        match self {
+            BlockInput::Block(b) => InputKey::Bytes(b.bytes()),
+            BlockInput::Shared(b) => InputKey::Bytes(b.bytes()),
+            BlockInput::Bytes(b) => InputKey::Bytes(b),
+            BlockInput::Hex(h) => InputKey::Hex(h.trim()),
         }
     }
 
@@ -194,13 +213,13 @@ pub struct EngineStats {
     pub static_tables: facile_isa::StaticTableStats,
     /// Per-kernel timing (all zero unless kernel timing is enabled),
     /// indexed by `Component as usize`.
-    pub kernels: [KernelTiming; facile_core::Component::ALL.len()],
+    pub kernels: [Timing; facile_core::Component::ALL.len()],
 }
 
 impl EngineStats {
     /// Per-kernel timings paired with their components, skipping kernels
     /// that never ran (all of them, unless kernel timing is enabled).
-    pub fn kernel_rows(&self) -> impl Iterator<Item = (facile_core::Component, KernelTiming)> + '_ {
+    pub fn kernel_rows(&self) -> impl Iterator<Item = (facile_core::Component, Timing)> + '_ {
         facile_core::Component::ALL
             .into_iter()
             .map(|c| (c, self.kernels[c as usize]))
@@ -237,24 +256,11 @@ impl EngineStats {
     /// object, so the two spellings cannot drift.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut kernels = String::new();
-        for (i, (c, k)) in self.kernel_rows().enumerate() {
-            if i > 0 {
-                kernels.push(',');
-            }
-            let _ = write!(
-                kernels,
-                "{{\"kernel\":\"{}\",\"count\":{},\"mean_us\":{:.3},\
-                 \"p50_us\":{:.3},\"p99_us\":{:.3},\"max_us\":{:.3}}}",
-                c.name(),
-                k.count,
-                k.mean_us,
-                k.p50_us,
-                k.p99_us,
-                k.max_us
-            );
-        }
+        let kernels: Vec<String> = self
+            .kernel_rows()
+            .map(|(c, k)| k.json_row("kernel", c.name()))
+            .collect();
+        let kernels = kernels.join(",");
         format!(
             "{{\"planner\":{{\"items\":{},\"deduped\":{}}},\
              \"block_cache\":{{\"decode_hits\":{},\"decode_misses\":{},\"annotate_hits\":{},\
@@ -431,16 +437,12 @@ impl Engine {
         }
     }
 
-    /// Turn per-kernel wall-clock accounting on or off (process-wide;
-    /// see `facile_core::timing`). Off by default: timing adds two
-    /// clock reads per kernel invocation, which the batch hot path
-    /// doesn't pay unless asked to.
+    /// Turn per-kernel and annotation-pass wall-clock accounting on or
+    /// off (process-wide; see `facile_util::timing`). Off by default:
+    /// timing adds two clock reads per kernel invocation, which the
+    /// batch hot path doesn't pay unless asked to.
     pub fn set_kernel_timing(enabled: bool) {
-        facile_core::timing::set_enabled(enabled);
-        // The annotation-side passes (table lookup + column build) run
-        // outside the core kernels but report through the same stats
-        // snapshot, so one switch governs both.
-        facile_isa::cols::set_pass_timing(enabled);
+        facile_util::timing::set_enabled(enabled);
     }
 
     /// Drop all cached annotations. (The process-wide intern table is
@@ -550,7 +552,11 @@ impl Engine {
         // Stage 1: decode + annotate each unit once (parallel over
         // units). Already-decoded inputs are borrowed straight from the
         // batch; hex/byte inputs decode through the level-1 cache.
-        let prepared: Vec<Prepared> = self.parallel_map(units.len(), |u| {
+        // A block's units (its uarchs, in plan order) are dealt to one
+        // worker in a row, in both stages: stage 1 then builds the
+        // block's dataflow once, and stage 2 reuses its memoized bounds.
+        let same_block = |u: usize| items[units[u]].input.key() == items[units[u - 1]].input.key();
+        let prepared: Vec<Prepared> = self.parallel_map(units.len(), same_block, |u| {
             let item = &items[units[u]];
             // Contain panics per item: a kernel or decoder blowing up on
             // one weird block must cost exactly one error row, never the
@@ -579,7 +585,8 @@ impl Engine {
         // Stage 2: fan out over units × predictors.
         let keys: Vec<Arc<str>> = predictors.iter().map(|p| Arc::from(p.key())).collect();
         let np = predictors.len();
-        let unit_predictions = self.parallel_map(units.len() * np, |k| {
+        let joins = |k: usize| !k.is_multiple_of(np) || same_block(k / np);
+        let unit_predictions = self.parallel_map(units.len() * np, joins, |k| {
             let (u, j) = (k / np, k % np);
             let prep = &prepared[u];
             match &prep.annotated {
@@ -663,22 +670,11 @@ impl Engine {
         // the standard, randomly keyed hasher: FxHash collisions can be
         // solved for, and 32,768 colliding items would plan in quadratic
         // time (`tests/planner_linear_time.rs`).
-        #[derive(PartialEq, Eq, Hash)]
-        enum InputKey<'a> {
-            Bytes(&'a [u8]),
-            Hex(&'a str),
-        }
         let mut seen: HashMap<(InputKey<'_>, Uarch, i8, u8), u32> =
             HashMap::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {
-            let input = match &item.input {
-                BlockInput::Block(b) => InputKey::Bytes(b.bytes()),
-                BlockInput::Shared(b) => InputKey::Bytes(b.bytes()),
-                BlockInput::Bytes(b) => InputKey::Bytes(b),
-                BlockInput::Hex(h) => InputKey::Hex(h.trim()),
-            };
             let mode_tag = item.mode.map_or(-1i8, |m| m as i8);
-            let key = (input, item.uarch, mode_tag, item.detail as u8);
+            let key = (item.input.key(), item.uarch, mode_tag, item.detail as u8);
             let u = *seen.entry(key).or_insert_with(|| {
                 units.push(i);
                 unit_refs.push(0);
@@ -759,9 +755,15 @@ impl Engine {
     }
 
     /// Order-preserving parallel map over `0..n` on the engine's worker
-    /// pool.
-    fn parallel_map<U: Send>(&self, n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U> {
-        parallel_map_indexed(n, self.threads, f)
+    /// pool, dealing each run of indices that `joins` ties together to
+    /// one worker (see [`parallel_map_grouped`]).
+    fn parallel_map<U: Send>(
+        &self,
+        n: usize,
+        joins: impl Fn(usize) -> bool,
+        f: impl Fn(usize) -> U + Sync,
+    ) -> Vec<U> {
+        parallel_map_grouped(n, self.threads, joins, f)
     }
 }
 
@@ -810,6 +812,19 @@ pub fn parallel_map_indexed<U: Send>(
     threads: usize,
     f: impl Fn(usize) -> U + Sync,
 ) -> Vec<U> {
+    parallel_map_grouped(n, threads, |_| false, f)
+}
+
+/// [`parallel_map_indexed`] that never deals index `k` (`k >= 1`) to a
+/// different chunk than `k - 1` where `joins(k)` holds, so a run of
+/// joined indices is mapped by one worker, in order. Chunks grow past
+/// their target size to the end of such a run.
+fn parallel_map_grouped<U: Send>(
+    n: usize,
+    threads: usize,
+    joins: impl Fn(usize) -> bool,
+    f: impl Fn(usize) -> U + Sync,
+) -> Vec<U> {
     // Chunk size adapts to the job: aim for ~4 chunks per worker (for
     // load balancing on uneven items) but never exceed PAR_CHUNK.
     let chunk = n.div_ceil(threads.max(1) * 4).clamp(1, PAR_CHUNK);
@@ -825,11 +840,17 @@ pub fn parallel_map_indexed<U: Send>(
     {
         // Disjoint output windows, one per chunk. The Mutex is claimed
         // exactly once, by the worker that pops the chunk's index.
-        let chunks: Vec<Chunk<'_, U>> = out
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, slice)| PoisonlessMutex::new((ci * chunk, slice)))
-            .collect();
+        let mut chunks: Vec<Chunk<'_, U>> = Vec::with_capacity(n.div_ceil(chunk));
+        let (mut base, mut rest) = (0, out.as_mut_slice());
+        while !rest.is_empty() {
+            let mut len = chunk.min(rest.len());
+            while len < rest.len() && joins(base + len) {
+                len += 1;
+            }
+            let (window, tail) = rest.split_at_mut(len);
+            chunks.push(PoisonlessMutex::new((base, window)));
+            (base, rest) = (base + len, tail);
+        }
         let next = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..threads {
@@ -846,4 +867,21 @@ pub fn parallel_map_indexed<U: Send>(
         });
     }
     out.into_iter().map(|s| s.expect("chunk filled")).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn joined_runs_stay_on_one_worker_in_order() {
+        // Runs of nine, like a nine-uarch sweep: the default chunk (32) is
+        // not a multiple of the run length.
+        let out =
+            parallel_map_grouped(900, 4, |k| k % 9 != 0, |k| (k, std::thread::current().id()));
+        assert!(out.iter().enumerate().all(|(i, &(k, _))| i == k));
+        for k in (1..900).filter(|k| k % 9 != 0) {
+            assert_eq!(out[k].1, out[k - 1].1, "index {k} left its run's worker");
+        }
+    }
 }

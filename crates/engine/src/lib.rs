@@ -49,7 +49,6 @@ pub use external::{
     extract_selector_externals, load_config as load_external_config, parse_reply,
     register_selector_externals, BreakerSpec, ExternalPredictor, ExternalSpec,
 };
-pub use facile_core::timing::KernelTiming;
 pub use facile_explain::{Detail, Explanation};
 pub use predictor::{PredictRequest, Prediction, Predictor};
 pub use registry::{glob_match, PredictorRegistry};

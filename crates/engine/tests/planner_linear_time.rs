@@ -23,9 +23,9 @@
 use facile_engine::{BatchItem, BlockInput, Engine, PredictorRegistry};
 use facile_explain::Detail;
 use facile_uarch::Uarch;
+use facile_util::timing::{assert_ratio, Clock};
 use facile_util::FxHasher;
 use std::hash::Hasher;
-use std::time::Instant;
 
 /// First word of every item: `0x06` (undecodable), then the item's
 /// index `i` in bytes 1..5.
@@ -63,34 +63,24 @@ fn items(n: usize, words: impl Fn(usize) -> [u64; 2]) -> Vec<BatchItem> {
         .collect()
 }
 
-/// Seconds for `reps` batches of `items` on a fresh engine each.
-fn batch_secs(items: &[BatchItem], reps: u32) -> f64 {
-    let t = Instant::now();
-    for _ in 0..reps {
-        let engine = Engine::new(PredictorRegistry::with_builtins()).with_threads(1);
-        let rows = engine.predict_batch(items, "facile").expect("facile");
-        assert!(rows.iter().all(|r| r.prediction.is_err()));
-        let planner = engine.snapshot().planner;
-        assert_eq!(planner.deduped, 0, "every item is distinct");
-    }
-    t.elapsed().as_secs_f64()
+/// Plan and run `items` on a fresh engine.
+fn batch(items: &[BatchItem]) {
+    let engine = Engine::new(PredictorRegistry::with_builtins()).with_threads(1);
+    let rows = engine.predict_batch(items, "facile").expect("facile");
+    assert!(rows.iter().all(|r| r.prediction.is_err()));
+    let planner = engine.snapshot().planner;
+    assert_eq!(planner.deduped, 0, "every item is distinct");
 }
 
 fn assert_linear(words: impl Fn(usize) -> [u64; 2] + Copy, shape: &str) {
     let (small, large) = (items(4096, words), items(32_768, words));
-    // Minimum of five samples each. The small batch is timed eight times
-    // over, so both samples last about as long, and the two sizes
-    // alternate, so a stretch of host load is as likely to slow either.
-    let (mut t_small, mut t_large) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        t_small = t_small.min(batch_secs(&small, 8) / 8.0);
-        t_large = t_large.min(batch_secs(&large, 1));
-    }
-    let ratio = t_large / t_small;
-    assert!(
-        ratio <= 30.0,
-        "{shape}: 32768 items took {t_large:.6} s, 4096 took {t_small:.6} s: \
-         ratio {ratio:.1} > 30"
+    // The small batch is timed eight times over.
+    assert_ratio(
+        Clock::Thread,
+        &format!("{shape}: 32768 items vs 4096"),
+        30.0,
+        (8, |_| batch(&small)),
+        (1, |_| batch(&large)),
     );
 }
 

@@ -25,7 +25,6 @@ use facile_uarch::{PortMask, Uarch};
 use facile_x86::{Block, Effects, Inst};
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The descriptor of a macro-fused branch: invisible to the decoders and
 /// the back end (the pair's µops are attributed to the head instruction).
@@ -329,7 +328,7 @@ impl AnnotatedBlock {
         uarch: Uarch,
         table: Option<&DescInterner>,
     ) -> AnnotatedBlock {
-        let t_annotate = cols::timing_enabled().then(Instant::now);
+        let t_annotate = facile_util::timing::start();
         let cfg = uarch.config();
         let block = dataflow.block();
         let raw = block.insts();
@@ -410,9 +409,7 @@ impl AnnotatedBlock {
                 .filter(|u| !u.ports.is_empty())
                 .map(|u| (u.ports, u.occupancy)),
         );
-        if let Some(t) = t_annotate {
-            cols::record_annotate(t.elapsed());
-        }
+        cols::ANNOTATE.record_since(t_annotate);
         AnnotatedBlock {
             uarch,
             dataflow,

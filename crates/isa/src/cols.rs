@@ -26,16 +26,14 @@
 //! bound and the critical chain are computed on it (a test-only typed
 //! builder in `facile-core` checks it, `tests/chain_oracle.rs`).
 //!
-//! The module also owns the annotation-pass timing cells ([`set_pass_timing`],
-//! [`dataflow_timing`], [`annotate_timing`]): annotation runs below the
-//! engine's kernel-timing layer, so the cells live here and the engine
-//! toggles them together with its own.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
+//! The module also owns the annotation-pass timing cells ([`DATAFLOW`],
+//! [`ANNOTATE`]): annotation runs below the engine's kernel-timing layer,
+//! so the cells live here, behind the same [`facile_util::timing`]
+//! switch as the kernels'.
 
 use crate::dataflow::{ColValue, FlowCol};
 use facile_uarch::PortMask;
+use facile_util::timing::TimingCell;
 
 /// [`BlockColumns::latency`] mark of a macro-fused tail: its flow is
 /// skipped, because the pair's dataflow is carried by its head. No
@@ -69,111 +67,11 @@ pub struct BlockColumns<'a> {
     pub values: &'a [ColValue],
 }
 
-// ---------------------------------------------------------------------
-// Annotation-pass timing. Annotation runs below the engine's kernel
-// instrumentation, so the cells live here; the engine toggles them
-// together with the per-prediction kernel cells.
-
-static TIMING: AtomicBool = AtomicBool::new(false);
-
-struct Cell {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl Cell {
-    const fn new() -> Cell {
-        Cell {
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, d: Duration) {
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> PassTiming {
-        let count = self.count.load(Ordering::Relaxed);
-        let total_ns = self.total_ns.load(Ordering::Relaxed);
-        let max_ns = self.max_ns.load(Ordering::Relaxed);
-        #[allow(clippy::cast_precision_loss)]
-        PassTiming {
-            count,
-            mean_us: if count == 0 {
-                0.0
-            } else {
-                total_ns as f64 / count as f64 / 1000.0
-            },
-            max_us: max_ns as f64 / 1000.0,
-        }
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The shared dataflow build, once per decoded block.
-static DATAFLOW: Cell = Cell::new();
-/// The per-uarch annotation of a built dataflow (descriptors, fusion,
-/// per-uarch columns), once per (block, uarch).
-static ANNOTATE: Cell = Cell::new();
-
-/// Aggregated timing of one annotation-side pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PassTiming {
-    /// Number of recorded pass executions.
-    pub count: u64,
-    /// Mean duration in microseconds.
-    pub mean_us: f64,
-    /// Maximum duration in microseconds.
-    pub max_us: f64,
-}
-
-/// Enable or disable annotation-pass timing (disabled by default; the
-/// instrumentation costs two monotonic-clock reads per pass).
-pub fn set_pass_timing(enabled: bool) {
-    TIMING.store(enabled, Ordering::Relaxed);
-}
-
-pub(crate) fn timing_enabled() -> bool {
-    TIMING.load(Ordering::Relaxed)
-}
-
-pub(crate) fn record_annotate(d: Duration) {
-    ANNOTATE.record(d);
-}
-
-pub(crate) fn record_dataflow(d: Duration) {
-    DATAFLOW.record(d);
-}
-
-/// Aggregated timing of the shared dataflow build (one per block).
-#[must_use]
-pub fn dataflow_timing() -> PassTiming {
-    DATAFLOW.snapshot()
-}
-
-/// Aggregated timing of the per-uarch annotation (one per block and
-/// uarch; excludes the dataflow build).
-#[must_use]
-pub fn annotate_timing() -> PassTiming {
-    ANNOTATE.snapshot()
-}
-
-/// Reset the annotation-pass timing cells.
-pub fn reset_pass_timing() {
-    DATAFLOW.reset();
-    ANNOTATE.reset();
-}
+/// Timing of the shared dataflow build, once per decoded block.
+pub static DATAFLOW: TimingCell = TimingCell::new();
+/// Timing of the per-uarch annotation of a built dataflow (descriptors,
+/// fusion, per-uarch columns), once per (block, uarch).
+pub static ANNOTATE: TimingCell = TimingCell::new();
 
 #[cfg(test)]
 mod tests {
@@ -262,17 +160,10 @@ mod tests {
 
     #[test]
     fn pass_timing_records_when_enabled() {
-        reset_pass_timing();
-        set_pass_timing(true);
+        facile_util::timing::set_enabled(true);
         let _ = columns(&[(Mnemonic::Add, vec![RAX.into(), RCX.into()])], Uarch::Skl);
-        set_pass_timing(false);
-        let d = dataflow_timing();
-        let a = annotate_timing();
-        assert!(d.count >= 1);
-        assert!(a.count >= 1);
-        assert!(d.mean_us >= 0.0 && a.max_us >= 0.0);
-        reset_pass_timing();
-        assert_eq!(dataflow_timing().count, 0);
-        assert_eq!(annotate_timing().count, 0);
+        facile_util::timing::set_enabled(false);
+        assert!(DATAFLOW.snapshot().count >= 1);
+        assert!(ANNOTATE.snapshot().count >= 1);
     }
 }

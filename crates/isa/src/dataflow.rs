@@ -34,7 +34,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::cols;
 use crate::form::shape_key;
@@ -150,7 +149,7 @@ impl Dataflow {
     /// Build the dataflow of `block`: one effects walk per instruction.
     #[must_use]
     pub fn new(block: Arc<Block>) -> Dataflow {
-        let t = cols::timing_enabled().then(Instant::now);
+        let t = facile_util::timing::start();
         let n = block.num_insts();
         let mut shapes = Vec::with_capacity(n);
         let mut predec = Vec::with_capacity(n);
@@ -170,9 +169,7 @@ impl Dataflow {
             }
             (s.ids.to_vec(), s.values.to_vec())
         });
-        if let Some(t) = t {
-            cols::record_dataflow(t.elapsed());
-        }
+        cols::DATAFLOW.record_since(t);
         Dataflow {
             id: next_id(),
             block,

@@ -47,7 +47,7 @@ pub mod vocab;
 
 pub use annotate::{AnnotatedBlock, AnnotatedInst, InstIter, Insts};
 pub use classify::{describe, describe_fused_pair, macro_fuses};
-pub use cols::{BlockColumns, PassTiming, SKIPPED_FLOW};
+pub use cols::{BlockColumns, SKIPPED_FLOW};
 pub use dataflow::{ColValue, Dataflow, FlowCol};
 pub use desc::{InstrDesc, Uop, UopKind};
 pub use intern::{intern_stats, set_intern_capacity, DescInterner, InternStats, InternedInst};

@@ -10,10 +10,10 @@
 
 use facile_isa::AnnotatedBlock;
 use facile_uarch::Uarch;
+use facile_util::timing::{assert_ratio, Clock};
 use facile_x86::reg::names::*;
 use facile_x86::{Block, Mem, Mnemonic, Operand, Width};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// `n` stores `mov [rax+disp(i)], rbx`.
 fn stores(n: usize, disp: impl Fn(usize) -> i32) -> Arc<Block> {
@@ -26,18 +26,9 @@ fn stores(n: usize, disp: impl Fn(usize) -> i32) -> Arc<Block> {
     Arc::new(Block::assemble(&prog).expect("stores assemble"))
 }
 
-/// Minimum over several samples of `reps` back-to-back annotations.
-fn min_secs(block: &Arc<Block>, reps: u32) -> f64 {
-    (0..7)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..reps {
-                let ab = AnnotatedBlock::new_shared(Arc::clone(block), Uarch::Skl);
-                assert_eq!(ab.insts().len(), block.num_insts());
-            }
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+fn annotate(block: &Arc<Block>) {
+    let ab = AnnotatedBlock::new_shared(Arc::clone(block), Uarch::Skl);
+    assert_eq!(ab.insts().len(), block.num_insts());
 }
 
 /// Assert that 32,768 stores annotate in at most 24× the time of 4,096.
@@ -52,14 +43,13 @@ fn assert_linear(disp: impl Fn(usize) -> i32 + Copy, shape: &str) {
         values > 32_768,
         "{shape}: every store is a new value: {values}"
     );
-    // The small block is timed eight times over, so both samples last
-    // about as long and a preempted run is as likely in either.
-    let t_small = min_secs(&small, 8) / 8.0;
-    let t_large = min_secs(&large, 1);
-    let ratio = t_large / t_small;
-    assert!(
-        ratio <= 24.0,
-        "{shape}: 32768 stores took {t_large:.6} s, 4096 took {t_small:.6} s: ratio {ratio:.1} > 24"
+    // The small block is timed eight times over.
+    assert_ratio(
+        Clock::Thread,
+        &format!("{shape}: 32768 stores vs 4096"),
+        24.0,
+        (8, |_| annotate(&small)),
+        (1, |_| annotate(&large)),
     );
 }
 

@@ -26,4 +26,4 @@ pub mod timing;
 pub use accuracy::{geomean, kendall_tau_b, kendall_tau_b_naive, mape, mean};
 pub use bottleneck::BottleneckDistribution;
 pub use table::{Heatmap, Table};
-pub use timing::{time_each, TimingStats};
+pub use timing::TimingStats;

@@ -1,6 +1,4 @@
-//! Wall-clock timing helpers for the efficiency experiments (Fig. 4/5).
-
-use std::time::Instant;
+//! Timing statistics for the efficiency experiments (Fig. 4/5).
 
 /// Summary statistics of a sample of durations (in microseconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,19 +53,6 @@ impl TimingStats {
     }
 }
 
-/// Time a closure per item, returning (per-item results, per-item times in
-/// microseconds).
-pub fn time_each<T, U>(items: &[T], mut f: impl FnMut(&T) -> U) -> (Vec<U>, Vec<f64>) {
-    let mut results = Vec::with_capacity(items.len());
-    let mut times = Vec::with_capacity(items.len());
-    for item in items {
-        let t0 = Instant::now();
-        results.push(f(item));
-        times.push(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    (results, times)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,14 +72,5 @@ mod tests {
         let s = TimingStats::from_samples(&[]);
         assert_eq!(s.n, 0);
         assert_eq!(s.mean_us, 0.0);
-    }
-
-    #[test]
-    fn time_each_returns_results() {
-        let items = vec![1u32, 2, 3];
-        let (r, t) = time_each(&items, |x| x * 2);
-        assert_eq!(r, vec![2, 4, 6]);
-        assert_eq!(t.len(), 3);
-        assert!(t.iter().all(|x| *x >= 0.0));
     }
 }

@@ -6,9 +6,10 @@
 //! here. The string decoder's own ratio tests live in `json.rs`.
 
 use facile_server::{BoundAddr, Endpoint, Server, ServerConfig};
+use facile_util::timing::{assert_ratio, Clock};
+use std::cell::RefCell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Instant;
 
 /// A `batch` request of `bytes` bytes, padded with whitespace between
 /// members, so reading and scanning the line is most of the work.
@@ -29,19 +30,6 @@ fn round_trip(tx: &mut TcpStream, rx: &mut BufReader<TcpStream>, line: &str) {
     assert!(reply.starts_with("{\"ok\":true"), "{reply}");
 }
 
-/// Minimum over several samples of `reps` back-to-back round trips.
-fn min_secs(tx: &mut TcpStream, rx: &mut BufReader<TcpStream>, line: &str, reps: u32) -> f64 {
-    (0..7)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..reps {
-                round_trip(tx, rx, line);
-            }
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 #[test]
 fn batch_line_in_pieces_is_served_in_linear_time() {
     let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
@@ -50,23 +38,27 @@ fn batch_line_in_pieces_is_served_in_linear_time() {
     let BoundAddr::Tcp(addr) = *server.bound() else {
         panic!("expected a TCP address");
     };
-    let mut tx = TcpStream::connect(addr).expect("connects");
+    let tx = TcpStream::connect(addr).expect("connects");
     tx.set_nodelay(true).expect("nodelay");
-    let mut rx = BufReader::new(tx.try_clone().expect("clones"));
+    let rx = BufReader::new(tx.try_clone().expect("clones"));
+    let conn = RefCell::new((tx, rx));
+    let trip = |line: &str| {
+        let (tx, rx) = &mut *conn.borrow_mut();
+        round_trip(tx, rx, line);
+    };
 
     let (small, large) = (batch_line(64 << 10), batch_line(512 << 10));
-    round_trip(&mut tx, &mut rx, &small); // warm the annotation cache
-                                          // The small line is timed eight times over, so both samples last
-                                          // about as long and a preempted run is as likely in either.
-    let t_small = min_secs(&mut tx, &mut rx, &small, 8) / 8.0;
-    let t_large = min_secs(&mut tx, &mut rx, &large, 1);
-    drop((tx, rx));
-    server.stop();
-    let ratio = t_large / t_small;
-    assert!(
-        ratio <= 16.0,
-        "{} B took {t_large:.6} s, {} B took {t_small:.6} s: ratio {ratio:.1} > 16",
-        large.len(),
-        small.len()
+    trip(&small); // warm the annotation cache
+                  // The work runs on the server's threads, so the test reads the
+                  // process's CPU clock (this binary holds this one test). The small
+                  // line is timed eight times over.
+    assert_ratio(
+        Clock::Process,
+        &format!("{} B vs {} B", large.len(), small.len()),
+        16.0,
+        (8, |_| trip(&small)),
+        (1, |_| trip(&large)),
     );
+    drop(conn);
+    server.stop();
 }

@@ -422,8 +422,8 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing::{assert_ratio, Clock};
     use proptest::prelude::*;
-    use std::time::Instant;
 
     /// The reference: the same parser with per-character string copying.
     fn parse_per_char(src: &str) -> Result<Value, ParseError> {
@@ -493,33 +493,17 @@ mod tests {
         }
     }
 
-    /// Minimum over several runs of `reps` back-to-back parses of
-    /// `line`, in seconds.
-    fn min_parse_secs(line: &str, reps: usize) -> f64 {
-        (0..9)
-            .map(|_| {
-                let t = Instant::now();
-                for _ in 0..reps {
-                    assert!(parse(line).is_ok(), "line parses");
-                }
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// A linear parser takes 8× as long on a line 8× longer; the bound
     /// leaves 2× for noise, where a quadratic one would take 64×. The
-    /// small line is timed eight times over, so both samples last about
-    /// as long and a preempted run is as likely in either.
+    /// small line is timed eight times over.
     fn assert_linear(small: &str, large: &str) {
-        let t_small = min_parse_secs(small, 8) / 8.0;
-        let t_large = min_parse_secs(large, 1);
-        let ratio = t_large / t_small;
-        assert!(
-            ratio <= 16.0,
-            "{} B took {t_large:.6} s, {} B took {t_small:.6} s: ratio {ratio:.1} > 16",
-            large.len(),
-            small.len()
+        let parses = |line: &str| assert!(parse(line).is_ok(), "line parses");
+        assert_ratio(
+            Clock::Thread,
+            &format!("{} B vs {} B", large.len(), small.len()),
+            16.0,
+            (8, |_| parses(small)),
+            (1, |_| parses(large)),
         );
     }
 

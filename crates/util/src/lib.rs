@@ -21,6 +21,8 @@
 //! * [`json`] — the workspace's one JSON reader: a linear-time parser
 //!   with source spans and typed errors, used for server requests,
 //!   client replies, external-predictor replies and bench files.
+//! * [`timing`] — the one timing module: the CPU-clock ratio harness of
+//!   the linear-time tests and the opt-in timing cells behind `--stats`.
 
 #![warn(missing_docs)]
 
@@ -29,6 +31,7 @@ pub mod fxhash;
 pub mod json;
 mod smallvec;
 pub mod sync;
+pub mod timing;
 
 pub use cache::{HeapSize, SlruCache};
 pub use fxhash::{hash_bytes, FxBuildHasher, FxHashMap, FxHasher};
