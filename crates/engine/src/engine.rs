@@ -552,11 +552,12 @@ impl Engine {
         // Stage 1: decode + annotate each unit once (parallel over
         // units). Already-decoded inputs are borrowed straight from the
         // batch; hex/byte inputs decode through the level-1 cache.
-        // A block's units (its uarchs, in plan order) are dealt to one
-        // worker in a row, in both stages: stage 1 then builds the
-        // block's dataflow once, and stage 2 reuses its memoized bounds.
+        // On large jobs a block's units (its uarchs, in plan order) are
+        // dealt to one worker in a row, in both stages: stage 1 then
+        // builds the block's dataflow once, and stage 2 reuses its
+        // memoized bounds.
         let same_block = |u: usize| items[units[u]].input.key() == items[units[u - 1]].input.key();
-        let prepared: Vec<Prepared> = self.parallel_map(units.len(), same_block, |u| {
+        let prepared = parallel_map_grouped(units.len(), self.threads, same_block, |u| {
             let item = &items[units[u]];
             // Contain panics per item: a kernel or decoder blowing up on
             // one weird block must cost exactly one error row, never the
@@ -586,7 +587,7 @@ impl Engine {
         let keys: Vec<Arc<str>> = predictors.iter().map(|p| Arc::from(p.key())).collect();
         let np = predictors.len();
         let joins = |k: usize| !k.is_multiple_of(np) || same_block(k / np);
-        let unit_predictions = self.parallel_map(units.len() * np, joins, |k| {
+        let unit_predictions = parallel_map_grouped(units.len() * np, self.threads, joins, |k| {
             let (u, j) = (k / np, k % np);
             let prep = &prepared[u];
             match &prep.annotated {
@@ -753,18 +754,6 @@ impl Engine {
             })
             .collect()
     }
-
-    /// Order-preserving parallel map over `0..n` on the engine's worker
-    /// pool, dealing each run of indices that `joins` ties together to
-    /// one worker (see [`parallel_map_grouped`]).
-    fn parallel_map<U: Send>(
-        &self,
-        n: usize,
-        joins: impl Fn(usize) -> bool,
-        f: impl Fn(usize) -> U + Sync,
-    ) -> Vec<U> {
-        parallel_map_grouped(n, self.threads, joins, f)
-    }
 }
 
 /// Render a caught panic payload for [`PredictError::Panicked`] (also
@@ -815,10 +804,13 @@ pub fn parallel_map_indexed<U: Send>(
     parallel_map_grouped(n, threads, |_| false, f)
 }
 
-/// [`parallel_map_indexed`] that never deals index `k` (`k >= 1`) to a
+/// [`parallel_map_indexed`] that, on jobs large enough to fill every
+/// worker's chunks at full size, never deals index `k` (`k >= 1`) to a
 /// different chunk than `k - 1` where `joins(k)` holds, so a run of
 /// joined indices is mapped by one worker, in order. Chunks grow past
-/// their target size to the end of such a run.
+/// their target size to the end of such a run. Smaller jobs ignore
+/// `joins`: their chunks shrink to spread few items over the pool, and
+/// a grown chunk would leave workers idle.
 fn parallel_map_grouped<U: Send>(
     n: usize,
     threads: usize,
@@ -827,7 +819,8 @@ fn parallel_map_grouped<U: Send>(
 ) -> Vec<U> {
     // Chunk size adapts to the job: aim for ~4 chunks per worker (for
     // load balancing on uneven items) but never exceed PAR_CHUNK.
-    let chunk = n.div_ceil(threads.max(1) * 4).clamp(1, PAR_CHUNK);
+    let target = n.div_ceil(threads.max(1) * 4);
+    let (chunk, group) = (target.clamp(1, PAR_CHUNK), target >= PAR_CHUNK);
     let threads = threads.min(n.div_ceil(chunk));
     if threads <= 1 || n < PAR_MIN {
         return (0..n).map(f).collect();
@@ -844,7 +837,7 @@ fn parallel_map_grouped<U: Send>(
         let (mut base, mut rest) = (0, out.as_mut_slice());
         while !rest.is_empty() {
             let mut len = chunk.min(rest.len());
-            while len < rest.len() && joins(base + len) {
+            while group && len < rest.len() && joins(base + len) {
                 len += 1;
             }
             let (window, tail) = rest.split_at_mut(len);
@@ -883,5 +876,29 @@ mod tests {
         for k in (1..900).filter(|k| k % 9 != 0) {
             assert_eq!(out[k].1, out[k - 1].1, "index {k} left its run's worker");
         }
+    }
+
+    #[test]
+    fn small_jobs_ignore_joins_and_use_the_pool() {
+        // A one-block sweep: nine joined items on eight threads. Items 0
+        // and 1 each wait for the other to start, which only two workers
+        // can do; one grown chunk would time them out.
+        let started = AtomicUsize::new(0);
+        let out = parallel_map_grouped(
+            9,
+            8,
+            |_| true,
+            |k| {
+                if k < 2 {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let t0 = std::time::Instant::now();
+                    while started.load(Ordering::SeqCst) < 2 && t0.elapsed().as_secs() < 10 {
+                        std::thread::yield_now();
+                    }
+                }
+                started.load(Ordering::SeqCst) >= 2
+            },
+        );
+        assert!(out[0] && out[1], "items 0 and 1 ran on one worker");
     }
 }

@@ -164,14 +164,18 @@ impl TimingCell {
         if count == 0 {
             return Timing::default();
         }
+        #[allow(clippy::cast_precision_loss)]
+        let max_us = self.max_ns.load(Ordering::Relaxed) as f64 / 1e3;
         // Nearest-rank percentiles (1-based, ceiling): p50 of 2 samples
-        // is the 1st, p99 of 200 samples is the 198th.
+        // is the 1st, p99 of 200 samples is the 198th. The estimate is
+        // the bucket's midpoint, capped at the recorded max so that no
+        // percentile reads above it.
         let percentile_us = |rank: u64| {
             let mut seen = 0u64;
             for (b, slot) in self.hist.iter().enumerate() {
                 seen += slot.load(Ordering::Relaxed);
                 if seen >= rank {
-                    return bucket_mid_ns(b) / 1e3;
+                    return (bucket_mid_ns(b) / 1e3).min(max_us);
                 }
             }
             0.0
@@ -182,7 +186,7 @@ impl TimingCell {
             mean_us: self.total_ns.load(Ordering::Relaxed) as f64 / count as f64 / 1e3,
             p50_us: percentile_us(count.div_ceil(2)),
             p99_us: percentile_us((count * 99).div_ceil(100)),
-            max_us: self.max_ns.load(Ordering::Relaxed) as f64 / 1e3,
+            max_us,
         }
     }
 
@@ -305,6 +309,12 @@ mod tests {
             t.p99_us
         );
         assert!(t.p50_us <= t.p99_us && t.p99_us <= t.max_us);
+        // A top sample in the low half of its bucket: the bucket's
+        // midpoint (~1.57 ms) lies above it, so p99 reads the max.
+        cell.record(1_100_000);
+        let t = cell.snapshot();
+        assert!((t.p99_us - 1_100.0).abs() < 1e-9, "p99 {}", t.p99_us);
+        assert_eq!(t.p99_us, t.max_us);
     }
 
     #[test]
@@ -336,8 +346,8 @@ mod tests {
         cell.record(1_500);
         assert_eq!(
             cell.snapshot().json_row("pass", "annotate"),
-            "{\"pass\":\"annotate\",\"count\":1,\"mean_us\":1.500,\"p50_us\":1.536,\
-             \"p99_us\":1.536,\"max_us\":1.500}"
+            "{\"pass\":\"annotate\",\"count\":1,\"mean_us\":1.500,\"p50_us\":1.500,\
+             \"p99_us\":1.500,\"max_us\":1.500}"
         );
     }
 
