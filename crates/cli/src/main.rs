@@ -238,44 +238,74 @@ fn detail(o: &Options) -> Detail {
     }
 }
 
-fn emit_row<W: Write + ?Sized>(
-    out: &mut W,
-    format: Format,
-    explain: bool,
-    r: &ItemResult,
+/// Rows are rendered into one reused buffer, which is written out each
+/// time it holds this many bytes: output memory stays bounded however
+/// large a chunk of rows is.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// Render `rows` into `buf`, newline-terminated — the engine's row
+/// writers for JSON and CSV, [`emit_row`] for text — and write `buf` to
+/// `out` whenever it reaches [`FLUSH_BYTES`]; the caller writes what
+/// remains.
+fn write_rows(
+    out: &mut dyn Write,
+    buf: &mut String,
+    o: &Options,
+    rows: &[ItemResult],
 ) -> std::io::Result<()> {
-    match format {
-        Format::Json => writeln!(out, "{}", render::row_json(r)),
-        Format::Csv => writeln!(out, "{}", render::row_csv(r, explain)),
-        Format::Human => match &r.prediction {
-            Ok(p) => {
-                writeln!(
-                    out,
-                    "{:<24} {:<4} {:<3} {:<12} {:>8.2} cyc/iter{}",
-                    r.block_hex,
-                    r.uarch.to_string(),
-                    mode_str(r.mode),
-                    r.predictor,
-                    p.throughput,
-                    p.bottleneck
-                        .map_or_else(String::new, |b| format!("  bottleneck: {b}")),
-                )?;
-                if let Some(e) = &p.explanation {
-                    for line in e.to_text().lines() {
-                        writeln!(out, "    {line}")?;
-                    }
-                }
-                Ok(())
+    for r in rows {
+        match o.format {
+            Format::Json => {
+                render::write_row_json(buf, r);
+                buf.push('\n');
             }
-            Err(e) => writeln!(
+            Format::Csv => {
+                render::write_row_csv(buf, r, o.explain);
+                buf.push('\n');
+            }
+            Format::Human => emit_row(buf, r),
+        }
+        if buf.len() >= FLUSH_BYTES {
+            out.write_all(buf.as_bytes())?;
+            buf.clear();
+        }
+    }
+    Ok(())
+}
+
+/// One row as text: a summary line, plus the indented explanation when
+/// the row carries one.
+fn emit_row(out: &mut String, r: &ItemResult) {
+    use std::fmt::Write as _;
+    match &r.prediction {
+        Ok(p) => {
+            let _ = writeln!(
+                out,
+                "{:<24} {:<4} {:<3} {:<12} {:>8.2} cyc/iter{}",
+                r.block_hex,
+                r.uarch.to_string(),
+                mode_str(r.mode),
+                r.predictor,
+                p.throughput,
+                p.bottleneck
+                    .map_or_else(String::new, |b| format!("  bottleneck: {b}")),
+            );
+            if let Some(e) = &p.explanation {
+                for line in e.to_text().lines() {
+                    let _ = writeln!(out, "    {line}");
+                }
+            }
+        }
+        Err(e) => {
+            let _ = writeln!(
                 out,
                 "{:<24} {:<4} {:<3} {:<12} error: {e}",
                 r.block_hex,
                 r.uarch.to_string(),
                 mode_str(r.mode),
                 r.predictor,
-            ),
-        },
+            );
+        }
     }
 }
 
@@ -367,9 +397,11 @@ fn run_batch(o: &mut Options) -> Result<(), String> {
     let row_detail = detail(o);
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
+    let mut out = stdout.lock();
+    let mut buf = String::new();
     if o.format == Format::Csv {
-        writeln!(&mut out, "{}", csv_header(o.explain)).map_err(|e| e.to_string())?;
+        buf.push_str(&csv_header(o.explain));
+        buf.push('\n');
     }
 
     // Stream in chunks: bounded memory on arbitrarily large inputs, and
@@ -379,6 +411,7 @@ fn run_batch(o: &mut Options) -> Result<(), String> {
     let mut tally = EngineStats::default();
     let flush = |items: &mut Vec<BatchItem>,
                  out: &mut dyn Write,
+                 buf: &mut String,
                  tally: &mut EngineStats|
      -> Result<(), String> {
         if items.is_empty() {
@@ -387,9 +420,7 @@ fn run_batch(o: &mut Options) -> Result<(), String> {
         let rows = engine
             .predict_batch(items, &o.predictors)
             .map_err(|e| e.to_string())?;
-        for r in &rows {
-            emit_row(out, o.format, o.explain, r).map_err(|e| e.to_string())?;
-        }
+        write_rows(out, buf, o, &rows).map_err(|e| e.to_string())?;
         items.clear();
         // Annotations are only reused within a chunk; dropping them here
         // keeps memory bounded on arbitrarily large streams.
@@ -415,10 +446,11 @@ fn run_batch(o: &mut Options) -> Result<(), String> {
             });
         }
         if items.len() >= CHUNK {
-            flush(&mut items, &mut out, &mut tally)?;
+            flush(&mut items, &mut out, &mut buf, &mut tally)?;
         }
     }
-    flush(&mut items, &mut out, &mut tally)?;
+    flush(&mut items, &mut out, &mut buf, &mut tally)?;
+    out.write_all(buf.as_bytes()).map_err(|e| e.to_string())?;
     if o.stats {
         emit_stats(&mut out, o.format, &tally).map_err(|e| e.to_string())?;
     }
@@ -493,13 +525,14 @@ fn run_single(o: &mut Options) -> Result<(), String> {
             .predict_batch(&items, &o.predictors)
             .map_err(|e| e.to_string())?;
         let stdout = std::io::stdout();
-        let mut out = std::io::BufWriter::new(stdout.lock());
+        let mut out = stdout.lock();
+        let mut buf = String::new();
         if o.format == Format::Csv {
-            writeln!(&mut out, "{}", csv_header(o.explain)).map_err(|e| e.to_string())?;
+            buf.push_str(&csv_header(o.explain));
+            buf.push('\n');
         }
-        for r in &rows {
-            emit_row(&mut out, o.format, o.explain, r).map_err(|e| e.to_string())?;
-        }
+        write_rows(&mut out, &mut buf, o, &rows).map_err(|e| e.to_string())?;
+        out.write_all(buf.as_bytes()).map_err(|e| e.to_string())?;
         if o.stats {
             emit_stats(&mut out, o.format, &engine.snapshot()).map_err(|e| e.to_string())?;
         }

@@ -67,12 +67,11 @@ zznothex,SKL,,facile,bad-hex,,,\"not a hex-encoded block: \"\"zznothex\"\"\"
     assert_eq!(stdout, expected);
 }
 
-#[test]
-fn batch_output_is_identical_across_thread_counts() {
-    // A bigger batch (including error lines) must produce byte-identical
-    // output on one thread and on many.
+/// `n` generated benchmarks as input lines (each unrolled and looped),
+/// with an undecodable line after every seventh.
+fn suite_input(n: usize, seed: u64) -> String {
     let mut input = String::new();
-    for b in facile_bhive::generate_suite(50, 1234) {
+    for b in facile_bhive::generate_suite(n, seed) {
         input.push_str(&b.unrolled.to_hex());
         input.push('\n');
         input.push_str(&b.looped.to_hex());
@@ -81,6 +80,14 @@ fn batch_output_is_identical_across_thread_counts() {
             input.push_str("deadbeefdeadbeefff\n"); // undecodable
         }
     }
+    input
+}
+
+#[test]
+fn batch_output_is_identical_across_thread_counts() {
+    // A bigger batch (including error lines) must produce byte-identical
+    // output on one thread and on many.
+    let input = suite_input(50, 1234);
     let args_base = ["--batch", "--predictors", "facile,sim", "--json"];
     let (one, _, ok1) = run_facile(&[&args_base[..], &["--threads", "1"]].concat(), &input);
     let (many, _, ok8) = run_facile(&[&args_base[..], &["--threads", "8"]].concat(), &input);
@@ -88,6 +95,33 @@ fn batch_output_is_identical_across_thread_counts() {
     assert_eq!(one, many);
     let rows = one.lines().count();
     assert_eq!(rows, (100 + 8) * 2, "one row per (block, predictor)");
+
+    // Streams of more than one 4,096-item CLI chunk, whose rows cross
+    // several fixed-size output flushes: explained JSON rows (~1.5 KB
+    // each) and all-uarch CSV rows.
+    let big = suite_input(2_100, 99);
+    // The first 460 lines: 4,140 items on nine uarchs.
+    let head = &big[..=big.match_indices('\n').nth(459).expect("460 lines").0];
+    let cases: [(&[&str], &str, usize); 2] = [
+        (
+            &["--batch", "--explain", "--format", "json"],
+            &big,
+            big.lines().count(),
+        ),
+        (
+            &["--batch", "--all-uarchs", "--format", "csv"],
+            head,
+            9 * 460 + 1,
+        ),
+    ];
+    for (args, input, rows) in cases {
+        let (one, err1, ok1) = run_facile(&[args, &["--threads", "1"]].concat(), input);
+        let (many, err8, ok8) = run_facile(&[args, &["--threads", "8"]].concat(), input);
+        assert!(ok1 && ok8, "{args:?}: {err1} {err8}");
+        assert_eq!(one.lines().count(), rows, "{args:?}");
+        assert!(one.len() > 3 * 64 * 1024, "{args:?}: {} bytes", one.len());
+        assert!(one == many, "{args:?}: output depends on the thread count");
+    }
 }
 
 #[test]
@@ -244,4 +278,64 @@ fn explain_text_batch_rows_get_indented_summaries() {
     );
     assert!(stdout.contains("    bounds: "), "{stdout}");
     assert!(stdout.contains("    chain: [rdx]@1+3.00/carry"), "{stdout}");
+}
+
+/// Blocks whose explanations cover every spelling the row writer has:
+/// a non-dyadic bound (0.666…, the float fallback), memory chain values
+/// with index, scale and a negative displacement, flag and vector chain
+/// values, `-0` chain latencies, an error row, and the MITE, DSB (SKL)
+/// and LSD (HSW) front ends.
+const EXPLAIN_INPUT: &str = "\
+4885d14939d2
+41314cdd18410fb6c049ffcb75f2
+4889c849093c24
+4d0946f8498d4d0089da4983fb0077f0
+4839fb4d8b54f5000f92c3
+f20f5cddc5db58e549ffcb75f3
+zznothex
+";
+
+#[test]
+fn explain_rows_golden() {
+    let cases = [
+        (
+            &["--format", "json", "--uarch", "SKL"][..],
+            include_str!("golden/explain_skl.json"),
+            "explain_skl.json",
+        ),
+        (
+            &["--format", "csv", "--uarch", "HSW"][..],
+            include_str!("golden/explain_hsw.csv"),
+            "explain_hsw.csv",
+        ),
+    ];
+    for (args, golden, file) in cases {
+        let args = [
+            &["--batch", "--predictors", "facile", "--explain"][..],
+            args,
+        ]
+        .concat();
+        let (stdout, stderr, ok) = run_facile(&args, EXPLAIN_INPUT);
+        assert!(ok, "stderr: {stderr}");
+        assert!(
+            stdout == golden,
+            "explain rows drifted from crates/cli/tests/golden/{file}; if the change is \
+             intended, regenerate with `facile {}` on the test's input",
+            args.join(" ")
+        );
+    }
+    let json = include_str!("golden/explain_skl.json");
+    for needle in [
+        "\"front_end\":\"MITE\"",
+        "\"front_end\":\"DSB\"",
+        "\"value\":\"[r14+0xfffffff8]\"",
+        "\"value\":\"[r13+rbx*8+0x18]\"",
+        "\"value\":\"CF\"",
+        "\"chain_latency\":-0",
+        "0.6666666666666666",
+        "\"status\":\"error\"",
+    ] {
+        assert!(json.contains(needle), "golden lacks {needle}");
+    }
+    assert!(include_str!("golden/explain_hsw.csv").contains("\"\"front_end\"\":\"\"LSD\"\""));
 }

@@ -9,17 +9,23 @@
 
 use crate::engine::ItemResult;
 use facile_core::Mode;
-use facile_explain::json_escape;
-use std::fmt::Write as _;
+use facile_explain::{fixed4, json_escape_into};
 
-/// CSV field quoting per RFC 4180 (only when needed).
-#[must_use]
-pub fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+/// Append `s` as one CSV field: as is, or quoted per RFC 4180 (inner
+/// quotes doubled) when it holds a comma, quote or line break.
+fn csv_field(out: &mut String, s: &str) {
+    if !s.contains([',', '"', '\n', '\r']) {
+        out.push_str(s);
+        return;
     }
+    out.push('"');
+    for (i, part) in s.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
 }
 
 /// The wire spelling of a throughput notion (`tpu`, `tpl`, or empty when
@@ -48,79 +54,102 @@ pub fn csv_header(explain: bool) -> String {
     }
 }
 
-/// One row as a single-line JSON object (no trailing newline).
+/// One row as a single-line JSON object (no trailing newline). A wrapper
+/// over [`write_row_json`].
 #[must_use]
 pub fn row_json(r: &ItemResult) -> String {
-    let mut s = String::with_capacity(128);
-    let _ = write!(
-        s,
-        "{{\"block\":\"{}\",\"uarch\":\"{}\",\"mode\":\"{}\",\"predictor\":\"{}\"",
-        json_escape(&r.block_hex),
-        r.uarch,
-        mode_str(r.mode),
-        json_escape(&r.predictor),
-    );
-    match &r.prediction {
-        Ok(p) => {
-            let bn = p
-                .bottleneck
-                .map_or_else(|| "null".to_string(), |b| format!("\"{}\"", b.name()));
-            let _ = write!(s, ",\"status\":\"ok\",\"throughput\":{:.4}", p.throughput);
-            let _ = write!(s, ",\"bottleneck\":{bn}");
-            if let Some(e) = &p.explanation {
-                let _ = write!(s, ",\"explanation\":{}", e.to_json());
-            }
-            s.push('}');
-        }
-        Err(e) => {
-            let _ = write!(
-                s,
-                ",\"status\":\"error\",\"code\":\"{}\",\"error\":\"{}\"}}",
-                e.code(),
-                json_escape(&e.to_string())
-            );
-        }
-    }
+    let mut s = String::with_capacity(160);
+    write_row_json(&mut s, r);
     s
 }
 
-/// One row as a CSV line (no trailing newline). `explain` appends the
-/// `explanation` column (empty for error rows), matching
-/// [`csv_header`]`(true)`.
+/// Append one row as a single-line JSON object (no trailing newline) to
+/// `out`, which the caller owns and may reuse across rows.
+pub fn write_row_json(out: &mut String, r: &ItemResult) {
+    out.push_str("{\"block\":\"");
+    json_escape_into(out, &r.block_hex);
+    out.push_str("\",\"uarch\":\"");
+    out.push_str(r.uarch.abbrev());
+    out.push_str("\",\"mode\":\"");
+    out.push_str(mode_str(r.mode));
+    out.push_str("\",\"predictor\":\"");
+    json_escape_into(out, &r.predictor);
+    match &r.prediction {
+        Ok(p) => {
+            out.push_str("\",\"status\":\"ok\",\"throughput\":");
+            fixed4(out, p.throughput);
+            out.push_str(",\"bottleneck\":");
+            match p.bottleneck {
+                Some(b) => {
+                    out.push('"');
+                    out.push_str(b.name());
+                    out.push('"');
+                }
+                None => out.push_str("null"),
+            }
+            if let Some(e) = &p.explanation {
+                out.push_str(",\"explanation\":");
+                e.write_json(out);
+            }
+        }
+        Err(e) => {
+            out.push_str("\",\"status\":\"error\",\"code\":\"");
+            out.push_str(e.code());
+            out.push_str("\",\"error\":\"");
+            json_escape_into(out, &e.to_string());
+            out.push('"');
+        }
+    }
+    out.push('}');
+}
+
+/// One row as a CSV line (no trailing newline). A wrapper over
+/// [`write_row_csv`].
 #[must_use]
 pub fn row_csv(r: &ItemResult, explain: bool) -> String {
-    let extra = |expl_field: &str| {
-        if explain {
-            format!(",{expl_field}")
-        } else {
-            String::new()
-        }
-    };
+    let mut s = String::with_capacity(96);
+    write_row_csv(&mut s, r, explain);
+    s
+}
+
+/// Append one row as a CSV line (no trailing newline) to `out`, which
+/// the caller owns and may reuse across rows. `explain` appends the
+/// `explanation` column (empty for error rows), matching
+/// [`csv_header`]`(true)`.
+pub fn write_row_csv(out: &mut String, r: &ItemResult, explain: bool) {
+    csv_field(out, &r.block_hex);
+    out.push(',');
+    out.push_str(r.uarch.abbrev());
+    out.push(',');
+    out.push_str(mode_str(r.mode));
+    out.push(',');
+    csv_field(out, &r.predictor);
     match &r.prediction {
-        Ok(p) => format!(
-            "{},{},{},{},ok,{:.4},{},{}",
-            csv_escape(&r.block_hex),
-            r.uarch,
-            mode_str(r.mode),
-            csv_escape(&r.predictor),
-            p.throughput,
-            p.bottleneck.map_or("", |b| b.name()),
-            extra(
-                &p.explanation
-                    .as_ref()
-                    .map_or_else(String::new, |e| csv_escape(&e.to_json()))
-            ),
-        ),
-        Err(e) => format!(
-            "{},{},{},{},{},,,{}{}",
-            csv_escape(&r.block_hex),
-            r.uarch,
-            mode_str(r.mode),
-            csv_escape(&r.predictor),
-            e.code(),
-            csv_escape(&e.to_string()),
-            extra(""),
-        ),
+        Ok(p) => {
+            out.push_str(",ok,");
+            fixed4(out, p.throughput);
+            out.push(',');
+            out.push_str(p.bottleneck.map_or("", |b| b.name()));
+            out.push(',');
+            if explain {
+                out.push(',');
+                if let Some(e) = &p.explanation {
+                    // The JSON always holds quotes, so the field is always
+                    // quoted: render it once, then quote it in.
+                    let json = e.to_json();
+                    csv_field(out, &json);
+                }
+            }
+        }
+        Err(e) => {
+            out.push(',');
+            out.push_str(e.code());
+            out.push_str(",,,");
+            csv_field(out, &e.to_string());
+            if explain {
+                out.push(',');
+            }
+        }
     }
 }
 
@@ -156,8 +185,14 @@ mod tests {
 
     #[test]
     fn csv_escaping() {
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("a\"b"), "\"a\"\"b\"");
+        let field = |s: &str| {
+            let mut out = String::new();
+            csv_field(&mut out, s);
+            out
+        };
+        assert_eq!(field("plain"), "plain");
+        assert_eq!(field("a,b"), "\"a,b\"");
+        assert_eq!(field("a\"b"), "\"a\"\"b\"");
+        assert_eq!(field("\"\"\n"), "\"\"\"\"\"\n\"");
     }
 }

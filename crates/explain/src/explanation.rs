@@ -28,30 +28,55 @@ pub enum ValueRef {
     },
 }
 
-impl fmt::Display for ValueRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl ValueRef {
+    /// Write the value's spelling (`rdx`, `CF`, `[r13+rbx*8+0x18]`) to any
+    /// text sink. [`Display`] and the JSON writer both go through this.
+    /// A displacement is printed as `+0x` and its 32-bit two's-complement
+    /// hex digits, so `-8` reads `+0xfffffff8`.
+    ///
+    /// [`Display`]: fmt::Display
+    ///
+    /// # Errors
+    /// Only those of the sink (a `String` never fails).
+    pub fn write_to<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
         match *self {
-            ValueRef::Reg(r) => write!(f, "{r}"),
-            ValueRef::Flag(g) => f.write_str(flags::group_name(g)),
+            ValueRef::Reg(r) => w.write_str(r.name()),
+            ValueRef::Flag(g) => w.write_str(flags::group_name(g)),
             ValueRef::Mem {
                 base,
                 index,
                 scale,
                 disp,
             } => {
-                f.write_str("[")?;
+                w.write_char('[')?;
                 if let Some(b) = base {
-                    write!(f, "{b}")?;
+                    w.write_str(b.name())?;
                 }
                 if let Some(i) = index {
-                    write!(f, "+{i}*{scale}")?;
+                    w.write_char('+')?;
+                    w.write_str(i.name())?;
+                    w.write_char('*')?;
+                    crate::render::write_uint(w, u64::from(scale))?;
                 }
                 if disp != 0 {
-                    write!(f, "{disp:+#x}")?;
+                    w.write_str("+0x")?;
+                    #[allow(clippy::cast_sign_loss)] // two's complement, as `{:x}` prints it
+                    let bits = disp as u32;
+                    let digits = 8 - bits.leading_zeros() as usize / 4;
+                    for k in (0..digits).rev() {
+                        let nib = (bits >> (4 * k)) & 0xf;
+                        w.write_char(char::from(b"0123456789abcdef"[nib as usize]))?;
+                    }
                 }
-                f.write_str("]")
+                w.write_char(']')
             }
         }
+    }
+}
+
+impl fmt::Display for ValueRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 

@@ -43,4 +43,4 @@ pub use explanation::{
     ValueRef,
 };
 pub use model::{Component, Detail, FrontEndPath, Mode};
-pub use render::json_escape;
+pub use render::{fixed4, json_escape, json_escape_into, json_num};

@@ -7,7 +7,7 @@
 //! and are what the CLI uses for `--explain` in batch mode.
 
 use crate::explanation::{ChainStep, Evidence, Explanation, PortLoad};
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Escape a string for inclusion in a JSON string literal. Exported so
 /// every JSON emitter in the workspace (this crate's renderer, the CLI's
@@ -19,31 +19,132 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Append `s` to `out`, escaped for a JSON string literal (the quotes are
+/// the caller's). Runs of bytes that need no escape are copied whole.
+pub fn json_escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)]);
+                out.push(HEX[usize::from(b & 0xf)]);
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
 }
 
-/// Emit a finite float as a JSON number (`null` for non-finite values,
-/// which cannot occur for well-formed explanations but must not produce
-/// invalid JSON if they ever do).
-fn json_num(out: &mut String, v: f64) {
-    if v.is_finite() {
+const HEX: [char; 16] = [
+    '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', 'a', 'b', 'c', 'd', 'e', 'f',
+];
+
+/// Write `n` in decimal to any text sink.
+pub(crate) fn write_uint<W: Write>(w: &mut W, mut n: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        #[allow(clippy::cast_possible_truncation)] // a digit
+        let d = (n % 10) as u8;
+        buf[at] = b'0' + d;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &b in &buf[at..] {
+        w.write_char(char::from(b))?;
+    }
+    Ok(())
+}
+
+/// Append `n` in decimal (what `{n}` prints).
+fn push_uint(out: &mut String, n: u64) {
+    let _ = write_uint(out, n);
+}
+
+/// `v` as a count of sixteenths, when that count is exact: `v` finite,
+/// `|v| < 1e12` and `16 v` integral. Such a value's exact decimal
+/// expansion has at most four fractional digits, and it is also its
+/// shortest round-trip spelling: below 1e12 (< 2^40) half an ulp is at
+/// most 2^-14, while any decimal with fewer fractional digits is at
+/// least 5e-4 away.
+fn sixteenths(v: f64) -> Option<i64> {
+    let s = v * 16.0;
+    #[allow(clippy::cast_possible_truncation)] // |s| < 1.6e13, integral
+    (v.abs() < 1e12 && s == s.trunc()).then_some(s as i64)
+}
+
+/// The four decimal digits of `frac` sixteenths (`frac < 16`): 1 → 0625.
+fn frac_digits(frac: u64) -> [u8; 4] {
+    let d = frac * 625;
+    #[allow(clippy::cast_possible_truncation)] // digits
+    [
+        b'0' + (d / 1000) as u8,
+        b'0' + (d / 100 % 10) as u8,
+        b'0' + (d / 10 % 10) as u8,
+        b'0' + (d % 10) as u8,
+    ]
+}
+
+/// Append `v` as a JSON number: exactly what `{v}` prints for finite
+/// values, `null` for non-finite ones (which cannot occur for well-formed
+/// explanations but must not produce invalid JSON if they ever do).
+/// Whole and sixteenth values below 1e12 are printed from integer digits,
+/// keeping the sign of `-0.0`; everything else goes through `{v}`.
+pub fn json_num(out: &mut String, v: f64) {
+    if let Some(k) = sixteenths(v) {
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        let a = k.unsigned_abs();
+        push_uint(out, a >> 4);
+        if a & 15 != 0 {
+            let d = frac_digits(a & 15);
+            let len = 4 - d.iter().rev().take_while(|&&c| c == b'0').count();
+            out.push('.');
+            d[..len].iter().for_each(|&c| out.push(char::from(c)));
+        }
+    } else if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
+}
+
+/// Append `v` exactly as `{v:.4}` prints it. Sixteenth values below 1e12
+/// are printed from integer digits (they need no rounding); everything
+/// else goes through `{v:.4}`.
+pub fn fixed4(out: &mut String, v: f64) {
+    if let Some(k) = sixteenths(v) {
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        let a = k.unsigned_abs();
+        push_uint(out, a >> 4);
+        out.push('.');
+        frac_digits(a & 15)
+            .iter()
+            .for_each(|&c| out.push(char::from(c)));
+    } else {
+        let _ = write!(out, "{v:.4}");
+    }
+}
+
+fn json_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
 }
 
 fn json_chain(out: &mut String, chain: &[ChainStep]) {
@@ -52,11 +153,17 @@ fn json_chain(out: &mut String, chain: &[ChainStep]) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"inst\":{},\"value\":\"", s.inst);
-        json_escape_into(out, &s.value.to_string());
+        out.push_str("{\"inst\":");
+        push_uint(out, u64::from(s.inst));
+        // Value spellings are registers, flags and address expressions:
+        // nothing in them needs a JSON escape.
+        out.push_str(",\"value\":\"");
+        let _ = s.value.write_to(out);
         out.push_str("\",\"latency\":");
         json_num(out, s.latency);
-        let _ = write!(out, ",\"loop_carried\":{}}}", s.loop_carried);
+        out.push_str(",\"loop_carried\":");
+        json_bool(out, s.loop_carried);
+        out.push('}');
     }
     out.push(']');
 }
@@ -67,63 +174,69 @@ fn json_port_loads(out: &mut String, loads: &[PortLoad]) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"ports\":\"{}\",\"uops\":", l.ports);
+        out.push_str("{\"ports\":\"");
+        let _ = l.ports.write_to(out);
+        out.push_str("\",\"uops\":");
         json_num(out, l.uops);
         out.push('}');
     }
     out.push(']');
 }
 
+/// Append `,"key":n` (`key` written with its leading separator and
+/// quotes, as `",\"chunks\":"`).
+fn field_uint(out: &mut String, key: &str, n: impl Into<u64>) {
+    out.push_str(key);
+    push_uint(out, n.into());
+}
+
 fn json_evidence(out: &mut String, e: &Evidence) {
     match e {
         Evidence::None => out.push_str("null"),
         Evidence::Predec(p) => {
-            let _ = write!(
+            field_uint(
                 out,
-                "{{\"kind\":\"predec\",\"unroll_copies\":{},\"chunks\":{},\"lcp_insts\":{},\
-                 \"boundary_crossings\":{},\"base_cycles\":",
-                p.unroll_copies, p.chunks, p.lcp_insts, p.boundary_crossings
+                "{\"kind\":\"predec\",\"unroll_copies\":",
+                p.unroll_copies,
             );
+            field_uint(out, ",\"chunks\":", p.chunks);
+            field_uint(out, ",\"lcp_insts\":", p.lcp_insts);
+            field_uint(out, ",\"boundary_crossings\":", p.boundary_crossings);
+            out.push_str(",\"base_cycles\":");
             json_num(out, p.base_cycles);
             out.push_str(",\"lcp_penalty_cycles\":");
             json_num(out, p.lcp_penalty_cycles);
             out.push('}');
         }
         Evidence::Dec(d) => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"dec\",\"decoders\":{},\"steady_cycles\":{},\
-                 \"steady_iterations\":{},\"complex_insts\":{}}}",
-                d.decoders, d.steady_cycles, d.steady_iterations, d.complex_insts
-            );
+            field_uint(out, "{\"kind\":\"dec\",\"decoders\":", d.decoders);
+            field_uint(out, ",\"steady_cycles\":", d.steady_cycles);
+            field_uint(out, ",\"steady_iterations\":", d.steady_iterations);
+            field_uint(out, ",\"complex_insts\":", d.complex_insts);
+            out.push('}');
         }
         Evidence::Dsb(d) => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"dsb\",\"fused_uops\":{},\"dsb_width\":{},\"rounded_up\":{}}}",
-                d.fused_uops, d.dsb_width, d.rounded_up
-            );
+            field_uint(out, "{\"kind\":\"dsb\",\"fused_uops\":", d.fused_uops);
+            field_uint(out, ",\"dsb_width\":", d.dsb_width);
+            out.push_str(",\"rounded_up\":");
+            json_bool(out, d.rounded_up);
+            out.push('}');
         }
         Evidence::Lsd(l) => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"lsd\",\"fused_uops\":{},\"unroll\":{},\"issue_width\":{}}}",
-                l.fused_uops, l.unroll, l.issue_width
-            );
+            field_uint(out, "{\"kind\":\"lsd\",\"fused_uops\":", l.fused_uops);
+            field_uint(out, ",\"unroll\":", l.unroll);
+            field_uint(out, ",\"issue_width\":", l.issue_width);
+            out.push('}');
         }
         Evidence::Issue(i) => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"issue\",\"issue_uops\":{},\"issue_width\":{}}}",
-                i.issue_uops, i.issue_width
-            );
+            field_uint(out, "{\"kind\":\"issue\",\"issue_uops\":", i.issue_uops);
+            field_uint(out, ",\"issue_width\":", i.issue_width);
+            out.push('}');
         }
         Evidence::Ports(p) => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"ports\",\"critical_ports\":\"{}\",\"load_on_critical\":",
-                p.critical_ports
-            );
+            out.push_str("{\"kind\":\"ports\",\"critical_ports\":\"");
+            let _ = p.critical_ports.write_to(out);
+            out.push_str("\",\"load_on_critical\":");
             json_num(out, p.load_on_critical);
             out.push_str(",\"port_loads\":");
             json_port_loads(out, &p.port_loads);
@@ -142,24 +255,37 @@ impl Explanation {
     /// bounds (with typed evidence where collected), the bottleneck set in
     /// tie-break order, and — hoisted to the top level for convenience —
     /// the critical-chain edges, the port-load map, and the
-    /// per-instruction attributions.
+    /// per-instruction attributions. A wrapper over [`write_json`].
+    ///
+    /// [`write_json`]: Explanation::write_json
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
+        let mut out = String::with_capacity(1024);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append the [`to_json`] object to `out`, which the caller owns and
+    /// may reuse across rows.
+    ///
+    /// [`to_json`]: Explanation::to_json
+    pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"front_end\":\"");
         out.push_str(self.front_end.name());
         out.push_str("\",\"throughput\":");
-        json_num(&mut out, self.throughput);
+        json_num(out, self.throughput);
         out.push_str(",\"bounds\":[");
         for (i, a) in self.components.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"component\":\"{}\",\"bound\":", a.component.name());
-            json_num(&mut out, a.bound);
+            out.push_str("{\"component\":\"");
+            out.push_str(a.component.name());
+            out.push_str("\",\"bound\":");
+            json_num(out, a.bound);
             if !matches!(a.evidence, Evidence::None) {
                 out.push_str(",\"evidence\":");
-                json_evidence(&mut out, &a.evidence);
+                json_evidence(out, &a.evidence);
             }
             out.push('}');
         }
@@ -168,20 +294,23 @@ impl Explanation {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\"", b.name());
+            out.push('"');
+            out.push_str(b.name());
+            out.push('"');
         }
         out.push(']');
         if let Some(p) = self.ports() {
-            let _ = write!(out, ",\"critical_ports\":\"{}\"", p.critical_ports);
-            out.push_str(",\"load_on_critical\":");
-            json_num(&mut out, p.load_on_critical);
+            out.push_str(",\"critical_ports\":\"");
+            let _ = p.critical_ports.write_to(out);
+            out.push_str("\",\"load_on_critical\":");
+            json_num(out, p.load_on_critical);
             out.push_str(",\"port_loads\":");
-            json_port_loads(&mut out, &p.port_loads);
+            json_port_loads(out, &p.port_loads);
         }
         let chain = self.critical_chain();
         if !chain.is_empty() {
             out.push_str(",\"critical_chain\":");
-            json_chain(&mut out, chain);
+            json_chain(out, chain);
         }
         if !self.attributions.is_empty() {
             out.push_str(",\"attributions\":[");
@@ -194,16 +323,16 @@ impl Explanation {
                     out.push(',');
                 }
                 first = false;
-                let _ = write!(out, "{{\"inst\":{},\"critical_port_uops\":", a.inst);
-                json_num(&mut out, a.critical_port_uops);
+                field_uint(out, "{\"inst\":", a.inst);
+                out.push_str(",\"critical_port_uops\":");
+                json_num(out, a.critical_port_uops);
                 out.push_str(",\"chain_latency\":");
-                json_num(&mut out, a.chain_latency);
+                json_num(out, a.chain_latency);
                 out.push('}');
             }
             out.push(']');
         }
         out.push('}');
-        out
     }
 
     /// Render a compact human-readable summary (one fact per line). Used

@@ -34,17 +34,17 @@
 
 use facile_engine::render;
 use facile_engine::{BatchItem, BlockInput, Detail, ItemResult};
-use facile_explain::json_escape;
 use facile_explain::Mode;
+use facile_explain::{json_escape, json_escape_into};
 use facile_uarch::Uarch;
 use facile_util::json::{self, Kind, Value};
 
 /// How prediction rows are rendered in the reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Render {
-    /// Rows are embedded as raw JSON objects ([`render::row_json`]).
+    /// Rows are embedded as raw JSON objects ([`render::write_row_json`]).
     Json,
-    /// Rows are CSV lines carried as JSON strings ([`render::row_csv`]).
+    /// Rows are CSV lines carried as JSON strings ([`render::write_row_csv`]).
     Csv,
 }
 
@@ -333,15 +333,19 @@ pub fn rows_reply(
     s.push('{');
     s.push_str(&id_field(id));
     s.push_str("\"ok\":true,\"rows\":[");
+    // CSV rows are rendered into one reused buffer, then escaped in.
+    let mut csv = String::new();
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
         match render_as {
-            Render::Json => s.push_str(&render::row_json(r)),
+            Render::Json => render::write_row_json(&mut s, r),
             Render::Csv => {
+                csv.clear();
+                render::write_row_csv(&mut csv, r, explain);
                 s.push('"');
-                s.push_str(&json_escape(&render::row_csv(r, explain)));
+                json_escape_into(&mut s, &csv);
                 s.push('"');
             }
         }

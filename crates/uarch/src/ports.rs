@@ -78,16 +78,37 @@ impl std::ops::BitOr for PortMask {
     }
 }
 
-impl fmt::Display for PortMask {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl PortMask {
+    /// Write the mask's spelling — `p` and the port numbers ascending
+    /// (`p0156`), or `p-` when empty — to any text sink. [`Display`]
+    /// and the JSON row writers both go through this.
+    ///
+    /// [`Display`]: fmt::Display
+    ///
+    /// # Errors
+    /// Only those of the sink (a `String` never fails).
+    pub fn write_to<W: fmt::Write>(self, w: &mut W) -> fmt::Result {
         if self.is_empty() {
-            return f.write_str("p-");
+            return w.write_str("p-");
         }
-        f.write_str("p")?;
-        for p in self.iter() {
-            write!(f, "{p}")?;
+        w.write_char('p')?;
+        let mut bits = self.0;
+        while bits != 0 {
+            #[allow(clippy::cast_possible_truncation)] // < 16
+            let p = bits.trailing_zeros() as u8;
+            if p >= 10 {
+                w.write_char('1')?;
+            }
+            w.write_char(char::from(b'0' + p % 10))?;
+            bits &= bits - 1;
         }
         Ok(())
+    }
+}
+
+impl fmt::Display for PortMask {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 
@@ -175,6 +196,7 @@ mod tests {
     #[test]
     fn empty_display() {
         assert_eq!(PortMask::EMPTY.to_string(), "p-");
+        assert_eq!(PortMask::of(&[0, 9, 10, 15]).to_string(), "p091015");
         assert!(PortMask::EMPTY.is_subset_of(PortMask::of(&[1])));
     }
 

@@ -102,6 +102,14 @@ const GPR8: [&str; 16] = [
     "r13b", "r14b", "r15b",
 ];
 const HIGH8: [&str; 4] = ["ah", "ch", "dh", "bh"];
+const XMM: [&str; 16] = [
+    "xmm0", "xmm1", "xmm2", "xmm3", "xmm4", "xmm5", "xmm6", "xmm7", "xmm8", "xmm9", "xmm10",
+    "xmm11", "xmm12", "xmm13", "xmm14", "xmm15",
+];
+const YMM: [&str; 16] = [
+    "ymm0", "ymm1", "ymm2", "ymm3", "ymm4", "ymm5", "ymm6", "ymm7", "ymm8", "ymm9", "ymm10",
+    "ymm11", "ymm12", "ymm13", "ymm14", "ymm15",
+];
 
 impl Reg {
     /// The canonical "full" register this register aliases, used for
@@ -200,11 +208,11 @@ impl Reg {
         assert!(num <= 15, "GPR number out of range: {num}");
         Reg::Gpr { num, width }
     }
-}
 
-impl fmt::Display for Reg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
+    /// The assembler name (`rax`, `r8d`, `ah`, `xmm3`, `rip`, ...).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
             Reg::Gpr { num, width } => {
                 let table = match width {
                     Width::W8 => &GPR8,
@@ -212,13 +220,19 @@ impl fmt::Display for Reg {
                     Width::W32 => &GPR32,
                     _ => &GPR64,
                 };
-                f.write_str(table[num as usize])
+                table[num as usize]
             }
-            Reg::HighByte(i) => f.write_str(HIGH8[i as usize]),
-            Reg::Xmm(n) => write!(f, "xmm{n}"),
-            Reg::Ymm(n) => write!(f, "ymm{n}"),
-            Reg::Rip => f.write_str("rip"),
+            Reg::HighByte(i) => HIGH8[i as usize],
+            Reg::Xmm(n) => XMM[n as usize],
+            Reg::Ymm(n) => YMM[n as usize],
+            Reg::Rip => "rip",
         }
+    }
+}
+
+impl fmt::Display for Reg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
