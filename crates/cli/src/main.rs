@@ -107,10 +107,11 @@ OPTIONS:
     --json, --csv      deprecated aliases for --format json / --format csv
     --threads <N>      batch worker threads (default: all cores)
     --stats            report run counters after the run (batch planner
-                       dedup, two-level block cache, descriptor intern
-                       table, per-kernel mean/p50/p99/max timing): a
-                       trailing JSON object with --format json, stderr
-                       lines otherwise
+                       dedup, descriptor intern table, per-kernel
+                       mean/p50/p99/max timing): a trailing JSON object
+                       with --format json, stderr lines otherwise. A run
+                       keeps no block cache, so its block_cache counters
+                       read 0 (the server's `stats` fills them)
     --list-predictors  list registered predictor keys
     --list-kernels     list the built-in corpus kernels
     --help             show this help
@@ -311,9 +312,10 @@ fn emit_row(out: &mut String, r: &ItemResult) {
 
 /// Build the engine and resolve any external-predictor definitions:
 /// `ext:<name>=<cmd>` tokens in `o.predictors` (rewritten in place to
-/// their bare keys) and the `--ext-config` file, if given.
+/// their bare keys) and the `--ext-config` file, if given. A run sees
+/// each block once, so the engine keeps no annotation cache.
 fn build_engine(o: &mut Options) -> Result<Engine, String> {
-    let mut engine = Engine::new(PredictorRegistry::with_builtins());
+    let mut engine = Engine::new(PredictorRegistry::with_builtins()).without_cache();
     o.predictors =
         facile_engine::register_selector_externals(engine.registry_mut(), &o.predictors)?;
     if let Some(path) = &o.ext_config {
@@ -332,9 +334,10 @@ fn build_engine(o: &mut Options) -> Result<Engine, String> {
 
 /// Emit planner/cache counters and (when collected) per-kernel timing:
 /// a trailing JSON object on stdout with JSON output, a human-readable
-/// summary on stderr otherwise (CSV output stays pure). The JSON is the
-/// engine's canonical [`EngineStats::to_json`] — the same object the
-/// server's `stats` reply carries.
+/// summary on stderr otherwise (CSV output stays pure; it leaves out the
+/// block cache, which a CLI run never fills). The JSON is the engine's
+/// canonical [`EngineStats::to_json`] — the same object the server's
+/// `stats` reply carries.
 fn emit_stats<W: Write + ?Sized>(
     out: &mut W,
     format: Format,
@@ -343,20 +346,12 @@ fn emit_stats<W: Write + ?Sized>(
     match format {
         Format::Json => writeln!(out, "{{\"stats\":{}}}", t.to_json()),
         Format::Csv | Format::Human => {
-            let (a, i) = (t.annotation, t.intern);
+            let i = t.intern;
             eprintln!(
-                "stats: planner {} items / {} deduped; block cache {} decode hits / {} decode \
-                 misses / {} annotate hits / {} annotate misses ({} blocks, {} annotations); \
-                 intern table {} hits / {} misses ({} core hits / {} core misses, {} byte \
-                 entries, {} descriptors)",
+                "stats: planner {} items / {} deduped; intern table {} hits / {} misses ({} core \
+                 hits / {} core misses, {} byte entries, {} descriptors)",
                 t.planner.items,
                 t.planner.deduped,
-                a.decode_hits,
-                a.decode_misses,
-                a.hits,
-                a.misses,
-                a.blocks,
-                a.entries,
                 i.hits,
                 i.misses,
                 i.core_hits,
@@ -408,12 +403,7 @@ fn run_batch(o: &mut Options) -> Result<(), String> {
     // each chunk still fans out in parallel across the worker pool.
     const CHUNK: usize = 4096;
     let mut items: Vec<BatchItem> = Vec::with_capacity(CHUNK);
-    let mut tally = EngineStats::default();
-    let flush = |items: &mut Vec<BatchItem>,
-                 out: &mut dyn Write,
-                 buf: &mut String,
-                 tally: &mut EngineStats|
-     -> Result<(), String> {
+    let flush = |items: &mut Vec<BatchItem>, out: &mut dyn Write, buf: &mut String| {
         if items.is_empty() {
             return Ok(());
         }
@@ -422,11 +412,7 @@ fn run_batch(o: &mut Options) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         write_rows(out, buf, o, &rows).map_err(|e| e.to_string())?;
         items.clear();
-        // Annotations are only reused within a chunk; dropping them here
-        // keeps memory bounded on arbitrarily large streams.
-        tally.absorb(&engine.snapshot());
-        engine.clear_cache();
-        Ok(())
+        Ok::<(), String>(())
     };
     for line in stdin.lock().lines() {
         let line = line.map_err(|e| e.to_string())?;
@@ -446,13 +432,13 @@ fn run_batch(o: &mut Options) -> Result<(), String> {
             });
         }
         if items.len() >= CHUNK {
-            flush(&mut items, &mut out, &mut buf, &mut tally)?;
+            flush(&mut items, &mut out, &mut buf)?;
         }
     }
-    flush(&mut items, &mut out, &mut buf, &mut tally)?;
+    flush(&mut items, &mut out, &mut buf)?;
     out.write_all(buf.as_bytes()).map_err(|e| e.to_string())?;
     if o.stats {
-        emit_stats(&mut out, o.format, &tally).map_err(|e| e.to_string())?;
+        emit_stats(&mut out, o.format, &engine.snapshot()).map_err(|e| e.to_string())?;
     }
     out.flush().map_err(|e| e.to_string())
 }

@@ -1,13 +1,12 @@
 //! The two-level `(block bytes → decoded block → per-uarch annotation)`
-//! cache.
+//! cache, for callers that reuse work across calls: the server, `facile
+//! diff` and the benchmarks. A one-shot caller such as `facile --batch`
+//! builds its engine [`without_cache`](crate::Engine::without_cache).
 //!
 //! Building an [`AnnotatedBlock`] (descriptor lookups, macro-fusion
-//! resolution) is the shared front half of every predictor; in a batch
-//! run over `blocks × uarchs × predictors` it would otherwise be repeated
-//! once per predictor. Decoding the block's bytes is shared even wider:
-//! it is identical across *all* microarchitectures, so a nine-uarch sweep
-//! that kept a flat `(bytes, uarch)` table re-decoded every block nine
-//! times. The cache therefore has two levels:
+//! resolution) is the shared front half of every predictor, and decoding
+//! the block's bytes is identical across *all* microarchitectures. Across
+//! calls, the cache keeps both, in two levels:
 //!
 //! * **Level 1 — per bytes**: the decoded [`Block`] inside its
 //!   uarch-independent [`Dataflow`], built once and shared via `Arc`
@@ -166,24 +165,6 @@ impl AnnotationCache {
     /// Change the byte capacity, evicting down to it if needed.
     pub fn set_capacity(&self, bytes: usize) {
         self.table.set_capacity(bytes);
-    }
-
-    /// The configured byte capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.table.capacity()
-    }
-
-    /// Accounted bytes currently resident.
-    #[must_use]
-    pub fn bytes(&self) -> usize {
-        self.table.bytes()
-    }
-
-    /// Entries evicted by the byte bound since the last clear.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.table.evictions()
     }
 
     /// The decoded block for `bytes`, decoding at most once per distinct

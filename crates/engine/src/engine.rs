@@ -6,15 +6,16 @@ use crate::predictor::{PredictRequest, Prediction, Predictor};
 use crate::registry::PredictorRegistry;
 use facile_core::Mode;
 use facile_explain::Detail;
-use facile_isa::{AnnotatedBlock, InternStats};
+use facile_faults::Point;
+use facile_isa::{AnnotatedBlock, Dataflow, InternStats};
 use facile_uarch::Uarch;
 use facile_util::timing::Timing;
 use facile_util::PoisonlessMutex;
-use facile_x86::{hex, Block};
+use facile_x86::{hex, Block, DecodeError};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A block to predict, in whatever form the caller has it.
 #[derive(Debug, Clone)]
@@ -26,11 +27,11 @@ pub enum BlockInput {
     Bytes(Vec<u8>),
     /// An already-decoded block.
     Block(Block),
-    /// An already-decoded block behind a shared handle. The engine
-    /// registers the `Arc` in its level-1 cache instead of cloning the
-    /// block's bytes, so one decoded block fanned out over many items
-    /// (the multi-uarch matrix, the server's cross-connection batches)
-    /// costs one allocation total, not one per item.
+    /// An already-decoded block behind a shared handle, so one decoded
+    /// block fanned out over many items (the multi-uarch matrix, the
+    /// server's cross-connection batches) costs one allocation total. An
+    /// engine with a cache (callers that reuse work across calls) keeps
+    /// the `Arc` in its level-1 cache instead of cloning the bytes.
     Shared(Arc<Block>),
 }
 
@@ -42,11 +43,13 @@ enum InputKey<'a> {
 }
 
 impl BlockInput {
-    /// Decode to a shared block through the engine's two-level cache
-    /// (identical bytes decode at most once per engine); an
-    /// already-decoded [`BlockInput::Block`] is registered, not cloned,
-    /// unless its bytes were never seen.
-    fn decode_cached(&self, cache: &AnnotationCache) -> Result<Arc<Block>, PredictError> {
+    /// The input as a shared decoded block: hex and byte inputs through
+    /// `decode`, decoded inputs shared (or, for [`BlockInput::Block`],
+    /// cloned once into a handle).
+    fn decode(
+        &self,
+        decode: impl FnOnce(&[u8]) -> Result<Arc<Block>, DecodeError>,
+    ) -> Result<Arc<Block>, PredictError> {
         match self {
             BlockInput::Hex(h) => {
                 let h = h.trim();
@@ -55,18 +58,17 @@ impl BlockInput {
                         input: h.to_string(),
                     });
                 };
-                cache.decode(&bytes).map_err(|source| PredictError::Decode {
+                decode(&bytes).map_err(|source| PredictError::Decode {
                     input: h.to_string(),
                     source,
                 })
             }
-            BlockInput::Bytes(b) => cache.decode(b).map_err(|source| PredictError::Decode {
+            BlockInput::Bytes(b) => decode(b).map_err(|source| PredictError::Decode {
                 input: hex::encode(b),
                 source,
             }),
-            BlockInput::Block(_) | BlockInput::Shared(_) => {
-                unreachable!("pre-decoded inputs skip decode_cached")
-            }
+            BlockInput::Block(b) => Ok(Arc::new(b.clone())),
+            BlockInput::Shared(b) => Ok(Arc::clone(b)),
         }
     }
 
@@ -204,7 +206,8 @@ pub struct PlannerStats {
 pub struct EngineStats {
     /// Batch-planner dedup counters.
     pub planner: PlannerStats,
-    /// Block-level two-level cache counters (decode + annotate levels).
+    /// Block-level two-level cache counters (decode + annotate levels;
+    /// all zero for an engine built [`Engine::without_cache`]).
     pub annotation: CacheStats,
     /// Instruction-level descriptor intern table counters.
     pub intern: InternStats,
@@ -224,31 +227,6 @@ impl EngineStats {
             .into_iter()
             .map(|c| (c, self.kernels[c as usize]))
             .filter(|(_, t)| t.count > 0)
-    }
-
-    /// Fold a later snapshot into an accumulator that survives cache
-    /// clears (the CLI's chunked batch mode and the server's bounded
-    /// cache both drop annotations periodically; hit/miss counters must
-    /// keep accumulating across those drops).
-    ///
-    /// Lifetime counters (planner, intern table, kernel timing) are
-    /// engine- or process-lifetime totals and are *replaced* by the
-    /// later snapshot; per-cache-generation counters (annotation
-    /// hits/misses) are *summed*; resident-entry counts become
-    /// high-water marks.
-    pub fn absorb(&mut self, later: &EngineStats) {
-        self.planner = later.planner;
-        self.annotation.hits += later.annotation.hits;
-        self.annotation.misses += later.annotation.misses;
-        self.annotation.decode_hits += later.annotation.decode_hits;
-        self.annotation.decode_misses += later.annotation.decode_misses;
-        self.annotation.entries = self.annotation.entries.max(later.annotation.entries);
-        self.annotation.blocks = self.annotation.blocks.max(later.annotation.blocks);
-        self.annotation.bytes = self.annotation.bytes.max(later.annotation.bytes);
-        self.annotation.evictions += later.annotation.evictions;
-        self.intern = later.intern;
-        self.static_tables = later.static_tables;
-        self.kernels = later.kernels;
     }
 
     /// The canonical JSON object for these counters. The CLI's `--stats`
@@ -312,12 +290,6 @@ pub struct CacheBudget {
 }
 
 impl CacheBudget {
-    /// A budget of `total` bytes.
-    #[must_use]
-    pub fn from_total_bytes(total: usize) -> CacheBudget {
-        CacheBudget { total }
-    }
-
     /// A budget of `mb` mebibytes.
     #[must_use]
     pub fn from_total_mb(mb: usize) -> CacheBudget {
@@ -351,31 +323,78 @@ struct Prepared {
     annotated: Result<Arc<AnnotatedBlock>, PredictError>,
 }
 
-/// The prediction engine: a predictor registry, a worker pool, and a
-/// shared annotation cache.
+impl Prepared {
+    /// A unit whose block could not be annotated: its rows carry the
+    /// input as supplied and the requested notion.
+    fn failed(item: &BatchItem, error: PredictError) -> Prepared {
+        Prepared {
+            hex: item.input.hex().into(),
+            mode: item.mode,
+            annotated: Err(error),
+        }
+    }
+
+    /// A unit annotated as the cache's `(annotation, hex)` pair, with the
+    /// notion resolved from its (non-empty) block.
+    fn new(
+        block: &Block,
+        item: &BatchItem,
+        (ab, hex): (Arc<AnnotatedBlock>, Arc<str>),
+    ) -> Prepared {
+        let auto = if block.ends_in_branch() {
+            Mode::Loop
+        } else {
+            Mode::Unrolled
+        };
+        Prepared {
+            hex,
+            mode: Some(item.mode.unwrap_or(auto)),
+            annotated: Ok(ab),
+        }
+    }
+}
+
+/// What a worker carries along its chunk: the current unit's preparation
+/// and, without a cache, the last block it decoded, for the next unit
+/// with the same input. Both drop on the worker.
+#[derive(Default)]
+struct Cursor {
+    unit: Option<(usize, Prepared)>,
+    block: Option<Decoded>,
+}
+
+/// A block decoded without a cache: its item, dataflow and canonical hex.
+type Decoded = (usize, Arc<Dataflow>, Arc<str>);
+
+/// The prediction engine: a predictor registry, a worker pool, and an
+/// optional annotation cache.
 ///
 /// `predict_batch` fans a batch out over `items × predictors` on `threads`
 /// worker threads. Output is deterministic and ordered — row `k` is item
 /// `k / P`, predictor `k % P` (registration order) — regardless of the
 /// number of threads.
+///
+/// The cache is for callers that reuse work across calls (the server);
+/// a one-shot caller (`facile --batch`) builds its engine
+/// [`Engine::without_cache`]. Rows are the same either way.
 pub struct Engine {
     registry: PredictorRegistry,
     threads: usize,
-    cache: AnnotationCache,
+    cache: Option<AnnotationCache>,
     dedup: bool,
     planned_items: AtomicU64,
     deduped_items: AtomicU64,
 }
 
 impl Engine {
-    /// An engine over the given registry, with one worker per available
-    /// CPU (`std::thread::available_parallelism`).
+    /// An engine over the given registry, with an annotation cache and
+    /// one worker per available CPU (`std::thread::available_parallelism`).
     #[must_use]
     pub fn new(registry: PredictorRegistry) -> Engine {
         Engine {
             registry,
             threads: host_threads(),
-            cache: AnnotationCache::new(),
+            cache: Some(AnnotationCache::new()),
             dedup: true,
             planned_items: AtomicU64::new(0),
             deduped_items: AtomicU64::new(0),
@@ -392,6 +411,15 @@ impl Engine {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Engine {
         self.threads = threads.max(1);
+        self
+    }
+
+    /// Drop the annotation cache, for one-shot callers: batches decode
+    /// and annotate directly and free each annotation on its worker. The
+    /// `block_cache` counters of [`Engine::snapshot`] then read 0.
+    #[must_use]
+    pub fn without_cache(mut self) -> Engine {
+        self.cache = None;
         self
     }
 
@@ -430,7 +458,7 @@ impl Engine {
                 items: self.planned_items.load(Ordering::Relaxed),
                 deduped: self.deduped_items.load(Ordering::Relaxed),
             },
-            annotation: self.cache.stats(),
+            annotation: self.cache().stats(),
             intern: facile_isa::intern_stats(),
             static_tables: facile_isa::static_table_stats(),
             kernels: facile_core::timing::snapshot(),
@@ -445,18 +473,21 @@ impl Engine {
         facile_util::timing::set_enabled(enabled);
     }
 
-    /// Drop all cached annotations. (The process-wide intern table is
-    /// left untouched: it is shared with other engines and is bounded by
-    /// the number of distinct instruction encodings, not blocks.)
+    /// Drop all cached annotations, if any. (The process-wide intern table
+    /// is left untouched: it is shared with other engines and is bounded
+    /// by the number of distinct instruction encodings, not blocks.)
     pub fn clear_cache(&self) {
-        self.cache.clear();
+        self.cache().clear();
     }
 
     /// The engine's two-level annotation cache (for inspecting its
-    /// counters or resizing it).
+    /// counters or resizing it); without one, a shared, always empty one.
     #[must_use]
     pub fn cache(&self) -> &AnnotationCache {
-        &self.cache
+        static NONE: OnceLock<AnnotationCache> = OnceLock::new();
+        self.cache
+            .as_ref()
+            .unwrap_or_else(|| NONE.get_or_init(AnnotationCache::new))
     }
 
     /// Bound the engine's caches by `budget`: caps the annotation cache
@@ -464,7 +495,9 @@ impl Engine {
     /// predictor's result cache takes the external share; its owner caps
     /// it with [`crate::ExternalPredictor::set_cache_capacity`].)
     pub fn apply_cache_budget(&self, budget: &CacheBudget) {
-        self.cache.set_capacity(budget.annotation_capacity());
+        if let Some(cache) = &self.cache {
+            cache.set_capacity(budget.annotation_capacity());
+        }
         facile_isa::set_intern_capacity(budget.intern_capacity());
     }
 
@@ -474,9 +507,12 @@ impl Engine {
         self.threads
     }
 
-    /// Annotate through the engine's cache.
+    /// Annotate through the engine's cache, or directly without one.
     pub fn annotate(&self, block: &Block, uarch: Uarch) -> Arc<AnnotatedBlock> {
-        self.cache.annotate(block, uarch)
+        match &self.cache {
+            Some(cache) => cache.annotate(block, uarch),
+            None => Arc::new(AnnotatedBlock::new(block.clone(), uarch)),
+        }
     }
 
     /// Predict one block with one predictor (by key), at
@@ -487,7 +523,7 @@ impl Engine {
     /// [`Engine::predict_batch`] (or call `facile_core::Facile::explain`
     /// directly on [`Engine::annotate`]'s output).
     ///
-    /// This routes through the same prepare/dispatch pipeline as
+    /// This runs through the same batch pass as
     /// [`Engine::predict_batch`], so single-block calls hit (and warm)
     /// the same annotation cache and intern table as batch runs.
     ///
@@ -540,110 +576,71 @@ impl Engine {
     /// fanned back out to every requesting row. Rows keep their exact
     /// positions and are bit-identical with the dedup stage on or off
     /// (predictions are pure functions of the unit).
+    ///
+    /// Then one order-preserving pass maps units × predictors over the
+    /// worker pool. A worker prepares a unit (decode, notion, annotation)
+    /// at its first index, through the cache if there is one, and drops
+    /// it when it moves on. Without a cache, a unit reuses the block its
+    /// worker decoded for the previous one when the input is the same,
+    /// so a block's run of uarchs decodes once into one dataflow.
     pub fn run_batch(
         &self,
         items: &[BatchItem],
         predictors: &[Arc<dyn Predictor>],
     ) -> Vec<ItemResult> {
-        // Stage 0: plan. `item_unit[i]` is the work unit of item `i`;
-        // `units[u]` is the representative item index.
+        // `item_unit[i]` is the work unit of item `i`; `units[u]` is the
+        // representative item index.
         let (units, item_unit, unit_refs) = self.plan(items);
-
-        // Stage 1: decode + annotate each unit once (parallel over
-        // units). Already-decoded inputs are borrowed straight from the
-        // batch; hex/byte inputs decode through the level-1 cache.
-        // On large jobs a block's units (its uarchs, in plan order) are
-        // dealt to one worker in a row, in both stages: stage 1 then
-        // builds the block's dataflow once, and stage 2 reuses its
-        // memoized bounds.
-        let same_block = |u: usize| items[units[u]].input.key() == items[units[u - 1]].input.key();
-        let prepared = parallel_map_grouped(units.len(), self.threads, same_block, |u| {
-            let item = &items[units[u]];
-            // Contain panics per item: a kernel or decoder blowing up on
-            // one weird block must cost exactly one error row, never the
-            // batch (or, in the server, the process).
-            catch_unwind(AssertUnwindSafe(|| match &item.input {
-                BlockInput::Block(b) => self.prepare(b, item),
-                BlockInput::Shared(b) => self.prepare_shared(b, item),
-                other => match other.decode_cached(&self.cache) {
-                    Ok(block) => self.prepare_shared(&block, item),
-                    Err(e) => Prepared {
-                        hex: item.input.hex().into(),
-                        mode: item.mode,
-                        annotated: Err(e),
-                    },
-                },
-            }))
-            .unwrap_or_else(|payload| Prepared {
-                hex: item.input.hex().into(),
-                mode: item.mode,
-                annotated: Err(PredictError::Panicked {
-                    payload: panic_payload(&*payload),
-                }),
-            })
-        });
-
-        // Stage 2: fan out over units × predictors.
         let keys: Vec<Arc<str>> = predictors.iter().map(|p| Arc::from(p.key())).collect();
         let np = predictors.len();
+        // On large jobs a block's units (its uarchs, in plan order) are
+        // dealt to one worker in a row, which then decodes the block once
+        // and reuses its memoized bounds.
+        let same_block = |u: usize| items[units[u]].input.key() == items[units[u - 1]].input.key();
         let joins = |k: usize| !k.is_multiple_of(np) || same_block(k / np);
-        let unit_predictions = parallel_map_grouped(units.len() * np, self.threads, joins, |k| {
+        let n = units.len() * np;
+        let rows = parallel_map_with(n, self.threads, joins, |cur: &mut Cursor, k| {
             let (u, j) = (k / np, k % np);
-            let prep = &prepared[u];
-            match &prep.annotated {
-                Ok(ab) => {
-                    let mode = prep.mode.expect("annotated items have a resolved mode");
-                    let detail = items[units[u]].detail;
-                    // Same per-item containment as stage 1: a panicking
-                    // predictor yields one `internal-panic` row.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let bytes = ab.block().bytes();
-                        if let Some(delay) = facile_faults::slow_predict_delay(bytes) {
-                            std::thread::sleep(delay);
-                        }
-                        if facile_faults::decide(facile_faults::Point::PredictError, bytes) {
-                            return Err(PredictError::Injected {
-                                point: facile_faults::Point::PredictError.name().to_string(),
-                            });
-                        }
-                        facile_faults::maybe_panic(facile_faults::Point::PredictPanic, bytes);
-                        predictors[j].predict(&PredictRequest::new(ab, mode).with_detail(detail))
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(PredictError::Panicked {
-                            payload: panic_payload(&*payload),
-                        })
-                    })
-                }
-                Err(e) => Err(e.clone()),
+            let item = &items[units[u]];
+            if !matches!(cur.unit, Some((v, _)) if v == u) {
+                cur.unit = None;
+                cur.unit = Some((u, self.prepare(items, units[u], &mut cur.block)));
+            }
+            let Some((_, prep)) = &cur.unit else {
+                unreachable!("the unit was just prepared")
+            };
+            ItemResult {
+                item: units[u],
+                block_hex: Arc::clone(&prep.hex),
+                uarch: item.uarch,
+                mode: prep.mode,
+                predictor: Arc::clone(&keys[j]),
+                prediction: match &prep.annotated {
+                    Ok(ab) => predict_contained(&*predictors[j], ab, prep.mode, item.detail),
+                    Err(e) => Err(e.clone()),
+                },
             }
         });
-
-        // Stage 3: fan the unit results back out to the requesting rows,
-        // in exact (item, predictor) order. A unit referenced once (the
-        // overwhelmingly common case) moves its prediction into the row;
+        if units.len() == items.len() {
+            // Every item is its own unit, in item order.
+            return rows;
+        }
+        // Fan the unit rows back out to the requesting items, in exact
+        // (item, predictor) order. A unit referenced once moves its row;
         // shared units clone.
-        let mut unit_predictions: Vec<Option<Result<Prediction, PredictError>>> =
-            unit_predictions.into_iter().map(Some).collect();
+        let mut rows: Vec<Option<ItemResult>> = rows.into_iter().map(Some).collect();
         (0..items.len() * np)
             .map(|k| {
                 let (i, j) = (k / np, k % np);
                 let u = item_unit[i] as usize;
-                let slot = &mut unit_predictions[u * np + j];
-                let prediction = if unit_refs[u] == 1 {
+                let slot = &mut rows[u * np + j];
+                let mut row = if unit_refs[u] == 1 {
                     slot.take().expect("sole consumer of this unit row")
                 } else {
-                    slot.as_ref().expect("kept for shared consumers").clone()
+                    slot.clone().expect("kept for shared consumers")
                 };
-                let prep = &prepared[u];
-                ItemResult {
-                    item: i,
-                    block_hex: Arc::clone(&prep.hex),
-                    uarch: items[i].uarch,
-                    mode: prep.mode,
-                    predictor: Arc::clone(&keys[j]),
-                    prediction,
-                }
+                row.item = i;
+                row
             })
             .collect()
     }
@@ -689,71 +686,82 @@ impl Engine {
         (units, item_unit, unit_refs)
     }
 
-    /// Resolve one prepared unit: empty-block check, notion resolution,
-    /// canonical hex, annotation through the two-level cache.
-    fn prepare(&self, block: &Block, item: &BatchItem) -> Prepared {
-        match self.resolve(block, item) {
-            Err(empty) => empty,
-            Ok(mode) => {
-                let (annotated, hex) = self.cache.annotate_with_hex(block, item.uarch);
-                Prepared {
-                    hex,
-                    mode: Some(mode),
-                    annotated: Ok(annotated),
-                }
+    /// Prepare the unit represented by item `i`, through the cache if
+    /// the engine has one. Panics are contained per unit: a decoder or
+    /// annotator blowing up on one weird block costs exactly that unit's
+    /// rows, never the batch (or, in the server, the process).
+    fn prepare(&self, items: &[BatchItem], i: usize, held: &mut Option<Decoded>) -> Prepared {
+        let item = &items[i];
+        catch_unwind(AssertUnwindSafe(|| match (&self.cache, &item.input) {
+            (None, _) => prepare_direct(items, i, held),
+            (Some(cache), BlockInput::Block(b)) if !b.is_empty() => {
+                Prepared::new(b, item, cache.annotate_with_hex(b, item.uarch))
             }
-        }
-    }
-
-    /// [`Engine::prepare`] for a block already shared through the
-    /// level-1 cache: annotation registers the `Arc` instead of cloning.
-    fn prepare_shared(&self, block: &Arc<Block>, item: &BatchItem) -> Prepared {
-        match self.resolve(block, item) {
-            Err(empty) => empty,
-            Ok(mode) => {
-                let (annotated, hex) = self.cache.annotate_shared(block, item.uarch);
-                Prepared {
-                    hex,
-                    mode: Some(mode),
-                    annotated: Ok(annotated),
-                }
-            }
-        }
-    }
-
-    /// Shared front half of the prepare paths: empty-block check and
-    /// notion resolution (the canonical hex comes from the cache's
-    /// level-1 entry, rendered once per distinct bytes).
-    fn resolve(&self, block: &Block, item: &BatchItem) -> Result<Mode, Prepared> {
-        if block.is_empty() {
-            return Err(Prepared {
-                hex: item.input.hex().into(),
-                mode: item.mode,
-                annotated: Err(PredictError::EmptyBlock),
-            });
-        }
-        Ok(item.mode.unwrap_or(if block.ends_in_branch() {
-            Mode::Loop
-        } else {
-            Mode::Unrolled
+            (Some(cache), input) => match input.decode(|bytes| cache.decode(bytes)) {
+                Ok(b) if b.is_empty() => Prepared::failed(item, PredictError::EmptyBlock),
+                Ok(b) => Prepared::new(&b, item, cache.annotate_shared(&b, item.uarch)),
+                Err(e) => Prepared::failed(item, e),
+            },
         }))
+        .unwrap_or_else(|payload| {
+            let payload = panic_payload(&*payload);
+            Prepared::failed(item, PredictError::Panicked { payload })
+        })
     }
+}
 
-    /// Cross-product convenience: `blocks × uarchs` as batch items. Each
-    /// block is cloned once into a shared handle and every uarch item
-    /// shares it, so an `N × U` matrix costs `N` block clones, not `N·U`.
-    #[must_use]
-    pub fn matrix_items(blocks: &[Block], uarchs: &[Uarch]) -> Vec<BatchItem> {
-        blocks
-            .iter()
-            .flat_map(|b| {
-                let shared = Arc::new(b.clone());
-                uarchs
-                    .iter()
-                    .map(move |&u| BatchItem::shared(Arc::clone(&shared), u))
-            })
-            .collect()
-    }
+/// Prepare the unit represented by item `i` without a cache. `held` is
+/// the worker's last decoded block (its item, dataflow and canonical
+/// hex): reused when item `i` has the same input, replaced otherwise.
+fn prepare_direct(items: &[BatchItem], i: usize, held: &mut Option<Decoded>) -> Prepared {
+    let item = &items[i];
+    let (dataflow, hex) = match held.take() {
+        Some((h, dataflow, hex)) if items[h].input.key() == item.input.key() => (dataflow, hex),
+        _ => match item.input.decode(|bytes| {
+            facile_faults::maybe_panic(Point::DecodePanic, bytes);
+            Block::decode(bytes).map(Arc::new)
+        }) {
+            Ok(b) if b.is_empty() => return Prepared::failed(item, PredictError::EmptyBlock),
+            Ok(b) => {
+                let hex = b.to_hex().into();
+                (Arc::new(Dataflow::new(b)), hex)
+            }
+            Err(e) => return Prepared::failed(item, e),
+        },
+    };
+    *held = Some((i, Arc::clone(&dataflow), Arc::clone(&hex)));
+    let block = dataflow.block();
+    facile_faults::maybe_panic(Point::AnnotatePanic, block.bytes());
+    let ab = AnnotatedBlock::from_dataflow(Arc::clone(&dataflow), item.uarch);
+    Prepared::new(block, item, (Arc::new(ab), hex))
+}
+
+/// One prediction of an annotated unit, behind the predict fault points
+/// and its own panic containment: a panicking predictor yields one
+/// `internal-panic` row.
+fn predict_contained(
+    predictor: &dyn Predictor,
+    ab: &AnnotatedBlock,
+    mode: Option<Mode>,
+    detail: Detail,
+) -> Result<Prediction, PredictError> {
+    let mode = mode.expect("annotated units have a resolved mode");
+    catch_unwind(AssertUnwindSafe(|| {
+        let bytes = ab.block().bytes();
+        if let Some(delay) = facile_faults::slow_predict_delay(bytes) {
+            std::thread::sleep(delay);
+        }
+        if facile_faults::decide(Point::PredictError, bytes) {
+            let point = Point::PredictError.name().to_string();
+            return Err(PredictError::Injected { point });
+        }
+        facile_faults::maybe_panic(Point::PredictPanic, bytes);
+        predictor.predict(&PredictRequest::new(ab, mode).with_detail(detail))
+    }))
+    .unwrap_or_else(|payload| {
+        let payload = panic_payload(&*payload);
+        Err(PredictError::Panicked { payload })
+    })
 }
 
 /// Render a caught panic payload for [`PredictError::Panicked`] (also
@@ -791,11 +799,9 @@ const PAR_MIN: usize = 8;
 ///
 /// Work is dealt as contiguous chunks claimed off an atomic counter, and
 /// each worker writes its chunk through a disjoint `&mut` slice of the
-/// output — one lock acquisition per chunk instead of the former
-/// per-element `Vec<Mutex<Option<U>>>` slots. Batches that are too small
-/// to amortize thread spawning (or `threads <= 1`) run inline on the
-/// calling thread; either way the output is identical, element `i` being
-/// exactly `f(i)`.
+/// output. Batches that are too small to amortize thread spawning (or
+/// `threads <= 1`) run inline on the calling thread; either way the
+/// output is identical, element `i` being exactly `f(i)`.
 pub fn parallel_map_indexed<U: Send>(
     n: usize,
     threads: usize,
@@ -817,13 +823,26 @@ fn parallel_map_grouped<U: Send>(
     joins: impl Fn(usize) -> bool,
     f: impl Fn(usize) -> U + Sync,
 ) -> Vec<U> {
+    parallel_map_with(n, threads, joins, |(): &mut (), k| f(k))
+}
+
+/// [`parallel_map_grouped`] whose `f` also gets a state carried from one
+/// index to the next within a chunk (or the inline job): it starts as
+/// `S::default()` and drops, on its worker, when the chunk ends.
+fn parallel_map_with<S: Default, U: Send>(
+    n: usize,
+    threads: usize,
+    joins: impl Fn(usize) -> bool,
+    f: impl Fn(&mut S, usize) -> U + Sync,
+) -> Vec<U> {
     // Chunk size adapts to the job: aim for ~4 chunks per worker (for
     // load balancing on uneven items) but never exceed PAR_CHUNK.
     let target = n.div_ceil(threads.max(1) * 4);
     let (chunk, group) = (target.clamp(1, PAR_CHUNK), target >= PAR_CHUNK);
     let threads = threads.min(n.div_ceil(chunk));
     if threads <= 1 || n < PAR_MIN {
-        return (0..n).map(f).collect();
+        let mut state = S::default();
+        return (0..n).map(|k| f(&mut state, k)).collect();
     }
     // A chunk of the output: the base index plus the disjoint window of
     // slots the owning worker fills.
@@ -852,8 +871,9 @@ fn parallel_map_grouped<U: Send>(
                     let Some(chunk) = chunks.get(ci) else { break };
                     let mut guard = chunk.lock();
                     let (base, slice) = &mut *guard;
+                    let mut state = S::default();
                     for (off, slot) in slice.iter_mut().enumerate() {
-                        *slot = Some(f(*base + off));
+                        *slot = Some(f(&mut state, *base + off));
                     }
                 });
             }

@@ -54,11 +54,11 @@ pub const PANIC_MARKER: &str = "facile-faults: injected panic";
 /// introduced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Point {
-    /// Panic inside block decoding (engine stage 1).
+    /// Panic inside block decoding (the engine preparing a unit).
     DecodePanic,
-    /// Panic inside block annotation (engine stage 1).
+    /// Panic inside block annotation (the engine preparing a unit).
     AnnotatePanic,
-    /// Panic inside a predictor call (engine stage 2).
+    /// Panic inside a predictor call.
     PredictPanic,
     /// A predictor returns an error instead of a prediction.
     PredictError,
