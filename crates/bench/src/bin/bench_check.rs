@@ -11,7 +11,7 @@
 //!
 //! * `engine_batch_throughput` (`BENCH_engine.json`, from
 //!   `bench_engine`): warm single-thread, cold single-thread (the
-//!   annotate-included first pass), and the nine-uarch sweep — warm and
+//!   median annotate-included pass), and the nine-uarch sweep — warm and
 //!   cold — which exercises the planner batch API and the two-level
 //!   decode/annotate cache — and the warm single-thread `Detail::Full`
 //!   pass, all floors; plus two ceilings on accounted bytes (byte

@@ -9,9 +9,13 @@
 //! output (single-uarch and sweep alike), records per-kernel
 //! mean/p50/p99/max timing and per-batch annotation-pass timing from
 //! separate instrumented passes, reports static-table coverage (hits,
-//! fallbacks) over the cold pass, and writes the numbers to
-//! `BENCH_engine.json`. A cold measurement is one pass; a warm one is
-//! the best of the passes run until 200 ms have elapsed.
+//! fallbacks) over a cold pass, and writes the numbers to
+//! `BENCH_engine.json`. A measurement repeats its pass until 200 ms
+//! have elapsed: a cold one clears the cache before each pass and
+//! reports the median pass, a warm one reports the best. Clearing the
+//! cache leaves the process-wide descriptor intern table as it is, so
+//! the intern table stays warm after the first pass: cold passes time
+//! decode, dataflow and annotation with warm descriptor lookups.
 //!
 //! Host reporting is honest: `host_cpus` and `threads_parallel` are both
 //! derived from `available_parallelism`. On a single-CPU host the
@@ -56,42 +60,60 @@ struct Measured {
     blocks_per_sec: f64,
 }
 
-/// How many times a measurement runs its batch.
+/// How many times a measurement runs its batch, and which pass it
+/// reports.
 #[derive(Clone, Copy)]
 enum Passes {
-    /// One pass: a cold-cache measurement, which only the first pass is.
+    /// One pass, for a check or an instrumented run rather than a
+    /// measurement.
     Once,
-    /// Passes until [`WARM_BUDGET`] has elapsed in total.
+    /// Passes on a cleared cache until [`BUDGET`] has elapsed in total;
+    /// the median is reported (one cold pass read as much as 35% apart
+    /// from the next on an unchanged engine).
+    Cold,
+    /// Passes until [`BUDGET`] has elapsed in total; the best is
+    /// reported.
     Warm,
 }
 
-/// Warm passes repeat until they have run this long in total: a pass
-/// lasts ~10–20 ms, so among three of them one preemption could decide
-/// the best.
-const WARM_BUDGET: Duration = Duration::from_millis(200);
+/// A measurement repeats its pass until it has run this long in total:
+/// a pass lasts ~10–90 ms, so among three of them one preemption could
+/// decide the result.
+const BUDGET: Duration = Duration::from_millis(200);
 
-/// Run the batch `passes` times and keep the best pass.
+/// Run the batch as `passes` says and report the chosen pass.
 fn run(engine: &Engine, items: &[BatchItem], passes: Passes) -> (Measured, Vec<ItemResult>) {
-    let mut best = f64::INFINITY;
+    let mut secs = Vec::new();
     let mut total = Duration::ZERO;
     let mut rows;
     loop {
+        if matches!(passes, Passes::Cold) {
+            // The static-table counters are process-wide; resetting them
+            // with the cache scopes the recorded coverage to one pass.
+            engine.clear_cache();
+            facile_isa::reset_static_table_stats();
+        }
         let t0 = Instant::now();
         rows = engine
             .predict_batch(items, SELECTOR)
             .expect("facile is registered");
         let elapsed = t0.elapsed();
-        best = best.min(elapsed.as_secs_f64());
+        secs.push(elapsed.as_secs_f64());
         total += elapsed;
-        if matches!(passes, Passes::Once) || total >= WARM_BUDGET {
+        if matches!(passes, Passes::Once) || total >= BUDGET {
             break;
         }
     }
+    secs.sort_by(f64::total_cmp);
+    let secs = match passes {
+        Passes::Cold => secs[secs.len() / 2],
+        Passes::Once | Passes::Warm => secs[0],
+    };
     #[allow(clippy::cast_precision_loss)]
-    let bps = items.len() as f64 / best;
+    let bps = items.len() as f64 / secs;
     (
         Measured {
-            secs: best,
+            secs,
             blocks_per_sec: bps,
         },
         rows,
@@ -126,16 +148,13 @@ fn main() {
     let host_cpus = host_threads();
     let parallel_threads = host_cpus;
 
-    // Cold cache, single thread (annotation cost included). The static-
-    // table counters are process-wide; resetting here scopes the
-    // recorded coverage to the timed passes.
-    facile_isa::reset_static_table_stats();
+    // Cold cache, single thread (annotation cost included).
     let single = Engine::new(PredictorRegistry::with_builtins()).with_threads(1);
-    let (cold_single, rows_single) = run(&single, &items, Passes::Once);
+    let (cold_single, rows_single) = run(&single, &items, Passes::Cold);
     // Warm cache, single thread (annotations memoized).
     let (warm_single, _) = run(&single, &items, Passes::Warm);
     // Counters from the engine that produced the timed measurements
-    // (one cold pass, then the warm ones), so the recorded hit rate
+    // (the last cold pass, then the warm ones), so the recorded hit rate
     // explains the warm-over-cold speedup.
     let stats = single.snapshot();
     // Full detail, warm, single thread: the same blocks with every
@@ -158,8 +177,8 @@ fn main() {
         })
         .collect();
     let sweep_engine = Engine::new(PredictorRegistry::with_builtins()).with_threads(1);
-    let (sweep_cold, rows_sweep) = run(&sweep_engine, &sweep_items, Passes::Once);
-    // Accounted bytes the cold sweep leaves resident: one dataflow per
+    let (sweep_cold, rows_sweep) = run(&sweep_engine, &sweep_items, Passes::Cold);
+    // Accounted bytes a cold sweep leaves resident: one dataflow per
     // block plus nine per-uarch annotations.
     let sweep_bytes = sweep_engine.snapshot().annotation.bytes;
     let (sweep_warm, _) = run(&sweep_engine, &sweep_items, Passes::Warm);
@@ -194,7 +213,7 @@ fn main() {
     let (cold_parallel, warm_parallel, note) = if parallel_threads > 1 {
         let parallel =
             Engine::new(PredictorRegistry::with_builtins()).with_threads(parallel_threads);
-        let (cold, _) = run(&parallel, &items, Passes::Once);
+        let (cold, _) = run(&parallel, &items, Passes::Cold);
         let (warm, _) = run(&parallel, &items, Passes::Warm);
         (cold, warm, None)
     } else {

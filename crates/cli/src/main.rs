@@ -117,7 +117,8 @@ OPTIONS:
     --help             show this help
 ";
 
-fn parse_args() -> Result<Option<Options>, String> {
+/// Parse the arguments after the program name.
+fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut o = Options {
         hex: None,
         kernel: None,
@@ -133,13 +134,15 @@ fn parse_args() -> Result<Option<Options>, String> {
         stats: false,
         ext_config: None,
     };
-    let mut it = std::env::args().skip(1).peekable();
-    if it.peek().is_none() {
+    if args.is_empty() {
         return Err("no input given".into());
     }
+    let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut val = |name: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{name} requires a value"))
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag.as_str() {
             "--help" | "-h" => {
@@ -562,13 +565,14 @@ fn run_single(o: &mut Options) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match std::env::args().nth(1).as_deref() {
-        Some("diff") => return diff_cmd::main(std::env::args().skip(2).collect()),
-        Some("serve") => return serve_cmd::main(std::env::args().skip(2).collect()),
-        Some("client") => return client_cmd::main(std::env::args().skip(2).collect()),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.first().map(String::as_str) {
+        Some("diff") => return diff_cmd::main(args[1..].to_vec()),
+        Some("serve") => return serve_cmd::main(args[1..].to_vec()),
+        Some("client") => return client_cmd::main(args[1..].to_vec()),
         _ => {}
     }
-    let mut opts = match parse_args() {
+    let mut opts = match parse_args(&args) {
         Ok(Some(o)) => o,
         Ok(None) => return ExitCode::SUCCESS,
         Err(e) => {
@@ -587,5 +591,44 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(1)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Options>, String> {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let err = parse(&["--batch", "--bogus"]).err();
+        assert_eq!(err.as_deref(), Some("unknown flag: --bogus"));
+    }
+
+    #[test]
+    fn a_flag_missing_its_value_is_rejected() {
+        let err = parse(&["--batch", "--uarch"]).err();
+        assert_eq!(err.as_deref(), Some("--uarch requires a value"));
+        let err = parse(&["--hex"]).err();
+        assert_eq!(err.as_deref(), Some("--hex requires a value"));
+    }
+
+    #[test]
+    fn threads_must_be_a_number() {
+        for bad in ["many", "-1", ""] {
+            let err = parse(&["--batch", "--threads", bad]).err();
+            assert_eq!(err.as_deref(), Some("numeric --threads"), "{bad:?}");
+        }
+        let o = parse(&["--batch", "--threads", "4"]).expect("parses");
+        assert_eq!(o.and_then(|o| o.threads), Some(4));
+    }
+
+    #[test]
+    fn no_arguments_is_an_error() {
+        assert_eq!(parse(&[]).err().as_deref(), Some("no input given"));
     }
 }

@@ -331,7 +331,7 @@ fn explain_rows_golden() {
         "\"value\":\"[r14+0xfffffff8]\"",
         "\"value\":\"[r13+rbx*8+0x18]\"",
         "\"value\":\"CF\"",
-        "\"chain_latency\":-0",
+        "\"chain_latency\":0}",
         "0.6666666666666666",
         "\"status\":\"error\"",
     ] {

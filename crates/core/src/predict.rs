@@ -372,10 +372,9 @@ fn attribute(ab: &AnnotatedBlock, components: &[ComponentAnalysis]) -> Vec<InstA
             _ => None,
         })
         .unwrap_or(&[]);
-    // One pass over the chain. Each sum starts at -0.0 and adds its
-    // steps in chain order, as `Iterator::sum` would, so an off-chain
-    // instruction reports -0.
-    let mut chain_latency = vec![-0.0f64; ab.insts().len()];
+    // One pass over the chain, adding each instruction's steps in chain
+    // order.
+    let mut chain_latency = vec![0.0f64; ab.insts().len()];
     for s in chain {
         chain_latency[s.inst as usize] += s.latency;
     }

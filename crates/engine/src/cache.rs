@@ -9,14 +9,23 @@
 //! calls, the cache keeps both, in two levels:
 //!
 //! * **Level 1 — per bytes**: the decoded [`Block`] inside its
-//!   uarch-independent [`Dataflow`], built once and shared via `Arc`
-//!   (this is also where hex/byte inputs are decoded at most once per
-//!   distinct byte string).
+//!   uarch-independent [`Dataflow`], with its canonical hex, built once
+//!   and shared via `Arc`.
 //! * **Level 2 — per uarch**: the [`AnnotatedBlock`], stored in a fixed
 //!   array indexed by the microarchitecture — the second uarch of a sweep
 //!   costs an array probe, not a rehash of the block bytes, and its
 //!   annotation specialises the resident dataflow instead of rebuilding
 //!   it.
+//!
+//! An engine annotates through one function, `get_or_annotate`, with a
+//! cache and without one. With a cache it makes exactly one locked
+//! `(bytes, uarch)` probe of both levels: a level-2 hit is the answer; a
+//! level-1 hit lends the resident dataflow; only bytes never seen ask
+//! the caller for a dataflow, which shares the input's decoded block,
+//! decodes its bytes, or reuses the block its worker holds. The
+//! annotation is then built outside the lock and published with one
+//! insert. Without a cache, the probe and the insert are skipped and
+//! everything else is the same code.
 //!
 //! Storage is a byte-bounded, sharded segmented LRU
 //! ([`facile_util::SlruCache`]): a long-running server fed an endless
@@ -26,12 +35,17 @@
 //! an evicted block simply re-decodes/re-annotates on its next
 //! occurrence with bit-identical results.
 
+use crate::error::PredictError;
+use facile_faults::Point;
 use facile_isa::{AnnotatedBlock, Dataflow};
 use facile_uarch::Uarch;
 use facile_util::{HeapSize, SlruCache};
-use facile_x86::{Block, DecodeError};
+use facile_x86::Block;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A shared value with its block's canonical hex rendering.
+pub(crate) type WithHex<T> = (Arc<T>, Arc<str>);
 
 /// Hit/miss counters of a [`AnnotationCache`], per level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,13 +101,6 @@ impl ByteEntry {
         }
     }
 
-    /// A new entry for a block whose bytes missed: builds its dataflow
-    /// and hex, so callers run it before taking the shard lock.
-    fn build(block: Arc<Block>) -> ByteEntry {
-        let hex = block.to_hex().into();
-        ByteEntry::new(Arc::new(Dataflow::new(block)), hex)
-    }
-
     /// Publish `ab` (accounted at `bytes`) into slot `ui` unless a racing
     /// writer got there first; returns the resident annotation.
     fn insert(&mut self, ui: usize, ab: Arc<AnnotatedBlock>, bytes: usize) -> &Arc<AnnotatedBlock> {
@@ -119,11 +126,6 @@ impl HeapSize for ByteEntry {
     fn heap_bytes(&self) -> usize {
         self.bytes
     }
-}
-
-/// The microarchitecture with index `ui` (inverse of `uarch as usize`).
-fn ui_uarch(ui: usize) -> Uarch {
-    Uarch::ALL[ui]
 }
 
 /// A thread-safe, sharded, byte-bounded two-level memo table from block
@@ -167,126 +169,61 @@ impl AnnotationCache {
         self.table.set_capacity(bytes);
     }
 
-    /// The decoded block for `bytes`, decoding at most once per distinct
-    /// byte string (a first decode also builds the block's dataflow, which
-    /// its annotations share). Decode failures are not cached (error
-    /// inputs are the rare path and keeping them out bounds the table by
-    /// valid blocks).
-    ///
-    /// # Errors
-    /// Whatever [`Block::decode`] reports for the bytes.
-    pub fn decode(&self, bytes: &[u8]) -> Result<Arc<Block>, DecodeError> {
-        if let Some(block) = self.table.read(bytes, |e| Arc::clone(e.dataflow.block())) {
-            self.decode_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(block);
-        }
-        // Decode and build the entry outside the lock; a racing duplicate
-        // is deterministic and harmless (first writer wins).
-        facile_faults::maybe_panic(facile_faults::Point::DecodePanic, bytes);
-        let entry = ByteEntry::build(Arc::new(Block::decode(bytes)?));
-        self.decode_misses.fetch_add(1, Ordering::Relaxed);
-        Ok(self.table.get_or_insert_with(
-            bytes,
-            || bytes.into(),
-            move || entry,
-            |e| Arc::clone(e.dataflow.block()),
-        ))
-    }
-
-    /// The annotation of `block` on `uarch` plus the block's canonical
-    /// hex, computed at most once per distinct `(byte sequence, uarch)`.
-    /// Takes a shared block; a level-1 miss registers it (no re-decode,
-    /// no block clone).
-    pub fn annotate_shared(
-        &self,
-        block: &Arc<Block>,
-        uarch: Uarch,
-    ) -> (Arc<AnnotatedBlock>, Arc<str>) {
-        self.annotate_or_register(block.bytes(), uarch as usize, || Arc::clone(block))
-    }
-
-    /// [`AnnotationCache::annotate_shared`] from a borrowed block: the
-    /// one clone needed to own the level-1 entry happens only when the
-    /// bytes were never seen.
+    /// The annotation of `block` on `uarch`, computed at most once per
+    /// distinct `(byte sequence, uarch)`: the one clone needed to own the
+    /// level-1 entry happens only when the bytes were never seen.
     pub fn annotate(&self, block: &Block, uarch: Uarch) -> Arc<AnnotatedBlock> {
-        self.annotate_with_hex(block, uarch).0
+        let decoded = || Ok(dataflow_of(Arc::new(block.clone())));
+        match get_or_annotate(Some(self), block.bytes(), uarch, decoded) {
+            Ok((ab, _)) => ab,
+            Err(_) => unreachable!("a decoded block has nothing to decode"),
+        }
     }
 
-    /// [`AnnotationCache::annotate`] returning the cached canonical hex
-    /// rendering along with the annotation.
-    pub fn annotate_with_hex(
-        &self,
-        block: &Block,
-        uarch: Uarch,
-    ) -> (Arc<AnnotatedBlock>, Arc<str>) {
-        self.annotate_or_register(block.bytes(), uarch as usize, || Arc::new(block.clone()))
-    }
-
-    /// Both annotate paths. One locked probe of both levels; on a miss,
-    /// annotate outside the lock (so workers don't serialize on misses; a
-    /// racing duplicate annotation is deterministic and harmless), then
-    /// publish with one insert (first writer wins). Bytes never seen get
-    /// their entry, dataflow and hex built here too, from the block
-    /// `owned` hands over, and the insert only moves it in; an entry
-    /// evicted since the probe, the rare case, is re-assembled from the
-    /// same dataflow and hex.
-    fn annotate_or_register(
+    /// One locked probe of both levels, with the hit counters applied.
+    fn probe(
         &self,
         bytes: &[u8],
         ui: usize,
-        owned: impl FnOnce() -> Arc<Block>,
-    ) -> (Arc<AnnotatedBlock>, Arc<str>) {
-        let (dataflow, hex, mut fresh) = match self.probe(bytes, ui) {
-            Probe::Hit(hit) => return hit,
-            Probe::Block(dataflow, hex) => (dataflow, hex, None),
-            Probe::Miss => {
-                let entry = ByteEntry::build(owned());
-                (
-                    Arc::clone(&entry.dataflow),
-                    Arc::clone(&entry.hex),
-                    Some(entry),
-                )
-            }
-        };
-        facile_faults::maybe_panic(facile_faults::Point::AnnotatePanic, bytes);
-        let ab = Arc::new(AnnotatedBlock::from_dataflow(
-            Arc::clone(&dataflow),
-            ui_uarch(ui),
-        ));
+    ) -> Option<Result<WithHex<AnnotatedBlock>, WithHex<Dataflow>>> {
+        let probe = self.table.read(bytes, |e| match &e.annos[ui] {
+            Some(hit) => Ok((Arc::clone(hit), Arc::clone(&e.hex))),
+            None => Err((Arc::clone(&e.dataflow), Arc::clone(&e.hex))),
+        })?;
+        if probe.is_ok() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        self.decode_hits.fetch_add(1, Ordering::Relaxed);
+        Some(probe)
+    }
+
+    /// Publish a fresh annotation with one insert (first writer wins) and
+    /// return the resident pair. Bytes never seen (`fresh`) get their
+    /// entry assembled here, outside the shard lock, and the insert only
+    /// moves it in; an entry evicted since the probe, the rare case, is
+    /// re-assembled under the lock from the same dataflow and hex.
+    fn publish(
+        &self,
+        bytes: &[u8],
+        (ab, hex): WithHex<AnnotatedBlock>,
+        fresh: bool,
+    ) -> WithHex<AnnotatedBlock> {
+        let (ui, dataflow) = (ab.uarch() as usize, Arc::clone(ab.dataflow()));
         let ab_bytes = annotation_bytes(&ab);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = &mut fresh {
+        let mut entry = fresh.then(|| {
+            self.decode_misses.fetch_add(1, Ordering::Relaxed);
+            ByteEntry::new(Arc::clone(&dataflow), Arc::clone(&hex))
+        });
+        if let Some(entry) = &mut entry {
             entry.insert(ui, Arc::clone(&ab), ab_bytes);
         }
         self.table.get_or_insert_with(
             bytes,
             || bytes.into(),
-            move || fresh.unwrap_or_else(|| ByteEntry::new(dataflow, hex)),
+            move || entry.unwrap_or_else(|| ByteEntry::new(dataflow, hex)),
             move |e| (Arc::clone(e.insert(ui, ab, ab_bytes)), Arc::clone(&e.hex)),
         )
-    }
-
-    /// One locked probe of both levels, with the hit counters applied.
-    fn probe(&self, bytes: &[u8], ui: usize) -> Probe {
-        let probe = self.table.read(bytes, |e| match &e.annos[ui] {
-            Some(hit) => Ok((Arc::clone(hit), Arc::clone(&e.hex))),
-            None => Err((Arc::clone(&e.dataflow), Arc::clone(&e.hex))),
-        });
-        match probe {
-            Some(Ok(hit)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.decode_hits.fetch_add(1, Ordering::Relaxed);
-                Probe::Hit(hit)
-            }
-            Some(Err((dataflow, hex))) => {
-                self.decode_hits.fetch_add(1, Ordering::Relaxed);
-                Probe::Block(dataflow, hex)
-            }
-            None => {
-                self.decode_misses.fetch_add(1, Ordering::Relaxed);
-                Probe::Miss
-            }
-        }
     }
 
     /// Current counters.
@@ -318,19 +255,46 @@ impl AnnotationCache {
     }
 }
 
-/// Result of one locked probe of both cache levels.
-enum Probe {
-    /// Level-2 hit: the annotation and hex.
-    Hit((Arc<AnnotatedBlock>, Arc<str>)),
-    /// Level-1 hit only: the resident dataflow and hex.
-    Block(Arc<Dataflow>, Arc<str>),
-    /// The bytes were never seen.
-    Miss,
+/// The annotation of the block spelled `bytes` on `uarch`, with its
+/// canonical hex: the one path by which a block is annotated, with a
+/// cache or without one. A cache gets exactly one locked probe of both
+/// levels, and a level-2 hit is returned as it is. Otherwise the block is
+/// annotated outside any lock, from the resident dataflow or, for bytes
+/// the cache has not seen (or without a cache), from `dataflow()`, whose
+/// error is returned and not cached. A cache then publishes the
+/// annotation (first writer wins; a racing duplicate is deterministic
+/// and harmless).
+pub(crate) fn get_or_annotate(
+    cache: Option<&AnnotationCache>,
+    bytes: &[u8],
+    uarch: Uarch,
+    dataflow: impl FnOnce() -> Result<WithHex<Dataflow>, PredictError>,
+) -> Result<WithHex<AnnotatedBlock>, PredictError> {
+    let probe = cache.and_then(|c| c.probe(bytes, uarch as usize));
+    let fresh = probe.is_none();
+    let (dataflow, hex) = match probe {
+        Some(Ok(hit)) => return Ok(hit),
+        Some(Err(resident)) => resident,
+        None => dataflow()?,
+    };
+    facile_faults::maybe_panic(Point::AnnotatePanic, bytes);
+    let ab = Arc::new(AnnotatedBlock::from_dataflow(dataflow, uarch));
+    Ok(match cache {
+        Some(cache) => cache.publish(bytes, (ab, hex), fresh),
+        None => (ab, hex),
+    })
+}
+
+/// A decoded block's new dataflow and its canonical hex.
+pub(crate) fn dataflow_of(block: Arc<Block>) -> WithHex<Dataflow> {
+    let hex = block.to_hex().into();
+    (Arc::new(Dataflow::new(block)), hex)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use facile_x86::hex;
     use facile_x86::reg::names::*;
     use facile_x86::Mnemonic;
 
@@ -398,7 +362,12 @@ mod tests {
         let b = Arc::new(loop_block());
         let annos: Vec<_> = Uarch::ALL
             .iter()
-            .map(|&u| cache.annotate_shared(&b, u).0)
+            .map(|&u| {
+                let shared = || Ok(dataflow_of(Arc::clone(&b)));
+                let (ab, _) = get_or_annotate(Some(&cache), b.bytes(), u, shared)
+                    .expect("a decoded block annotates");
+                ab
+            })
             .collect();
         let resident = cache
             .table
@@ -418,18 +387,31 @@ mod tests {
     fn decode_is_memoized_and_shared_with_annotations() {
         let cache = AnnotationCache::new();
         let b = Block::assemble(&[(Mnemonic::Add, vec![RAX.into(), RCX.into()])]).unwrap();
-        let d1 = cache.decode(b.bytes()).expect("valid bytes");
-        let d2 = cache.decode(b.bytes()).expect("valid bytes");
-        assert!(Arc::ptr_eq(&d1, &d2));
-        // The annotation reuses the cached decoded block.
-        let (a, hex) = cache.annotate_shared(&d1, Uarch::Skl);
-        assert!(std::ptr::eq(a.block(), &*d1));
-        assert_eq!(&*hex, d1.to_hex());
+        let decodes = std::cell::Cell::new(0);
+        let get = |bytes: &[u8], uarch| {
+            get_or_annotate(Some(&cache), bytes, uarch, || {
+                decodes.set(decodes.get() + 1);
+                Block::decode(bytes)
+                    .map(|b| dataflow_of(Arc::new(b)))
+                    .map_err(|source| PredictError::Decode {
+                        input: hex::encode(bytes),
+                        source,
+                    })
+            })
+        };
+        let (a1, hex) = get(b.bytes(), Uarch::Skl).expect("valid bytes");
+        let (a2, _) = get(b.bytes(), Uarch::Skl).expect("valid bytes");
+        assert!(Arc::ptr_eq(&a1, &a2));
+        // Another uarch's annotation reuses the cached decoded block.
+        let (a3, _) = get(b.bytes(), Uarch::Hsw).expect("valid bytes");
+        assert!(std::ptr::eq(a3.block(), a1.block()));
+        assert_eq!(decodes.get(), 1);
+        assert_eq!(&*hex, a1.block().to_hex());
         let s = cache.stats();
         assert_eq!(s.decode_misses, 1);
         assert!(s.decode_hits >= 2);
         // Bad bytes error out and are not cached.
-        assert!(cache.decode(&[0x06]).is_err());
+        assert!(get(&[0x06], Uarch::Skl).is_err());
         assert_eq!(cache.stats().blocks, 1);
     }
 

@@ -1,21 +1,39 @@
 //! The batch prediction engine.
+//!
+//! A batch is planned first (duplicate items collapse to one unit), then
+//! one order-preserving pass over the worker pool maps units ×
+//! predictors. A worker prepares each unit once, through one `prepare`,
+//! with a cache or without one:
+//!
+//! 1. the bytes: the block the worker holds from its previous unit when
+//!    that unit had the same input (no second hex decode), else the
+//!    input's own;
+//! 2. with a cache, exactly one `(bytes, uarch)` probe, whose hit is the
+//!    annotation;
+//! 3. the dataflow: the probe's resident one, the held one, or the
+//!    decoded bytes (the only decode site, behind the `decode-panic`
+//!    fault point);
+//! 4. the annotation (the only annotate site, behind `annotate-panic`),
+//!    published to the cache if there is one; its dataflow is then held
+//!    for the next unit.
 
-use crate::cache::{AnnotationCache, CacheStats};
+use crate::cache::{self, AnnotationCache, CacheStats, WithHex};
 use crate::error::PredictError;
 use crate::predictor::{PredictRequest, Prediction, Predictor};
 use crate::registry::PredictorRegistry;
 use facile_core::Mode;
 use facile_explain::Detail;
 use facile_faults::Point;
-use facile_isa::{AnnotatedBlock, Dataflow, InternStats};
+use facile_isa::{AnnotatedBlock, InternStats};
 use facile_uarch::Uarch;
 use facile_util::timing::Timing;
 use facile_util::PoisonlessMutex;
-use facile_x86::{hex, Block, DecodeError};
+use facile_x86::{hex, Block};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A block to predict, in whatever form the caller has it.
 #[derive(Debug, Clone)]
@@ -43,32 +61,21 @@ enum InputKey<'a> {
 }
 
 impl BlockInput {
-    /// The input as a shared decoded block: hex and byte inputs through
-    /// `decode`, decoded inputs shared (or, for [`BlockInput::Block`],
-    /// cloned once into a handle).
-    fn decode(
-        &self,
-        decode: impl FnOnce(&[u8]) -> Result<Arc<Block>, DecodeError>,
-    ) -> Result<Arc<Block>, PredictError> {
+    /// The input's machine code: hex decoded, bytes and blocks borrowed.
+    fn bytes(&self) -> Result<Cow<'_, [u8]>, PredictError> {
         match self {
             BlockInput::Hex(h) => {
                 let h = h.trim();
-                let Some(bytes) = hex::decode(h).filter(|b| !b.is_empty()) else {
-                    return Err(PredictError::BadHex {
+                hex::decode(h)
+                    .filter(|b| !b.is_empty())
+                    .map(Cow::Owned)
+                    .ok_or_else(|| PredictError::BadHex {
                         input: h.to_string(),
-                    });
-                };
-                decode(&bytes).map_err(|source| PredictError::Decode {
-                    input: h.to_string(),
-                    source,
-                })
+                    })
             }
-            BlockInput::Bytes(b) => decode(b).map_err(|source| PredictError::Decode {
-                input: hex::encode(b),
-                source,
-            }),
-            BlockInput::Block(b) => Ok(Arc::new(b.clone())),
-            BlockInput::Shared(b) => Ok(Arc::clone(b)),
+            BlockInput::Bytes(b) => Ok(Cow::Borrowed(b)),
+            BlockInput::Block(b) => Ok(Cow::Borrowed(b.bytes())),
+            BlockInput::Shared(b) => Ok(Cow::Borrowed(b.bytes())),
         }
     }
 
@@ -334,14 +341,10 @@ impl Prepared {
         }
     }
 
-    /// A unit annotated as the cache's `(annotation, hex)` pair, with the
-    /// notion resolved from its (non-empty) block.
-    fn new(
-        block: &Block,
-        item: &BatchItem,
-        (ab, hex): (Arc<AnnotatedBlock>, Arc<str>),
-    ) -> Prepared {
-        let auto = if block.ends_in_branch() {
+    /// A unit annotated as an `(annotation, hex)` pair, with the notion
+    /// resolved from its (non-empty) block.
+    fn new(item: &BatchItem, (ab, hex): WithHex<AnnotatedBlock>) -> Prepared {
+        let auto = if ab.block().ends_in_branch() {
             Mode::Loop
         } else {
             Mode::Unrolled
@@ -354,17 +357,10 @@ impl Prepared {
     }
 }
 
-/// What a worker carries along its chunk: the current unit's preparation
-/// and, without a cache, the last block it decoded, for the next unit
-/// with the same input. Both drop on the worker.
-#[derive(Default)]
-struct Cursor {
-    unit: Option<(usize, Prepared)>,
-    block: Option<Decoded>,
-}
-
-/// A block decoded without a cache: its item, dataflow and canonical hex.
-type Decoded = (usize, Arc<Dataflow>, Arc<str>);
+/// What a worker carries along its chunk: the current unit's
+/// representative item and preparation. Its block is held for the next
+/// unit with the same input; it drops on the worker.
+type Cursor = Option<(usize, Prepared)>;
 
 /// The prediction engine: a predictor registry, a worker pool, and an
 /// optional annotation cache.
@@ -458,7 +454,11 @@ impl Engine {
                 items: self.planned_items.load(Ordering::Relaxed),
                 deduped: self.deduped_items.load(Ordering::Relaxed),
             },
-            annotation: self.cache().stats(),
+            annotation: self
+                .cache
+                .as_ref()
+                .map(AnnotationCache::stats)
+                .unwrap_or_default(),
             intern: facile_isa::intern_stats(),
             static_tables: facile_isa::static_table_stats(),
             kernels: facile_core::timing::snapshot(),
@@ -477,17 +477,16 @@ impl Engine {
     /// is left untouched: it is shared with other engines and is bounded
     /// by the number of distinct instruction encodings, not blocks.)
     pub fn clear_cache(&self) {
-        self.cache().clear();
+        if let Some(cache) = &self.cache {
+            cache.clear();
+        }
     }
 
     /// The engine's two-level annotation cache (for inspecting its
-    /// counters or resizing it); without one, a shared, always empty one.
+    /// counters or resizing it), if it has one.
     #[must_use]
-    pub fn cache(&self) -> &AnnotationCache {
-        static NONE: OnceLock<AnnotationCache> = OnceLock::new();
-        self.cache
-            .as_ref()
-            .unwrap_or_else(|| NONE.get_or_init(AnnotationCache::new))
+    pub fn cache(&self) -> Option<&AnnotationCache> {
+        self.cache.as_ref()
     }
 
     /// Bound the engine's caches by `budget`: caps the annotation cache
@@ -579,10 +578,10 @@ impl Engine {
     ///
     /// Then one order-preserving pass maps units × predictors over the
     /// worker pool. A worker prepares a unit (decode, notion, annotation)
-    /// at its first index, through the cache if there is one, and drops
-    /// it when it moves on. Without a cache, a unit reuses the block its
-    /// worker decoded for the previous one when the input is the same,
-    /// so a block's run of uarchs decodes once into one dataflow.
+    /// at its first index (`Engine::prepare`) and drops it when it
+    /// moves on. A unit reuses the block its worker held for the previous
+    /// one when the input is the same, so a block's run of uarchs decodes
+    /// once into one dataflow.
     pub fn run_batch(
         &self,
         items: &[BatchItem],
@@ -600,17 +599,16 @@ impl Engine {
         let joins = |k: usize| !k.is_multiple_of(np) || same_block(k / np);
         let n = units.len() * np;
         let rows = parallel_map_with(n, self.threads, joins, |cur: &mut Cursor, k| {
-            let (u, j) = (k / np, k % np);
-            let item = &items[units[u]];
-            if !matches!(cur.unit, Some((v, _)) if v == u) {
-                cur.unit = None;
-                cur.unit = Some((u, self.prepare(items, units[u], &mut cur.block)));
+            let (i, j) = (units[k / np], k % np);
+            let item = &items[i];
+            if !matches!(cur, Some((h, _)) if *h == i) {
+                *cur = Some((i, self.prepare(items, i, cur.take())));
             }
-            let Some((_, prep)) = &cur.unit else {
+            let Some((_, prep)) = cur else {
                 unreachable!("the unit was just prepared")
             };
             ItemResult {
-                item: units[u],
+                item: i,
                 block_hex: Arc::clone(&prep.hex),
                 uarch: item.uarch,
                 mode: prep.mode,
@@ -686,54 +684,60 @@ impl Engine {
         (units, item_unit, unit_refs)
     }
 
-    /// Prepare the unit represented by item `i`, through the cache if
-    /// the engine has one. Panics are contained per unit: a decoder or
-    /// annotator blowing up on one weird block costs exactly that unit's
-    /// rows, never the batch (or, in the server, the process).
-    fn prepare(&self, items: &[BatchItem], i: usize, held: &mut Option<Decoded>) -> Prepared {
+    /// Prepare the unit represented by item `i`, with the cache or
+    /// without one, in the four steps of the module doc; `held` is the
+    /// worker's previous unit, whose block is reused when the input is
+    /// the same. Panics are contained per unit: a decoder or annotator
+    /// blowing up on one weird block costs exactly that unit's rows,
+    /// never the batch (or, in the server, the process).
+    fn prepare(&self, items: &[BatchItem], i: usize, held: Cursor) -> Prepared {
         let item = &items[i];
-        catch_unwind(AssertUnwindSafe(|| match (&self.cache, &item.input) {
-            (None, _) => prepare_direct(items, i, held),
-            (Some(cache), BlockInput::Block(b)) if !b.is_empty() => {
-                Prepared::new(b, item, cache.annotate_with_hex(b, item.uarch))
+        let held = held
+            .filter(|(h, _)| items[*h].input.key() == item.input.key())
+            .and_then(|(_, prep)| Some((Arc::clone(prep.annotated.ok()?.dataflow()), prep.hex)));
+        catch_unwind(AssertUnwindSafe(|| {
+            let bytes = match &held {
+                Some((dataflow, _)) => Cow::Borrowed(dataflow.block().bytes()),
+                None => item.input.bytes()?,
+            };
+            if bytes.is_empty() {
+                return Err(PredictError::EmptyBlock);
             }
-            (Some(cache), input) => match input.decode(|bytes| cache.decode(bytes)) {
-                Ok(b) if b.is_empty() => Prepared::failed(item, PredictError::EmptyBlock),
-                Ok(b) => Prepared::new(&b, item, cache.annotate_shared(&b, item.uarch)),
-                Err(e) => Prepared::failed(item, e),
-            },
+            let cache = self.cache.as_ref();
+            cache::get_or_annotate(cache, &bytes, item.uarch, || {
+                let block = match (&held, &item.input) {
+                    (Some((dataflow, hex)), _) => {
+                        return Ok((Arc::clone(dataflow), Arc::clone(hex)))
+                    }
+                    (None, BlockInput::Block(b)) => Arc::new(b.clone()),
+                    (None, BlockInput::Shared(b)) => Arc::clone(b),
+                    (None, BlockInput::Hex(h)) => decode(&bytes, || h.trim().to_string())?,
+                    (None, BlockInput::Bytes(_)) => decode(&bytes, || hex::encode(&bytes))?,
+                };
+                Ok(cache::dataflow_of(block))
+            })
         }))
         .unwrap_or_else(|payload| {
             let payload = panic_payload(&*payload);
-            Prepared::failed(item, PredictError::Panicked { payload })
+            Err(PredictError::Panicked { payload })
         })
+        .map_or_else(
+            |e| Prepared::failed(item, e),
+            |annotated| Prepared::new(item, annotated),
+        )
     }
 }
 
-/// Prepare the unit represented by item `i` without a cache. `held` is
-/// the worker's last decoded block (its item, dataflow and canonical
-/// hex): reused when item `i` has the same input, replaced otherwise.
-fn prepare_direct(items: &[BatchItem], i: usize, held: &mut Option<Decoded>) -> Prepared {
-    let item = &items[i];
-    let (dataflow, hex) = match held.take() {
-        Some((h, dataflow, hex)) if items[h].input.key() == item.input.key() => (dataflow, hex),
-        _ => match item.input.decode(|bytes| {
-            facile_faults::maybe_panic(Point::DecodePanic, bytes);
-            Block::decode(bytes).map(Arc::new)
-        }) {
-            Ok(b) if b.is_empty() => return Prepared::failed(item, PredictError::EmptyBlock),
-            Ok(b) => {
-                let hex = b.to_hex().into();
-                (Arc::new(Dataflow::new(b)), hex)
-            }
-            Err(e) => return Prepared::failed(item, e),
-        },
-    };
-    *held = Some((i, Arc::clone(&dataflow), Arc::clone(&hex)));
-    let block = dataflow.block();
-    facile_faults::maybe_panic(Point::AnnotatePanic, block.bytes());
-    let ab = AnnotatedBlock::from_dataflow(Arc::clone(&dataflow), item.uarch);
-    Prepared::new(block, item, (Arc::new(ab), hex))
+/// Decode machine code behind the decode fault point (the only decode
+/// site); `input` spells the block for the error.
+fn decode(bytes: &[u8], input: impl FnOnce() -> String) -> Result<Arc<Block>, PredictError> {
+    facile_faults::maybe_panic(Point::DecodePanic, bytes);
+    Block::decode(bytes)
+        .map(Arc::new)
+        .map_err(|source| PredictError::Decode {
+            input: input(),
+            source,
+        })
 }
 
 /// One prediction of an annotated unit, behind the predict fault points
@@ -807,28 +811,18 @@ pub fn parallel_map_indexed<U: Send>(
     threads: usize,
     f: impl Fn(usize) -> U + Sync,
 ) -> Vec<U> {
-    parallel_map_grouped(n, threads, |_| false, f)
+    parallel_map_with(n, threads, |_| false, |(): &mut (), k| f(k))
 }
 
-/// [`parallel_map_indexed`] that, on jobs large enough to fill every
-/// worker's chunks at full size, never deals index `k` (`k >= 1`) to a
-/// different chunk than `k - 1` where `joins(k)` holds, so a run of
-/// joined indices is mapped by one worker, in order. Chunks grow past
-/// their target size to the end of such a run. Smaller jobs ignore
-/// `joins`: their chunks shrink to spread few items over the pool, and
-/// a grown chunk would leave workers idle.
-fn parallel_map_grouped<U: Send>(
-    n: usize,
-    threads: usize,
-    joins: impl Fn(usize) -> bool,
-    f: impl Fn(usize) -> U + Sync,
-) -> Vec<U> {
-    parallel_map_with(n, threads, joins, |(): &mut (), k| f(k))
-}
-
-/// [`parallel_map_grouped`] whose `f` also gets a state carried from one
+/// [`parallel_map_indexed`] whose `f` also gets a state carried from one
 /// index to the next within a chunk (or the inline job): it starts as
-/// `S::default()` and drops, on its worker, when the chunk ends.
+/// `S::default()` and drops, on its worker, when the chunk ends. On jobs
+/// large enough to fill every worker's chunks at full size, it never
+/// deals index `k` (`k >= 1`) to a different chunk than `k - 1` where
+/// `joins(k)` holds, so a run of joined indices is mapped by one worker,
+/// in order. Chunks grow past their target size to the end of such a
+/// run. Smaller jobs ignore `joins`: their chunks shrink to spread few
+/// items over the pool, and a grown chunk would leave workers idle.
 fn parallel_map_with<S: Default, U: Send>(
     n: usize,
     threads: usize,
@@ -890,8 +884,12 @@ mod tests {
     fn joined_runs_stay_on_one_worker_in_order() {
         // Runs of nine, like a nine-uarch sweep: the default chunk (32) is
         // not a multiple of the run length.
-        let out =
-            parallel_map_grouped(900, 4, |k| k % 9 != 0, |k| (k, std::thread::current().id()));
+        let out = parallel_map_with(
+            900,
+            4,
+            |k| k % 9 != 0,
+            |(): &mut (), k| (k, std::thread::current().id()),
+        );
         assert!(out.iter().enumerate().all(|(i, &(k, _))| i == k));
         for k in (1..900).filter(|k| k % 9 != 0) {
             assert_eq!(out[k].1, out[k - 1].1, "index {k} left its run's worker");
@@ -904,11 +902,11 @@ mod tests {
         // and 1 each wait for the other to start, which only two workers
         // can do; one grown chunk would time them out.
         let started = AtomicUsize::new(0);
-        let out = parallel_map_grouped(
+        let out = parallel_map_with(
             9,
             8,
             |_| true,
-            |k| {
+            |(): &mut (), k| {
                 if k < 2 {
                     started.fetch_add(1, Ordering::SeqCst);
                     let t0 = std::time::Instant::now();

@@ -5,7 +5,7 @@
 //! bit of any row. Plus decode-path panic freedom: arbitrary bytes
 //! through the cached decode path produce typed errors, never panics.
 
-use facile_engine::{BatchItem, Engine, PredictorRegistry};
+use facile_engine::{BatchItem, BlockInput, Detail, Engine, PredictError, PredictorRegistry};
 use facile_uarch::Uarch;
 use proptest::prelude::*;
 
@@ -72,7 +72,7 @@ proptest! {
         let mut evicted_somewhere = false;
         for threads in [1usize, 8] {
             let engine = Engine::new(analytic_registry()).with_threads(threads);
-            engine.cache().set_capacity(16 << 10);
+            engine.cache().expect("a cached engine").set_capacity(16 << 10);
             // Two passes: the second re-annotates whatever the first
             // evicted, so recomputed rows are compared too.
             for pass in 0..2 {
@@ -83,7 +83,7 @@ proptest! {
                     "threads={} pass={}", threads, pass
                 );
             }
-            let stats = engine.cache().stats();
+            let stats = engine.cache().expect("a cached engine").stats();
             prop_assert!(stats.bytes <= 16 << 10, "cache over budget: {} bytes", stats.bytes);
             evicted_somewhere |= stats.evictions > 0;
         }
@@ -100,9 +100,32 @@ proptest! {
     fn cached_decode_is_panic_free_on_arbitrary_bytes(
         bytes in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let cache = facile_engine::AnnotationCache::with_capacity(4 << 10);
-        let first = cache.decode(&bytes).map(|b| b.to_hex()).map_err(|e| e.to_string());
-        let second = cache.decode(&bytes).map(|b| b.to_hex()).map_err(|e| e.to_string());
+        let engine = Engine::new(analytic_registry()).with_threads(1);
+        engine.cache().expect("a cached engine").set_capacity(4 << 10);
+        let item = BatchItem {
+            input: BlockInput::Bytes(bytes.clone()),
+            uarch: Uarch::Skl,
+            mode: None,
+            detail: Detail::Brief,
+        };
+        // The decode outcome: the canonical hex of a block that decoded
+        // (its notion is resolved), else the typed error.
+        let decode = || {
+            let rows = engine
+                .predict_batch(std::slice::from_ref(&item), "facile")
+                .expect("selector resolves");
+            match (&rows[0].mode, &rows[0].prediction) {
+                (None, Err(e)) => Err(e.clone()),
+                _ => Ok(rows[0].block_hex.to_string()),
+            }
+        };
+        let first = decode();
+        let second = decode();
+        // The engine contains panics per unit, so a decoder panic comes
+        // back as an `internal-panic` row rather than unwinding here.
+        if let Err(e @ PredictError::Panicked { .. }) = &first {
+            prop_assert!(false, "decode panicked: {}", e);
+        }
         prop_assert_eq!(&first, &second, "decode outcome changed on a warm cache");
         if let Ok(hex) = &first {
             let want: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
@@ -120,7 +143,7 @@ proptest! {
         ),
     ) {
         let engine = Engine::new(analytic_registry()).with_threads(2);
-        engine.cache().set_capacity(4 << 10);
+        engine.cache().expect("a cached engine").set_capacity(4 << 10);
         // Map raw bytes onto printable ASCII so both valid hex digits
         // and junk characters appear in the request strings.
         let alphabet: Vec<char> = ('0'..='9').chain('a'..='z').chain('A'..='Z').collect();
