@@ -1,6 +1,6 @@
 //! End-to-end behavior of the external-predictor adapter against the
 //! `mock_predictor` fixture: agreement with the in-process model,
-//! result caching, every sandbox error mode, and restart-with-backoff
+//! result caching, every sandbox error mode, and circuit-breaker
 //! supervision.
 
 use facile_engine::{
@@ -83,52 +83,44 @@ fn garbage_is_sandboxed_into_malformed() {
 }
 
 #[test]
-fn crash_restarts_with_backoff_then_gives_up() {
-    let mut s = spec("crash-after=0");
-    s.max_restarts = 2;
-    let ext = ExternalPredictor::new(s);
+fn crash_restarts_until_the_breaker_opens_and_never_gives_up() {
+    let ext = ExternalPredictor::new(spec("crash-after=0"));
     let ab = AnnotatedBlock::new(Block::from_hex("4801c8").unwrap(), Uarch::Skl);
     let req = facile_engine::PredictRequest::new(&ab, facile_core::Mode::Unrolled);
-    let mut crashes = 0u32;
-    let mut backoffs = 0u32;
-    let mut gave_up = 0u32;
+    let mut crashes_before_open = 0u32;
+    let mut opens = 0u32;
     // crash-after=0 dies on every first predict, so every respawn fails
-    // again: crash, backoff rows, respawn-crash, ... until the adapter
-    // exceeds max_restarts and fails fast forever.
+    // again: each request respawns the tool at once until the default
+    // breaker's five consecutive failures open it.
     for _ in 0..64 {
         match ext.predict(&req) {
             Err(PredictError::ExternalCrashed { detail, .. }) => {
-                if detail.contains("gave up") {
-                    gave_up += 1;
-                } else if detail.contains("backoff") {
-                    backoffs += 1;
-                } else {
-                    crashes += 1;
+                assert!(!detail.contains("gave up"), "{detail}");
+                if opens == 0 {
+                    crashes_before_open += 1;
                 }
             }
-            other => panic!("expected ExternalCrashed, got {other:?}"),
+            Err(PredictError::ExternalCircuitOpen { .. }) => opens += 1,
+            other => panic!("expected a crash or an open breaker, got {other:?}"),
         }
     }
-    assert!(
-        crashes >= 2,
-        "expected repeated real crashes, saw {crashes}"
+    assert_eq!(
+        crashes_before_open, 5,
+        "real crashes before the first open row"
     );
-    assert!(backoffs >= 2, "expected backoff rows, saw {backoffs}");
-    assert!(gave_up >= 1, "adapter never gave up");
-    // Once given up, it stays given up.
-    assert!(matches!(
-        ext.predict(&req),
-        Err(PredictError::ExternalCrashed { .. })
-    ));
+    assert!(
+        opens >= 32,
+        "expected the cooldown's fail-fast rows, saw {opens}"
+    );
+    assert_eq!(ext.restarts(), 5, "four respawns, then the first probe's");
+    assert!(ext.breaker_trips() >= 2);
 }
 
 #[test]
 fn recovers_after_transient_crash() {
     // crash-after=2: two good replies, then death. The adapter restarts
-    // the tool (after the backoff window) and gets answers again.
-    let mut s = spec("crash-after=2");
-    s.max_restarts = 10;
-    let ext = ExternalPredictor::new(s);
+    // the tool on the next request and gets answers again.
+    let ext = ExternalPredictor::new(spec("crash-after=2"));
     let blocks = ["4801c8", "480fafd0", "ffc0", "ffc3", "4829c8", "4821c8"];
     let mut oks = 0u32;
     let mut errs = 0u32;
@@ -172,15 +164,15 @@ fn breaker_opens_then_closes_on_successful_probe() {
         use std::os::unix::fs::PermissionsExt;
         std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).unwrap();
     }
-    let spec = ExternalSpec::parse(
+    let mut spec = ExternalSpec::parse(
         "flaky",
         &format!("{} {}", script.display(), counter.display()),
     )
-    .unwrap()
-    .with_breaker(BreakerSpec {
+    .unwrap();
+    spec.breaker = BreakerSpec {
         threshold: 2,
         cooldown: 2,
-    });
+    };
     let ext = ExternalPredictor::new(spec);
     let ab = AnnotatedBlock::new(Block::from_hex("4801c8").unwrap(), Uarch::Skl);
     let req = facile_engine::PredictRequest::new(&ab, facile_core::Mode::Unrolled);

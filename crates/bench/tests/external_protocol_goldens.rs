@@ -8,7 +8,10 @@ use facile_engine::render::row_json;
 use facile_engine::{
     external, BatchItem, BreakerSpec, Engine, ExternalPredictor, ExternalSpec, PredictorRegistry,
 };
+use facile_server::{BoundAddr, Endpoint, Server, ServerConfig};
 use facile_uarch::Uarch;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -134,43 +137,47 @@ fn malformed_row_is_pinned() {
 }
 
 #[test]
-fn backoff_and_gave_up_rows_are_pinned() {
-    // crash-after=0 with max_restarts=1: the first request crashes for
-    // real, the next two fail fast inside the 2-request backoff window,
-    // the respawn crashes again, and from then on the adapter has given
-    // up.
-    let mut spec = ExternalSpec::parse("mock", &format!("{MOCK} --mode crash-after=0")).unwrap();
-    spec.max_restarts = 1;
+fn default_breaker_rows_are_pinned() {
+    // crash-after=0 with the default breaker (threshold 5, cooldown 32):
+    // each of the first five requests respawns the tool at once and
+    // crashes for real; the fifth trips the breaker, and the next 32
+    // requests fail fast. No row says the adapter gave up.
+    let spec = ExternalSpec::parse("mock", &format!("{MOCK} --mode crash-after=0")).unwrap();
     let mut registry = PredictorRegistry::new();
     registry.register(Arc::new(ExternalPredictor::new(spec)));
     let engine = Engine::new(registry).with_threads(1);
-    let prefix = "{\"block\":\"4801c8\",\"uarch\":\"SKL\",\"mode\":\"tpu\",\"predictor\":\"ext:mock\",\
-                  \"status\":\"error\",\"code\":\"external-crashed\",\"error\":\"external predictor \\\"ext:mock\\\" crashed: ";
-    let expect = |suffix: &str| format!("{prefix}{suffix}\"}}");
-    engine.clear_cache();
+    let row = |code: &str, error: &str| {
+        format!(
+            "{{\"block\":\"4801c8\",\"uarch\":\"SKL\",\"mode\":\"tpu\",\"predictor\":\"ext:mock\",\
+             \"status\":\"error\",\"code\":\"{code}\",\"error\":\"external predictor \\\"ext:mock\\\" {error}\"}}"
+        )
+    };
+    let next = || {
+        engine.clear_cache();
+        one_row(&engine, "4801c8")
+    };
+    for _ in 0..5 {
+        assert_eq!(
+            next(),
+            row(
+                "external-crashed",
+                "crashed: stdout closed (exit status: 3)"
+            )
+        );
+    }
     assert_eq!(
-        one_row(&engine, "4801c8"),
-        expect("stdout closed (exit status: 3)")
+        next(),
+        row(
+            "external-circuit-open",
+            "circuit open (31 request(s) until probe)"
+        )
     );
-    engine.clear_cache();
     assert_eq!(
-        one_row(&engine, "4801c8"),
-        expect("in restart backoff (2 request(s) until respawn)")
-    );
-    engine.clear_cache();
-    assert_eq!(
-        one_row(&engine, "4801c8"),
-        expect("in restart backoff (1 request(s) until respawn)")
-    );
-    engine.clear_cache();
-    assert_eq!(
-        one_row(&engine, "4801c8"),
-        expect("stdout closed (exit status: 3)")
-    );
-    engine.clear_cache();
-    assert_eq!(
-        one_row(&engine, "4801c8"),
-        expect("gave up after 2 consecutive failures")
+        next(),
+        row(
+            "external-circuit-open",
+            "circuit open (30 request(s) until probe)"
+        )
     );
 }
 
@@ -180,14 +187,12 @@ fn circuit_breaker_rows_are_pinned() {
     // two real failures trip the breaker, the next three requests fail
     // fast with the stable external-circuit-open code, then a half-open
     // probe is let through (and crashes, reopening with the cooldown
-    // doubled). The breaker replaces the give-up check: no "gave up"
-    // row ever appears.
-    let spec = ExternalSpec::parse("mock", &format!("{MOCK} --mode crash-after=0"))
-        .unwrap()
-        .with_breaker(BreakerSpec {
-            threshold: 2,
-            cooldown: 3,
-        });
+    // doubled). Below the threshold the tool is respawned at once.
+    let mut spec = ExternalSpec::parse("mock", &format!("{MOCK} --mode crash-after=0")).unwrap();
+    spec.breaker = BreakerSpec {
+        threshold: 2,
+        cooldown: 3,
+    };
     let mut registry = PredictorRegistry::new();
     registry.register(Arc::new(ExternalPredictor::new(spec)));
     let engine = Engine::new(registry).with_threads(1);
@@ -201,16 +206,8 @@ fn circuit_breaker_rows_are_pinned() {
         engine.clear_cache();
         one_row(&engine, "4801c8")
     };
-    // Failure 1: real crash, then the 2-request restart backoff.
+    // Failure 1: a real crash; the next request respawns the tool.
     assert_eq!(next(), crashed("stdout closed (exit status: 3)"));
-    assert_eq!(
-        next(),
-        crashed("in restart backoff (2 request(s) until respawn)")
-    );
-    assert_eq!(
-        next(),
-        crashed("in restart backoff (1 request(s) until respawn)")
-    );
     // Failure 2 trips the breaker: three fail-fast rows, no subprocess.
     assert_eq!(next(), crashed("stdout closed (exit status: 3)"));
     assert_eq!(next(), open("circuit open (2 request(s) until probe)"));
@@ -220,4 +217,60 @@ fn circuit_breaker_rows_are_pinned() {
     // and reopens with the cooldown doubled: 6 requests this time.
     assert_eq!(next(), crashed("stdout closed (exit status: 3)"));
     assert_eq!(next(), open("circuit open (5 request(s) until probe)"));
+}
+
+#[test]
+fn one_tool_gives_the_same_rows_in_the_cli_and_the_server() {
+    // One selector-defined tool that crashes on every predict, 64
+    // distinct blocks: the rows walk through respawns, the trip, the
+    // open breaker and a failed probe, and must be the same whether the
+    // CLI's engine or the server supervises the tool.
+    let selector = format!("ext:mock={MOCK} --mode crash-after=0");
+    let blocks: Vec<String> = (0..64u32).map(|i| format!("b8{i:08x}")).collect();
+
+    // `facile --batch`: an uncached engine, the tool registered from the
+    // selector.
+    let mut engine = Engine::new(PredictorRegistry::with_builtins())
+        .without_cache()
+        .with_threads(1);
+    let keys = external::register_selector_externals(engine.registry_mut(), &selector).unwrap();
+    let items: Vec<BatchItem> = blocks
+        .iter()
+        .map(|b| BatchItem::hex(b.as_str(), Uarch::Skl))
+        .collect();
+    let cli: Vec<String> = engine
+        .predict_batch(&items, &keys)
+        .unwrap()
+        .iter()
+        .map(row_json)
+        .collect();
+    assert_eq!(cli.len(), 64);
+
+    // `facile serve`: the same selector, one batch on one connection.
+    let (external, predictors) = external::extract_selector_externals(&selector).unwrap();
+    let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
+    cfg.threads = 1;
+    cfg.external = external;
+    cfg.predictors = predictors;
+    let server = Server::start(cfg).unwrap();
+    let BoundAddr::Tcp(addr) = server.bound() else {
+        panic!("expected a TCP address")
+    };
+    let mut tx = TcpStream::connect(addr).unwrap();
+    let mut rx = BufReader::new(tx.try_clone().unwrap());
+    let quoted: Vec<String> = blocks.iter().map(|b| format!("\"{b}\"")).collect();
+    writeln!(
+        tx,
+        "{{\"op\":\"batch\",\"blocks\":[{}],\"uarch\":\"SKL\"}}",
+        quoted.join(",")
+    )
+    .unwrap();
+    let mut reply = String::new();
+    rx.read_line(&mut reply).unwrap();
+    drop((tx, rx));
+    server.stop();
+    assert_eq!(
+        reply.trim_end(),
+        format!("{{\"ok\":true,\"rows\":[{}]}}", cli.join(","))
+    );
 }

@@ -31,7 +31,9 @@ OPTIONS:
                               can then select it as `ext:<name>`
     --ext-config <FILE>       register external predictors from a TOML
                               file (see the README's External predictors
-                              section)
+                              section; its breaker-threshold and
+                              breaker-cooldown keys tune each tool's
+                              circuit breaker, as in `facile`)
     --queue-cap <N>           admission bound on queued + in-flight
                               batch items (default 65536); requests over
                               it are rejected with `overloaded`. Above
@@ -46,12 +48,6 @@ OPTIONS:
                               send, in items (default 0 = unlimited)
     --conn-rps <N>            per-connection prediction requests per
                               second (default 0 = unlimited)
-    --breaker-threshold <N>   consecutive external-tool failures that
-                              open its circuit breaker (default 5;
-                              0 disables the breaker)
-    --breaker-cooldown <N>    requests a tripped breaker fails fast
-                              before probing the tool again (default 32;
-                              doubles on consecutive trips)
     --max-batch <N>           largest engine batch one round takes from
                               the queue, in items (default 8192)
     --faults <SPEC>           arm deterministic fault injection (chaos
@@ -77,8 +73,6 @@ fn parse(args: Vec<String>) -> Result<Option<ServerConfig>, String> {
     let mut cache_budget_mb = None;
     let mut conn_max_items = 0usize;
     let mut conn_rps = 0u64;
-    let mut breaker_threshold = 5u32;
-    let mut breaker_cooldown = 32u64;
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {
         let mut val = |name: &str| -> Result<String, String> {
@@ -127,16 +121,6 @@ fn parse(args: Vec<String>) -> Result<Option<ServerConfig>, String> {
                     .parse()
                     .map_err(|_| "numeric --conn-rps".to_string())?;
             }
-            "--breaker-threshold" => {
-                breaker_threshold = val("--breaker-threshold")?
-                    .parse()
-                    .map_err(|_| "numeric --breaker-threshold".to_string())?;
-            }
-            "--breaker-cooldown" => {
-                breaker_cooldown = val("--breaker-cooldown")?
-                    .parse()
-                    .map_err(|_| "numeric --breaker-cooldown".to_string())?;
-            }
             other => return Err(format!("unknown flag: {other}")),
         }
     }
@@ -150,6 +134,7 @@ fn parse(args: Vec<String>) -> Result<Option<ServerConfig>, String> {
         external.extend(
             facile_engine::external::parse_config(&text).map_err(|e| format!("{path}: {e}"))?,
         );
+        facile_engine::external::check_distinct(&external).map_err(|e| format!("{path}: {e}"))?;
     }
     let mut cfg = ServerConfig::new(endpoint);
     cfg.external = external;
@@ -161,10 +146,6 @@ fn parse(args: Vec<String>) -> Result<Option<ServerConfig>, String> {
     cfg.cache_budget = cache_budget_mb.map(facile_engine::CacheBudget::from_total_mb);
     cfg.conn_max_items = conn_max_items;
     cfg.conn_rps = conn_rps;
-    cfg.breaker = (breaker_threshold > 0).then_some(facile_engine::BreakerSpec {
-        threshold: breaker_threshold,
-        cooldown: breaker_cooldown,
-    });
     Ok(Some(cfg))
 }
 

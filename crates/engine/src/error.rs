@@ -70,7 +70,7 @@ pub enum PredictError {
     },
     /// An external predictor subprocess did not reply within its
     /// per-request timeout. The adapter kills the subprocess and
-    /// restarts it (with backoff) on a later request.
+    /// respawns it on the next request, unless its circuit breaker opens.
     ExternalTimeout {
         /// Registry key of the external predictor (`ext:<name>`).
         tool: String,
@@ -78,12 +78,11 @@ pub enum PredictError {
         timeout_ms: u64,
     },
     /// An external predictor subprocess could not be spawned, exited, or
-    /// closed its pipes mid-request. Includes fail-fast rows produced
-    /// while the adapter's restart backoff is holding the tool down.
+    /// closed its pipes mid-request.
     ExternalCrashed {
         /// Registry key of the external predictor (`ext:<name>`).
         tool: String,
-        /// What happened (spawn error, exit status, backoff, ...).
+        /// What happened (spawn error, exit status, ...).
         detail: String,
     },
     /// An external predictor replied with something that is not a valid

@@ -25,22 +25,17 @@
 //! * a well-formed `{"error":...}` reply or a non-finite/negative
 //!   throughput → [`PredictError::InvalidOutput`] (the tool stays up).
 //!
-//! After a failure the adapter restarts the tool under **backoff
-//! supervision**: the n-th consecutive failure makes the next
-//! `2^min(n,6)` requests fail fast with `ExternalCrashed` before a
-//! respawn is attempted, and after [`ExternalSpec::max_restarts`]
-//! consecutive failures the adapter gives up for good. Backoff is
-//! counted in *requests*, not wall time, so batch output stays a pure
-//! function of the request sequence.
-//!
-//! With a [`BreakerSpec`] configured the give-up check is replaced by a
-//! **circuit breaker**: at [`BreakerSpec::threshold`] consecutive
-//! failures the breaker trips open and requests fail fast with
-//! [`PredictError::ExternalCircuitOpen`] (no subprocess work at all)
-//! for [`BreakerSpec::cooldown`] requests; then one half-open probe is
-//! let through — success closes the breaker, failure reopens it with
-//! the cooldown doubled (capped at 64× the base). The tool is never
-//! abandoned for good.
+//! A failing tool is supervised by one policy, a **circuit breaker**,
+//! the same in `facile`, `facile diff` and `facile serve`. Below
+//! [`BreakerSpec::threshold`] consecutive failures, the next request
+//! respawns the tool at once. At the threshold the breaker trips open
+//! and requests fail fast with [`PredictError::ExternalCircuitOpen`]
+//! (no subprocess work at all) for [`BreakerSpec::cooldown`] requests;
+//! then one half-open probe is let through. A successful reply closes
+//! the breaker; a failed probe reopens it with the cooldown doubled
+//! (capped at 64× the base). The tool is never given up for good. The
+//! cooldown is counted in *requests*, not wall time, so batch output
+//! stays a pure function of the request sequence.
 //!
 //! Successful predictions land in a result cache keyed by `(block
 //! bytes, uarch, mode)` per adapter — i.e. `(bytes, uarch, tool,
@@ -70,31 +65,18 @@ use std::time::Duration;
 /// Default per-request timeout.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Default consecutive-failure budget before the adapter gives up.
-pub const DEFAULT_MAX_RESTARTS: u32 = 3;
-
 /// Default circuit-breaker consecutive-failure threshold.
 pub const DEFAULT_BREAKER_THRESHOLD: u32 = 5;
 
 /// Default circuit-breaker cooldown, counted in requests.
 pub const DEFAULT_BREAKER_COOLDOWN: u64 = 32;
 
-/// Circuit-breaker tuning for an external tool.
-///
-/// When configured on an [`ExternalSpec`], the breaker *replaces* the
-/// supervision loop's give-up check: instead of failing fast forever
-/// after `max_restarts` consecutive failures, the adapter trips open at
-/// `threshold` consecutive failures, fails fast (code
-/// `external-circuit-open`, with no subprocess work at all) for
-/// `cooldown` requests, then lets exactly one half-open probe through.
-/// A successful probe closes the breaker; a failed probe reopens it
-/// with the cooldown doubled (capped at 64× the base). The cooldown is
-/// counted in *requests*, not wall time, so batch output stays a pure
-/// function of the request sequence.
+/// Circuit-breaker tuning for an external tool, the one supervision
+/// policy (see the module doc). A config file tunes it per tool with
+/// the `breaker-threshold` and `breaker-cooldown` keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerSpec {
-    /// Consecutive failures that trip the breaker open. `0` disables
-    /// the breaker (legacy give-up supervision applies).
+    /// Consecutive failures that trip the breaker open.
     pub threshold: u32,
     /// Requests to fail fast before a half-open probe, doubled on each
     /// consecutive reopen.
@@ -119,18 +101,13 @@ pub struct ExternalSpec {
     pub cmd: Vec<String>,
     /// Per-request reply timeout.
     pub timeout: Duration,
-    /// Consecutive failures tolerated before the adapter stops
-    /// respawning the tool and fails fast forever. Superseded by the
-    /// circuit breaker when `breaker` is configured.
-    pub max_restarts: u32,
-    /// Circuit-breaker tuning; `None` keeps the legacy give-up
-    /// supervision (fail fast forever after `max_restarts`).
-    pub breaker: Option<BreakerSpec>,
+    /// Circuit-breaker tuning.
+    pub breaker: BreakerSpec,
 }
 
 impl ExternalSpec {
     /// Build a spec from a tool name and a whitespace-split command
-    /// line, with default timeout and restart budget.
+    /// line, with the default timeout and breaker.
     ///
     /// # Errors
     /// A descriptive message when the name is empty or contains selector
@@ -155,8 +132,7 @@ impl ExternalSpec {
             name: name.to_string(),
             cmd,
             timeout: DEFAULT_TIMEOUT,
-            max_restarts: DEFAULT_MAX_RESTARTS,
-            breaker: None,
+            breaker: BreakerSpec::default(),
         })
     }
 
@@ -165,13 +141,23 @@ impl ExternalSpec {
     pub fn key(&self) -> String {
         format!("ext:{}", self.name)
     }
+}
 
-    /// Enable the circuit breaker with the given tuning (threshold `0`
-    /// keeps it disabled in effect).
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: BreakerSpec) -> ExternalSpec {
-        self.breaker = Some(breaker);
-        self
+/// The rejection of a tool name defined a second time: the registry
+/// would keep only one of the two tools under their shared key.
+fn defined_twice(name: &str) -> String {
+    format!("external predictor ext:{name} is defined twice")
+}
+
+/// Reject a tool name that appears more than once in `specs`.
+///
+/// # Errors
+/// A message naming the first repeated tool.
+pub fn check_distinct(specs: &[ExternalSpec]) -> Result<(), String> {
+    let mut seen = std::collections::HashSet::with_capacity(specs.len());
+    match specs.iter().find(|s| !seen.insert(s.name.as_str())) {
+        Some(s) => Err(defined_twice(&s.name)),
+        None => Ok(()),
     }
 }
 
@@ -266,14 +252,12 @@ impl Running {
 }
 
 /// Supervision state: the child (if healthy), the request-id counter,
-/// and the restart bookkeeping.
+/// and the breaker bookkeeping.
 struct State {
     running: Option<Running>,
     next_id: u64,
-    /// Consecutive failures since the last successful reply.
+    /// Consecutive failures since the last successful reply or trip.
     failures: u32,
-    /// Requests to fail fast before the next respawn attempt.
-    backoff: u64,
     /// Total respawns performed (after the initial spawn).
     restarts: u64,
     /// Version reported by the last successful handshake.
@@ -325,7 +309,6 @@ impl ExternalPredictor {
                 running: None,
                 next_id: 0,
                 failures: 0,
-                backoff: 0,
                 restarts: 0,
                 version: None,
                 breaker_open: false,
@@ -391,12 +374,6 @@ impl ExternalPredictor {
         self.state.lock().breaker_open
     }
 
-    /// The effective breaker tuning (`None` when absent or disabled by
-    /// a zero threshold).
-    fn breaker(&self) -> Option<BreakerSpec> {
-        self.spec.breaker.filter(|b| b.threshold > 0)
-    }
-
     fn crashed(&self, detail: impl Into<String>) -> PredictError {
         PredictError::ExternalCrashed {
             tool: self.key.clone(),
@@ -418,29 +395,26 @@ impl ExternalPredictor {
         }
     }
 
-    /// Record a failure: kill the child (if any) and arm the backoff
-    /// window for the next respawn. With a circuit breaker configured,
-    /// hitting the consecutive-failure threshold (or failing a
-    /// half-open probe) trips the breaker open instead: the backoff is
-    /// cleared (the breaker's cooldown takes over) and the next
+    /// Record a failure: kill the child (if any), so the next request
+    /// respawns it. At the breaker's consecutive-failure threshold, or
+    /// when a half-open probe fails, the breaker trips open and the next
     /// `cooldown` requests fail fast without touching the subprocess.
     fn note_failure(&self, st: &mut State) {
         if let Some(r) = st.running.take() {
             r.kill();
         }
         st.failures = st.failures.saturating_add(1);
-        st.backoff = 1u64 << st.failures.min(6);
-        if let Some(b) = self.breaker() {
-            if st.breaker_open || st.failures >= b.threshold {
-                // Trip (or re-trip after a failed probe): consecutive
-                // reopens double the cooldown, capped at 64× the base.
-                st.breaker_open = true;
-                st.trips += 1;
-                st.consecutive_trips = st.consecutive_trips.saturating_add(1);
-                st.cooldown_left = b.cooldown << (st.consecutive_trips - 1).min(6);
-                st.backoff = 0;
-                st.failures = 0;
-            }
+        let b = self.spec.breaker;
+        if st.breaker_open || st.failures >= b.threshold {
+            // Trip (or re-trip after a failed probe): consecutive
+            // reopens double the cooldown, capped at 64× the base.
+            st.breaker_open = true;
+            st.trips += 1;
+            st.consecutive_trips = st.consecutive_trips.saturating_add(1);
+            st.cooldown_left = b
+                .cooldown
+                .saturating_mul(1 << (st.consecutive_trips - 1).min(6));
+            st.failures = 0;
         }
     }
 
@@ -500,7 +474,8 @@ impl ExternalPredictor {
                 }
                 st.version = Some(v.clone());
                 running.version = v;
-                if st.running.is_some() || st.restarts > 0 || st.failures > 0 {
+                // Every spawn after a failure is a restart.
+                if st.failures > 0 || st.trips > 0 {
                     st.restarts += 1;
                 }
                 st.running = Some(running);
@@ -592,21 +567,6 @@ impl Predictor for ExternalPredictor {
             });
         }
         if st.running.is_none() {
-            // The give-up check is superseded by the breaker: an open
-            // breaker always probes again after its cooldown.
-            if self.breaker().is_none() && st.failures > self.spec.max_restarts {
-                return Err(self.crashed(format!(
-                    "gave up after {} consecutive failures",
-                    st.failures
-                )));
-            }
-            if st.backoff > 0 {
-                st.backoff -= 1;
-                return Err(self.crashed(format!(
-                    "in restart backoff ({} request(s) until respawn)",
-                    st.backoff + 1
-                )));
-            }
             if let Err(e) = self.spawn(&mut st) {
                 self.note_failure(&mut st);
                 return Err(e);
@@ -628,7 +588,6 @@ impl Predictor for ExternalPredictor {
         // healthy; the supervision counters reset even for tool-level
         // error replies, and a half-open probe closes the breaker.
         st.failures = 0;
-        st.backoff = 0;
         st.breaker_open = false;
         st.consecutive_trips = 0;
         drop(st);
@@ -664,7 +623,8 @@ impl Predictor for ExternalPredictor {
 /// commas or quoted arguments — wrap complex invocations in a script.
 ///
 /// # Errors
-/// A descriptive message for malformed `ext:` tokens.
+/// A descriptive message for malformed `ext:` tokens or a tool name
+/// defined twice.
 pub fn extract_selector_externals(selector: &str) -> Result<(Vec<ExternalSpec>, String), String> {
     let mut specs = Vec::new();
     let mut tokens: Vec<String> = Vec::new();
@@ -680,6 +640,7 @@ pub fn extract_selector_externals(selector: &str) -> Result<(Vec<ExternalSpec>, 
         }
         tokens.push(t.to_string());
     }
+    check_distinct(&specs)?;
     Ok((specs, tokens.join(",")))
 }
 
@@ -688,7 +649,8 @@ pub fn extract_selector_externals(selector: &str) -> Result<(Vec<ExternalSpec>, 
 /// `ext:<name>` keys).
 ///
 /// # Errors
-/// A descriptive message for malformed `ext:` tokens.
+/// A descriptive message for malformed `ext:` tokens or a tool name
+/// defined twice.
 pub fn register_selector_externals(
     registry: &mut PredictorRegistry,
     selector: &str,
@@ -712,24 +674,29 @@ pub fn register_selector_externals(
 /// [external.slow-tool]
 /// cmd = "scripts/run-slow-tool.sh"
 /// timeout-ms = 30000
-/// max-restarts = 5
+/// breaker-threshold = 3
+/// breaker-cooldown = 64
 /// ```
 ///
 /// # Errors
-/// A `line N: ...` message on the first malformed line.
+/// A `line N: ...` message on the first malformed line. A section
+/// without `cmd` is reported at its header, and a tool name defined
+/// twice at its second definition.
 pub fn parse_config(text: &str) -> Result<Vec<ExternalSpec>, String> {
-    fn flush(
-        specs: &mut Vec<ExternalSpec>,
-        section: &mut Option<(String, Option<ExternalSpec>)>,
-    ) -> Result<(), String> {
-        if let Some((name, spec)) = section.take() {
-            specs.push(spec.ok_or_else(|| format!("section [external.{name}] is missing cmd"))?);
+    /// The `[external.<name>]` section being filled: its name, the
+    /// line of its header, and its spec once `cmd` has been read.
+    type Section = Option<(String, usize, Option<ExternalSpec>)>;
+    fn flush(specs: &mut Vec<ExternalSpec>, section: &mut Section) -> Result<(), String> {
+        if let Some((name, line, spec)) = section.take() {
+            let spec = spec
+                .ok_or_else(|| format!("line {line}: section [external.{name}] is missing cmd"))?;
+            specs.push(spec);
         }
         Ok(())
     }
     let mut specs: Vec<ExternalSpec> = Vec::new();
-    // The spec currently being filled by a [external.<name>] section.
-    let mut section: Option<(String, Option<ExternalSpec>)> = None;
+    let mut names = std::collections::HashSet::new();
+    let mut section: Section = None;
     for (n, raw) in text.lines().enumerate() {
         let line = raw.trim();
         let at = |msg: String| format!("line {}: {msg}", n + 1);
@@ -749,7 +716,10 @@ pub fn parse_config(text: &str) -> Result<Vec<ExternalSpec>, String> {
             if name.is_empty() {
                 return Err(at("section has no tool name".to_string()));
             }
-            section = Some((name.to_string(), None));
+            if !names.insert(name.to_string()) {
+                return Err(at(defined_twice(name)));
+            }
+            section = Some((name.to_string(), n + 1, None));
             continue;
         }
         let (key, value) = line
@@ -762,53 +732,37 @@ pub fn parse_config(text: &str) -> Result<Vec<ExternalSpec>, String> {
                 .map(str::to_string)
                 .ok_or_else(|| at(format!("value {v:?} must be a double-quoted string")))
         };
-        match &mut section {
-            None => {
-                // Shorthand: name = "command line".
-                specs.push(ExternalSpec::parse(key, &unquote(value)?).map_err(at)?);
+        let Some((name, _, spec)) = &mut section else {
+            // Shorthand: name = "command line".
+            let spec = ExternalSpec::parse(key, &unquote(value)?).map_err(at)?;
+            if !names.insert(spec.name.clone()) {
+                return Err(at(defined_twice(key)));
             }
-            Some((name, spec)) => match key {
-                "cmd" => {
-                    *spec = Some(ExternalSpec::parse(name, &unquote(value)?).map_err(at)?);
-                }
-                "timeout-ms" => {
-                    let ms: u64 = value
-                        .parse()
-                        .map_err(|_| at(format!("bad timeout-ms {value:?}")))?;
-                    let s = spec
-                        .as_mut()
-                        .ok_or_else(|| at("timeout-ms before cmd".to_string()))?;
-                    s.timeout = Duration::from_millis(ms);
-                }
-                "max-restarts" => {
-                    let m: u32 = value
-                        .parse()
-                        .map_err(|_| at(format!("bad max-restarts {value:?}")))?;
-                    let s = spec
-                        .as_mut()
-                        .ok_or_else(|| at("max-restarts before cmd".to_string()))?;
-                    s.max_restarts = m;
-                }
-                "breaker-threshold" => {
-                    let t: u32 = value
-                        .parse()
-                        .map_err(|_| at(format!("bad breaker-threshold {value:?}")))?;
-                    let s = spec
-                        .as_mut()
-                        .ok_or_else(|| at("breaker-threshold before cmd".to_string()))?;
-                    s.breaker.get_or_insert_with(BreakerSpec::default).threshold = t;
-                }
-                "breaker-cooldown" => {
-                    let c: u64 = value
-                        .parse()
-                        .map_err(|_| at(format!("bad breaker-cooldown {value:?}")))?;
-                    let s = spec
-                        .as_mut()
-                        .ok_or_else(|| at("breaker-cooldown before cmd".to_string()))?;
-                    s.breaker.get_or_insert_with(BreakerSpec::default).cooldown = c;
-                }
-                other => return Err(at(format!("unknown key {other:?}"))),
-            },
+            specs.push(spec);
+            continue;
+        };
+        if key == "cmd" {
+            *spec = Some(ExternalSpec::parse(name, &unquote(value)?).map_err(at)?);
+            continue;
+        }
+        if !matches!(key, "timeout-ms" | "breaker-threshold" | "breaker-cooldown") {
+            return Err(at(format!("unknown key {key:?}")));
+        }
+        let s = spec
+            .as_mut()
+            .ok_or_else(|| at(format!("{key} before cmd")))?;
+        let bad = || at(format!("bad {key} {value:?}"));
+        match key {
+            "timeout-ms" => s.timeout = Duration::from_millis(value.parse().map_err(|_| bad())?),
+            // A breaker that trips before any failure is not a setting.
+            "breaker-threshold" => {
+                s.breaker.threshold = value
+                    .parse()
+                    .ok()
+                    .filter(|&t| t > 0)
+                    .ok_or_else(|| format!("{} (must be at least 1)", bad()))?;
+            }
+            _ => s.breaker.cooldown = value.parse().map_err(|_| bad())?,
         }
     }
     flush(&mut specs, &mut section)?;
@@ -819,10 +773,15 @@ pub fn parse_config(text: &str) -> Result<Vec<ExternalSpec>, String> {
 /// the registered keys.
 ///
 /// # Errors
-/// A descriptive message when the file cannot be read or parsed.
+/// A descriptive message when the file cannot be read or parsed, or
+/// when it defines a tool `registry` already serves (say, one defined
+/// by the `--predictors` selector).
 pub fn load_config(registry: &mut PredictorRegistry, path: &str) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let specs = parse_config(&text).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(s) = specs.iter().find(|s| registry.get(&s.key()).is_some()) {
+        return Err(format!("{path}: {}", defined_twice(&s.name)));
+    }
     let mut keys = Vec::with_capacity(specs.len());
     for spec in specs {
         keys.push(spec.key());
@@ -972,6 +931,10 @@ mod tests {
         assert!(extract_selector_externals("ext:=x").is_err());
         assert!(extract_selector_externals("ext:a b=x").is_err());
         assert!(extract_selector_externals("ext:a=").is_err());
+        assert_eq!(
+            extract_selector_externals("ext:a=x,facile,ext:a=y").unwrap_err(),
+            "external predictor ext:a is defined twice"
+        );
     }
 
     #[test]
@@ -983,7 +946,6 @@ mock = \"/bin/mock --mode echo-facile\"
 [external.slow]
 cmd = \"/bin/slow --x\"
 timeout-ms = 250
-max-restarts = 7
 
 [external.flaky]
 cmd = \"/bin/flaky\"
@@ -994,26 +956,48 @@ breaker-cooldown = 16
         assert_eq!(specs.len(), 3);
         assert_eq!(specs[0].name, "mock");
         assert_eq!(specs[0].timeout, DEFAULT_TIMEOUT);
-        assert_eq!(specs[0].breaker, None);
+        assert_eq!(specs[0].breaker, BreakerSpec::default());
         assert_eq!(specs[1].name, "slow");
         assert_eq!(specs[1].timeout, Duration::from_millis(250));
-        assert_eq!(specs[1].max_restarts, 7);
-        assert_eq!(specs[1].breaker, None);
+        assert_eq!(specs[1].breaker, BreakerSpec::default());
         assert_eq!(
             specs[2].breaker,
-            Some(BreakerSpec {
+            BreakerSpec {
                 threshold: 3,
                 cooldown: 16
-            })
+            }
         );
-        for bad in [
-            "[external.x]\n",                 // missing cmd
-            "[oops]\ncmd = \"x\"\n",          // unknown section
-            "mock = bare\n",                  // unquoted value
-            "[external.x]\ntimeout-ms = 5\n", // knob before cmd
-            "just a line\n",
+        for (bad, why) in [
+            (
+                "[external.x]\n",
+                "line 1: section [external.x] is missing cmd",
+            ),
+            ("[oops]\ncmd = \"x\"\n", "line 1: unknown section"),
+            ("mock = bare\n", "line 1: value \"bare\" must be"),
+            (
+                "[external.x]\ntimeout-ms = 5\n",
+                "line 2: timeout-ms before cmd",
+            ),
+            ("just a line\n", "line 1: \"just a line\" is not"),
+            (
+                "[external.x]\ncmd = \"x\"\nbreaker-threshold = 0\n",
+                "line 3: bad breaker-threshold \"0\"",
+            ),
+            (
+                "[external.x]\ncmd = \"x\"\nmax-restarts = 3\n",
+                "line 3: unknown key \"max-restarts\"",
+            ),
+            (
+                "x = \"a\"\n\n[external.x]\ncmd = \"b\"\n",
+                "line 3: external predictor ext:x is defined twice",
+            ),
+            (
+                "x = \"a\"\nx = \"b\"\n",
+                "line 2: external predictor ext:x is defined twice",
+            ),
         ] {
-            assert!(parse_config(bad).is_err(), "{bad:?} should be rejected");
+            let err = parse_config(bad).expect_err(bad);
+            assert!(err.starts_with(why), "{bad:?}: {err}");
         }
     }
 

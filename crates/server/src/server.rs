@@ -36,8 +36,8 @@
 
 use crate::protocol::{self, Parsed, ProtoError, Request};
 use facile_engine::{
-    panic_payload, BatchItem, BreakerSpec, CacheBudget, Engine, EngineStats, ExternalPredictor,
-    ExternalSpec, ItemResult, Predictor,
+    panic_payload, BatchItem, CacheBudget, Engine, EngineStats, ExternalPredictor, ExternalSpec,
+    ItemResult, Predictor,
 };
 use facile_util::PoisonlessMutex;
 use std::io::{ErrorKind, Read, Write};
@@ -88,7 +88,8 @@ pub struct ServerConfig {
     /// caller — in builds without the `fault-injection` feature.
     pub faults: Option<String>,
     /// External predictor tools to register alongside the builtins
-    /// (each reachable under its `ext:<name>` key in request selectors).
+    /// (each reachable under its `ext:<name>` key in request selectors;
+    /// no two may share a name).
     pub external: Vec<ExternalSpec>,
     /// Total memory budget shared by the annotation, intern-table, and
     /// external-result caches. `None` = unbounded (the legacy behavior).
@@ -100,9 +101,6 @@ pub struct ServerConfig {
     /// Per-connection prediction requests per second (`0` = unlimited),
     /// enforced by a token bucket whose burst equals the rate.
     pub conn_rps: u64,
-    /// Default circuit breaker applied to every external spec that does
-    /// not carry its own (`None` = the legacy give-up-forever behavior).
-    pub breaker: Option<BreakerSpec>,
 }
 
 impl ServerConfig {
@@ -121,7 +119,6 @@ impl ServerConfig {
             cache_budget: None,
             conn_max_items: 0,
             conn_rps: 0,
-            breaker: Some(BreakerSpec::default()),
         }
     }
 }
@@ -490,9 +487,12 @@ impl Server {
     /// Bind the endpoint and start the acceptor thread.
     ///
     /// # Errors
-    /// Arming a malformed fault spec, binding the endpoint, or spawning
-    /// the server threads can fail.
-    pub fn start(mut cfg: ServerConfig) -> std::io::Result<Server> {
+    /// Arming a malformed fault spec, an external tool name defined
+    /// twice, binding the endpoint, or spawning the server threads can
+    /// fail.
+    pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
+        facile_engine::external::check_distinct(&cfg.external)
+            .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e))?;
         if let Some(spec) = cfg.faults.as_deref() {
             // A malformed spec is a configuration error; arming in a
             // build without injection compiled in is a silent no-op
@@ -505,13 +505,6 @@ impl Server {
         } else {
             cfg.threads
         };
-        // External specs without their own breaker inherit the server
-        // default, so a sick tool trips open instead of giving up forever.
-        if let Some(b) = cfg.breaker {
-            for spec in &mut cfg.external {
-                spec.breaker.get_or_insert(b);
-            }
-        }
         let mut engine = Engine::with_builtins().with_threads(threads);
         let mut externals: Vec<Arc<ExternalPredictor>> = Vec::with_capacity(cfg.external.len());
         for spec in &cfg.external {
@@ -1152,6 +1145,18 @@ pub mod sig {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
+
+    #[test]
+    fn a_tool_defined_twice_is_refused() {
+        let mut cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".to_string()));
+        let spec = |cmd| ExternalSpec::parse("dup", cmd).expect("valid spec");
+        cfg.external = vec![spec("/bin/true"), spec("/bin/false")];
+        let Err(e) = Server::start(cfg) else {
+            panic!("a server with two tools under one key started");
+        };
+        assert_eq!(e.kind(), ErrorKind::InvalidInput);
+        assert_eq!(e.to_string(), "external predictor ext:dup is defined twice");
+    }
 
     #[test]
     fn finished_connection_threads_are_reaped() {
