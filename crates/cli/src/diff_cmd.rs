@@ -299,7 +299,7 @@ pub fn main(args: Vec<String>) -> ExitCode {
     if let Some(path) = &o.ext_config {
         if let Err(e) = facile_engine::load_external_config(engine.registry_mut(), path) {
             eprintln!("error: {e}");
-            return ExitCode::from(1);
+            return ExitCode::from(2);
         }
     }
     if let Some(t) = o.threads {

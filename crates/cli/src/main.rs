@@ -387,9 +387,7 @@ fn emit_stats<W: Write + ?Sized>(
 }
 
 /// Batch mode: stream stdin lines through the engine.
-fn run_batch(o: &mut Options) -> Result<(), String> {
-    let engine = build_engine(o)?;
-    let o = &*o;
+fn run_batch(o: &Options, engine: &Engine) -> Result<(), String> {
     let uarchs = uarch_list(o);
     let mode = fixed_mode(o);
     let row_detail = detail(o);
@@ -487,7 +485,7 @@ fn print_explain_details(ab: &AnnotatedBlock, e: &Explanation) {
 
 /// Single-block mode: the interpretable report (plus any extra
 /// predictors), or machine-readable rows with --format json/csv.
-fn run_single(o: &mut Options) -> Result<(), String> {
+fn run_single(o: &Options, engine: &Engine) -> Result<(), String> {
     let block = load_block(o)?;
     if block.is_empty() {
         return Err("empty basic block".into());
@@ -497,8 +495,6 @@ fn run_single(o: &mut Options) -> Result<(), String> {
     } else {
         Mode::Unrolled
     });
-    let engine = build_engine(o)?;
-    let o = &*o;
     let uarchs = uarch_list(o);
 
     if o.format != Format::Human {
@@ -580,10 +576,19 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // A malformed external definition is a bad invocation, as in
+    // `facile diff` and `facile serve`.
+    let engine = match build_engine(&mut opts) {
+        Ok(engine) => engine,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let result = if opts.batch {
-        run_batch(&mut opts)
+        run_batch(&opts, &engine)
     } else {
-        run_single(&mut opts)
+        run_single(&opts, &engine)
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

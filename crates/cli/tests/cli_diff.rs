@@ -254,9 +254,9 @@ fn bad_external_definitions_are_usage_errors() {
     let (_, stderr, code) = run_diff(&["--predictors", "facile,ext:mock="]);
     assert_eq!(code, Some(2), "stderr: {stderr}");
     assert!(stderr.contains("command"), "{stderr}");
-    // A missing --ext-config file is a runtime error.
+    // So is a missing --ext-config file, as in `facile` and `facile serve`.
     let (_, stderr, code) = run_diff(&["--ext-config", "/nonexistent/ext.toml", "--count", "5"]);
-    assert_eq!(code, Some(1), "stderr: {stderr}");
+    assert_eq!(code, Some(2), "stderr: {stderr}");
     assert!(stderr.contains("cannot read"), "{stderr}");
 }
 

@@ -1,9 +1,9 @@
 //! A tool name defined twice — in one `--predictors` selector, in one
 //! `--ext-config` file, or in both — is rejected by `facile`, `facile
-//! diff` and `facile serve`. The error names the tool, and the exit code
-//! is the one the same command gives a malformed definition in the same
-//! place: the registry keeps one tool per key, so accepting the second
-//! would silently drop the first.
+//! diff` and `facile serve`: the registry keeps one tool per key, so
+//! accepting the second would silently drop the first. The error names
+//! the tool, and every command exits 2, the code of a bad invocation,
+//! for it and for a malformed definition in the same place.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -63,8 +63,8 @@ fn a_tool_defined_twice_is_a_bad_definition_in_every_command() {
     let once = config("once", "dup = \"/bin/false\"\n");
     let malformed = config("malformed", "[external.x]\n");
     for (what, base) in COMMANDS {
-        // Where each definition lives, the duplicate and a malformed
-        // definition in the same place must exit alike.
+        // Wherever a definition lives, the duplicate and a malformed
+        // definition in the same place exit 2.
         let selector = "facile,ext:dup=/bin/true,ext:dup=/bin/false";
         let cases = [
             (
@@ -86,11 +86,8 @@ fn a_tool_defined_twice_is_a_bad_definition_in_every_command() {
         for (case, (sel, cfg), (bad_sel, bad_cfg)) in cases {
             let (code, stderr) = run(base, sel, cfg);
             let (bad_code, bad_stderr) = run(base, bad_sel, bad_cfg);
-            assert!(
-                bad_code.is_some_and(|c| c != 0),
-                "{what}, {case}: {bad_stderr}"
-            );
-            assert_eq!(code, bad_code, "{what}, {case}: {stderr}");
+            assert_eq!(bad_code, Some(2), "{what}, {case}: {bad_stderr}");
+            assert_eq!(code, Some(2), "{what}, {case}: {stderr}");
             assert!(
                 stderr.contains("external predictor ext:dup is defined twice"),
                 "{what}, {case}: {stderr}"

@@ -240,12 +240,12 @@ fn peel_dead_nodes(g: &RatioGraph, s: &mut HowardScratch) {
 #[must_use]
 pub fn max_cycle_ratio_howard(g: &RatioGraph) -> Mcr {
     let mcr = HOWARD_SCRATCH.with(|s| howard_with(g, &mut s.borrow_mut()));
-    let counter = if matches!(mcr, Mcr::Acyclic) {
-        &SOLVE_ACYCLIC
+    let path = if matches!(mcr, Mcr::Acyclic) {
+        ACYCLIC
     } else {
-        &SOLVE_HOWARD
+        HOWARD
     };
-    counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    SOLVES.add(path, 1);
     mcr
 }
 
@@ -429,18 +429,20 @@ pub struct SolvePathCounts {
     pub howard: u64,
 }
 
-static SOLVE_ACYCLIC: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static SOLVE_HOWARD: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// Howard calls per path, in per-thread cells: every worker solves, so
+/// one shared counter would be written by all of them.
+static SOLVES: facile_util::Counters<2> = facile_util::Counters::new();
+const ACYCLIC: usize = 0;
+const HOWARD: usize = 1;
 
 /// Current [`SolvePathCounts`].
 #[must_use]
 pub fn solve_path_counts() -> SolvePathCounts {
-    use std::sync::atomic::Ordering::Relaxed;
     SolvePathCounts {
-        acyclic: SOLVE_ACYCLIC.load(Relaxed),
+        acyclic: SOLVES.get(ACYCLIC),
         simple_cycle: 0,
         longest_path: 0,
-        howard: SOLVE_HOWARD.load(Relaxed),
+        howard: SOLVES.get(HOWARD),
     }
 }
 

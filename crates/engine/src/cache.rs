@@ -11,41 +11,164 @@
 //! * **Level 1 — per bytes**: the decoded [`Block`] inside its
 //!   uarch-independent [`Dataflow`], with its canonical hex, built once
 //!   and shared via `Arc`.
-//! * **Level 2 — per uarch**: the [`AnnotatedBlock`], stored in a fixed
-//!   array indexed by the microarchitecture — the second uarch of a sweep
-//!   costs an array probe, not a rehash of the block bytes, and its
-//!   annotation specialises the resident dataflow instead of rebuilding
-//!   it.
+//! * **Level 2 — per uarch**: a slot in a fixed array indexed by the
+//!   microarchitecture, holding the [`AnnotatedBlock`] and its Brief
+//!   rows: the `Ok` [`Detail::Brief`](facile_explain::Detail::Brief)
+//!   predictions made on it, keyed by the predictor's identity and the
+//!   resolved notion. The second uarch of a sweep costs an array probe,
+//!   not a rehash of the block bytes, and its annotation specialises the
+//!   resident dataflow instead of rebuilding it.
 //!
 //! An engine annotates through one function, `get_or_annotate`, with a
 //! cache and without one. With a cache it makes exactly one locked
-//! `(bytes, uarch)` probe of both levels: a level-2 hit is the answer; a
-//! level-1 hit lends the resident dataflow; only bytes never seen ask
-//! the caller for a dataflow, which shares the input's decoded block,
-//! decodes its bytes, or reuses the block its worker holds. The
-//! annotation is then built outside the lock and published with one
-//! insert. Without a cache, the probe and the insert are skipped and
-//! everything else is the same code.
+//! `(bytes, uarch)` probe of both levels: a level-2 hit is the
+//! annotation, and under the same lock it also copies out the Brief
+//! rows the unit's predictors already have, so a warm unit is answered
+//! without running a model or taking a second lock. A level-1 hit lends
+//! the resident dataflow; only bytes never seen ask the caller for a
+//! dataflow, which shares the input's decoded block, decodes its bytes,
+//! or reuses the block its worker holds. The annotation is then built
+//! outside the lock and published with one insert, and each Brief row
+//! the engine computes for it is kept with one more (`memoize`). Without
+//! a cache, the probe and the inserts are skipped and everything else is
+//! the same code.
+//!
+//! A Brief row is kept only for a predictor that says its answers are
+//! pure functions of the annotated block and notion
+//! ([`Predictor::memoizable`]); an external tool is not, and keeps its
+//! own result cache. The key is the predictor's `Arc` identity, held as
+//! a `Weak` so that its address cannot be reused while the row lives:
+//! re-registering a key installs a new predictor, which never sees the
+//! old one's rows.
 //!
 //! Storage is a byte-bounded, sharded segmented LRU
 //! ([`facile_util::SlruCache`]): a long-running server fed an endless
 //! stream of *distinct* blocks evicts cold probation entries instead of
 //! growing without bound, while the hot working set is promoted to the
-//! protected segment and survives. The cache is a pure memoization, so
-//! an evicted block simply re-decodes/re-annotates on its next
-//! occurrence with bit-identical results.
+//! protected segment and survives. Brief rows are counted in their
+//! entry's bytes, so the byte bound covers them, and they leave with
+//! their entry on eviction or `clear`. The cache is a pure memoization,
+//! so an evicted block simply re-decodes, re-annotates and re-predicts
+//! on its next occurrence with bit-identical results.
 
+use crate::engine::notion;
 use crate::error::PredictError;
+use crate::predictor::{Prediction, Predictor};
+use facile_core::Mode;
+use facile_explain::Component;
 use facile_faults::Point;
 use facile_isa::{AnnotatedBlock, Dataflow};
 use facile_uarch::Uarch;
-use facile_util::{HeapSize, SlruCache};
+use facile_util::{Counters, HeapSize, SlruCache, SmallVec};
 use facile_x86::Block;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// A shared value with its block's canonical hex rendering.
 pub(crate) type WithHex<T> = (Arc<T>, Arc<str>);
+
+/// What a [`Detail::Brief`](facile_explain::Detail::Brief) prediction
+/// carries: its throughput and bottleneck.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Brief {
+    throughput: f64,
+    bottleneck: Option<Component>,
+}
+
+impl Brief {
+    /// The Brief part of `p`: `None` when `p` carries an explanation.
+    pub(crate) fn of(p: &Prediction) -> Option<Brief> {
+        p.explanation.is_none().then_some(Brief {
+            throughput: p.throughput,
+            bottleneck: p.bottleneck,
+        })
+    }
+
+    /// The prediction this Brief row was kept from.
+    pub(crate) fn prediction(self) -> Prediction {
+        Prediction {
+            throughput: self.throughput,
+            bottleneck: self.bottleneck,
+            explanation: None,
+        }
+    }
+}
+
+/// One unit's kept Brief rows, one per predictor it asked for (in the
+/// order asked); empty when the unit's annotation was not resident.
+pub(crate) type Briefs = SmallVec<Option<Brief>, 4>;
+
+/// What a unit asks a level-2 hit for besides its annotation: the Brief
+/// rows of `predictors` at its notion (`mode`, `None` = auto).
+#[derive(Clone, Copy)]
+pub(crate) struct Wanted<'a> {
+    pub(crate) predictors: &'a [Arc<dyn Predictor>],
+    pub(crate) mode: Option<Mode>,
+}
+
+impl Wanted<'_> {
+    /// Ask for no Brief rows.
+    pub(crate) const NOTHING: Wanted<'static> = Wanted {
+        predictors: &[],
+        mode: None,
+    };
+}
+
+/// A kept Brief row with its key, the predictor that made it and the
+/// resolved notion (flat, so a row takes 32 bytes).
+#[derive(Debug)]
+struct BriefRow {
+    predictor: Weak<dyn Predictor>,
+    throughput: f64,
+    bottleneck: Option<Component>,
+    mode: Mode,
+}
+
+impl BriefRow {
+    fn is_for(&self, predictor: &Arc<dyn Predictor>, mode: Mode) -> bool {
+        self.mode == mode && std::ptr::addr_eq(self.predictor.as_ptr(), Arc::as_ptr(predictor))
+    }
+
+    fn brief(&self) -> Brief {
+        Brief {
+            throughput: self.throughput,
+            bottleneck: self.bottleneck,
+        }
+    }
+}
+
+/// One level-2 slot: an annotation and the Brief rows made on it.
+#[derive(Debug)]
+struct Slot {
+    annotation: Arc<AnnotatedBlock>,
+    briefs: Box<[BriefRow]>,
+}
+
+impl Slot {
+    /// The kept rows `wanted` asks for.
+    fn briefs(&self, wanted: Wanted<'_>) -> Briefs {
+        let mut out = Briefs::new();
+        if self.briefs.is_empty() {
+            return out;
+        }
+        let mode = notion(wanted.mode, &self.annotation);
+        for p in wanted.predictors {
+            out.push(
+                self.briefs
+                    .iter()
+                    .find(|r| r.is_for(p, mode))
+                    .map(BriefRow::brief),
+            );
+        }
+        out
+    }
+}
+
+/// The cache's counters, in per-thread cells: every lookup bumps one,
+/// and a shared cell would be written by every worker.
+const HITS: usize = 0;
+const MISSES: usize = 1;
+const DECODE_HITS: usize = 2;
+const DECODE_MISSES: usize = 3;
 
 /// Hit/miss counters of a [`AnnotationCache`], per level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,13 +198,12 @@ pub struct CacheStats {
 /// One level-1 entry: the block's dataflow (which owns the decoded
 /// block), its canonical hex rendering (batch rows carry it; rendering
 /// once per distinct bytes beats re-formatting it per row), and the
-/// per-uarch annotations (an array index per [`Uarch`], not a second
-/// map).
+/// per-uarch slots (an array index per [`Uarch`], not a second map).
 #[derive(Debug)]
 struct ByteEntry {
     dataflow: Arc<Dataflow>,
     hex: Arc<str>,
-    annos: [Option<Arc<AnnotatedBlock>>; Uarch::ALL.len()],
+    slots: [Option<Slot>; Uarch::ALL.len()],
     /// Running total of [`HeapSize::heap_bytes`]: the cache asks for it
     /// under the shard lock before and after every insert, so it must
     /// not re-walk the resident annotations.
@@ -97,18 +219,45 @@ impl ByteEntry {
             bytes: std::mem::size_of::<Dataflow>() + dataflow.heap_bytes() + hex.len(),
             dataflow,
             hex,
-            annos: Default::default(),
+            slots: Default::default(),
         }
     }
 
     /// Publish `ab` (accounted at `bytes`) into slot `ui` unless a racing
     /// writer got there first; returns the resident annotation.
     fn insert(&mut self, ui: usize, ab: Arc<AnnotatedBlock>, bytes: usize) -> &Arc<AnnotatedBlock> {
-        let slot = &mut self.annos[ui];
+        let slot = &mut self.slots[ui];
         if slot.is_none() {
             self.bytes += bytes;
         }
-        slot.get_or_insert(ab)
+        &slot
+            .get_or_insert(Slot {
+                annotation: ab,
+                briefs: Box::default(),
+            })
+            .annotation
+    }
+
+    /// Keep `brief` in slot `ui` for `(predictor, mode)` unless the slot
+    /// is empty (evicted and not re-published) or already keeps one (a
+    /// racing duplicate, which computed the same row).
+    fn memoize(&mut self, ui: usize, predictor: &Arc<dyn Predictor>, mode: Mode, brief: Brief) {
+        let Some(slot) = &mut self.slots[ui] else {
+            return;
+        };
+        if slot.briefs.iter().any(|r| r.is_for(predictor, mode)) {
+            return;
+        }
+        let mut rows = std::mem::take(&mut slot.briefs).into_vec();
+        rows.reserve_exact(1);
+        rows.push(BriefRow {
+            predictor: Arc::downgrade(predictor),
+            throughput: brief.throughput,
+            bottleneck: brief.bottleneck,
+            mode,
+        });
+        slot.briefs = rows.into_boxed_slice();
+        self.bytes += std::mem::size_of::<BriefRow>();
     }
 }
 
@@ -120,8 +269,9 @@ fn annotation_bytes(ab: &AnnotatedBlock) -> usize {
 }
 
 /// Accounting: the entry owns its dataflow and decoded block (deep, once
-/// — the annotations share both by pointer), the hex rendering, and each
-/// resident annotation, summed as they are inserted.
+/// — the annotations share both by pointer), the hex rendering, each
+/// resident annotation and each kept Brief row, summed as they are
+/// inserted.
 impl HeapSize for ByteEntry {
     fn heap_bytes(&self) -> usize {
         self.bytes
@@ -129,14 +279,12 @@ impl HeapSize for ByteEntry {
 }
 
 /// A thread-safe, sharded, byte-bounded two-level memo table from block
-/// bytes to the shared decoded block and its per-uarch annotations.
+/// bytes to the shared decoded block and its per-uarch annotations and
+/// Brief rows.
 #[derive(Debug)]
 pub struct AnnotationCache {
     table: SlruCache<Box<[u8]>, ByteEntry>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    decode_hits: AtomicU64,
-    decode_misses: AtomicU64,
+    counts: Counters<4>,
 }
 
 impl Default for AnnotationCache {
@@ -157,10 +305,7 @@ impl AnnotationCache {
     pub fn with_capacity(capacity: usize) -> AnnotationCache {
         AnnotationCache {
             table: SlruCache::new(capacity),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            decode_hits: AtomicU64::new(0),
-            decode_misses: AtomicU64::new(0),
+            counts: Counters::new(),
         }
     }
 
@@ -174,27 +319,49 @@ impl AnnotationCache {
     /// level-1 entry happens only when the bytes were never seen.
     pub fn annotate(&self, block: &Block, uarch: Uarch) -> Arc<AnnotatedBlock> {
         let decoded = || Ok(dataflow_of(Arc::new(block.clone())));
-        match get_or_annotate(Some(self), block.bytes(), uarch, decoded) {
-            Ok((ab, _)) => ab,
+        match get_or_annotate(Some(self), block.bytes(), uarch, Wanted::NOTHING, decoded) {
+            Ok(((ab, _), _)) => ab,
             Err(_) => unreachable!("a decoded block has nothing to decode"),
         }
     }
 
-    /// One locked probe of both levels, with the hit counters applied.
+    /// One locked probe of both levels, with the hit counters applied: a
+    /// level-2 hit comes with the Brief rows `wanted` asks for.
+    #[allow(clippy::type_complexity)]
     fn probe(
         &self,
         bytes: &[u8],
         ui: usize,
-    ) -> Option<Result<WithHex<AnnotatedBlock>, WithHex<Dataflow>>> {
-        let probe = self.table.read(bytes, |e| match &e.annos[ui] {
-            Some(hit) => Ok((Arc::clone(hit), Arc::clone(&e.hex))),
+        wanted: Wanted<'_>,
+    ) -> Option<Result<(WithHex<AnnotatedBlock>, Briefs), WithHex<Dataflow>>> {
+        let probe = self.table.read(bytes, |e| match &e.slots[ui] {
+            Some(hit) => Ok((
+                (Arc::clone(&hit.annotation), Arc::clone(&e.hex)),
+                hit.briefs(wanted),
+            )),
             None => Err((Arc::clone(&e.dataflow), Arc::clone(&e.hex))),
         })?;
         if probe.is_ok() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(HITS, 1);
         }
-        self.decode_hits.fetch_add(1, Ordering::Relaxed);
+        self.counts.add(DECODE_HITS, 1);
         Some(probe)
+    }
+
+    /// Keep `brief`, `predictor`'s `Ok` Brief row for the annotated block
+    /// `ab` at notion `mode`, beside `ab` in the cache, if its slot is
+    /// still resident.
+    pub(crate) fn memoize(
+        &self,
+        ab: &AnnotatedBlock,
+        predictor: &Arc<dyn Predictor>,
+        mode: Mode,
+        brief: Brief,
+    ) {
+        let ui = ab.uarch() as usize;
+        self.table.update(ab.block().bytes(), |e| {
+            e.memoize(ui, predictor, mode, brief);
+        });
     }
 
     /// Publish a fresh annotation with one insert (first writer wins) and
@@ -210,9 +377,9 @@ impl AnnotationCache {
     ) -> WithHex<AnnotatedBlock> {
         let (ui, dataflow) = (ab.uarch() as usize, Arc::clone(ab.dataflow()));
         let ab_bytes = annotation_bytes(&ab);
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counts.add(MISSES, 1);
         let mut entry = fresh.then(|| {
-            self.decode_misses.fetch_add(1, Ordering::Relaxed);
+            self.counts.add(DECODE_MISSES, 1);
             ByteEntry::new(Arc::clone(&dataflow), Arc::clone(&hex))
         });
         if let Some(entry) = &mut entry {
@@ -231,13 +398,14 @@ impl AnnotationCache {
         let (mut blocks, mut entries) = (0, 0);
         self.table.for_each(|_, e| {
             blocks += 1;
-            entries += e.annos.iter().flatten().count();
+            entries += e.slots.iter().flatten().count();
         });
+        let [hits, misses, decode_hits, decode_misses] = self.counts.snapshot();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            decode_hits: self.decode_hits.load(Ordering::Relaxed),
-            decode_misses: self.decode_misses.load(Ordering::Relaxed),
+            hits,
+            misses,
+            decode_hits,
+            decode_misses,
             entries,
             blocks,
             bytes: self.table.bytes(),
@@ -248,29 +416,28 @@ impl AnnotationCache {
     /// Drop all entries and reset counters.
     pub fn clear(&self) {
         self.table.clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.decode_hits.store(0, Ordering::Relaxed);
-        self.decode_misses.store(0, Ordering::Relaxed);
+        self.counts.reset();
     }
 }
 
 /// The annotation of the block spelled `bytes` on `uarch`, with its
 /// canonical hex: the one path by which a block is annotated, with a
 /// cache or without one. A cache gets exactly one locked probe of both
-/// levels, and a level-2 hit is returned as it is. Otherwise the block is
-/// annotated outside any lock, from the resident dataflow or, for bytes
-/// the cache has not seen (or without a cache), from `dataflow()`, whose
-/// error is returned and not cached. A cache then publishes the
-/// annotation (first writer wins; a racing duplicate is deterministic
-/// and harmless).
+/// levels, and a level-2 hit is returned as it is, with the Brief rows
+/// `wanted` asks for. Otherwise the block is annotated outside any lock,
+/// from the resident dataflow or, for bytes the cache has not seen (or
+/// without a cache), from `dataflow()`, whose error is returned and not
+/// cached. A cache then publishes the annotation (first writer wins; a
+/// racing duplicate is deterministic and harmless), and a fresh
+/// annotation has no Brief rows yet.
 pub(crate) fn get_or_annotate(
     cache: Option<&AnnotationCache>,
     bytes: &[u8],
     uarch: Uarch,
+    wanted: Wanted<'_>,
     dataflow: impl FnOnce() -> Result<WithHex<Dataflow>, PredictError>,
-) -> Result<WithHex<AnnotatedBlock>, PredictError> {
-    let probe = cache.and_then(|c| c.probe(bytes, uarch as usize));
+) -> Result<(WithHex<AnnotatedBlock>, Briefs), PredictError> {
+    let probe = cache.and_then(|c| c.probe(bytes, uarch as usize, wanted));
     let fresh = probe.is_none();
     let (dataflow, hex) = match probe {
         Some(Ok(hit)) => return Ok(hit),
@@ -279,10 +446,11 @@ pub(crate) fn get_or_annotate(
     };
     facile_faults::maybe_panic(Point::AnnotatePanic, bytes);
     let ab = Arc::new(AnnotatedBlock::from_dataflow(dataflow, uarch));
-    Ok(match cache {
+    let annotated = match cache {
         Some(cache) => cache.publish(bytes, (ab, hex), fresh),
         None => (ab, hex),
-    })
+    };
+    Ok((annotated, Briefs::new()))
 }
 
 /// A decoded block's new dataflow and its canonical hex.
@@ -332,6 +500,12 @@ mod tests {
     }
 
     #[test]
+    fn a_kept_brief_row_is_small() {
+        assert_eq!(std::mem::size_of::<BriefRow>(), 32);
+        assert_eq!(std::mem::size_of::<Option<Slot>>(), 24);
+    }
+
+    #[test]
     fn running_byte_total_matches_a_recount() {
         let b = Arc::new(loop_block());
         let df = Arc::new(Dataflow::new(Arc::clone(&b)));
@@ -348,10 +522,10 @@ mod tests {
         let recount = std::mem::size_of::<Dataflow>()
             + df.heap_bytes()
             + e.hex.len()
-            + e.annos
+            + e.slots
                 .iter()
                 .flatten()
-                .map(|a| annotation_bytes(a))
+                .map(|s| annotation_bytes(&s.annotation))
                 .sum::<usize>();
         assert_eq!(e.heap_bytes(), recount);
     }
@@ -364,8 +538,9 @@ mod tests {
             .iter()
             .map(|&u| {
                 let shared = || Ok(dataflow_of(Arc::clone(&b)));
-                let (ab, _) = get_or_annotate(Some(&cache), b.bytes(), u, shared)
-                    .expect("a decoded block annotates");
+                let ((ab, _), _) =
+                    get_or_annotate(Some(&cache), b.bytes(), u, Wanted::NOTHING, shared)
+                        .expect("a decoded block annotates");
                 ab
             })
             .collect();
@@ -389,7 +564,7 @@ mod tests {
         let b = Block::assemble(&[(Mnemonic::Add, vec![RAX.into(), RCX.into()])]).unwrap();
         let decodes = std::cell::Cell::new(0);
         let get = |bytes: &[u8], uarch| {
-            get_or_annotate(Some(&cache), bytes, uarch, || {
+            get_or_annotate(Some(&cache), bytes, uarch, Wanted::NOTHING, || {
                 decodes.set(decodes.get() + 1);
                 Block::decode(bytes)
                     .map(|b| dataflow_of(Arc::new(b)))
@@ -398,6 +573,7 @@ mod tests {
                         source,
                     })
             })
+            .map(|(annotated, _)| annotated)
         };
         let (a1, hex) = get(b.bytes(), Uarch::Skl).expect("valid bytes");
         let (a2, _) = get(b.bytes(), Uarch::Skl).expect("valid bytes");

@@ -9,15 +9,20 @@
 //!    that unit had the same input (no second hex decode), else the
 //!    input's own;
 //! 2. with a cache, exactly one `(bytes, uarch)` probe, whose hit is the
-//!    annotation;
+//!    annotation with the Brief rows the cache keeps for the unit's
+//!    predictors;
 //! 3. the dataflow: the probe's resident one, the held one, or the
 //!    decoded bytes (the only decode site, behind the `decode-panic`
 //!    fault point);
 //! 4. the annotation (the only annotate site, behind `annotate-panic`),
 //!    published to the cache if there is one; its dataflow is then held
 //!    for the next unit.
+//!
+//! Each row then passes the predict fault points and is answered from a
+//! kept Brief row when the probe found one, else by its predictor; a
+//! cache keeps each new `Ok` Brief row of a memoizable predictor.
 
-use crate::cache::{self, AnnotationCache, CacheStats, WithHex};
+use crate::cache::{self, AnnotationCache, Brief, Briefs, CacheStats, Wanted, WithHex};
 use crate::error::PredictError;
 use crate::predictor::{PredictRequest, Prediction, Predictor};
 use crate::registry::PredictorRegistry;
@@ -31,6 +36,7 @@ use facile_util::PoisonlessMutex;
 use facile_x86::{hex, Block};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -54,10 +60,41 @@ pub enum BlockInput {
 }
 
 /// [`BlockInput::key`]: a block as its input spells it.
-#[derive(PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq)]
 enum InputKey<'a> {
     Bytes(&'a [u8]),
     Hex(&'a str),
+}
+
+/// The planner's key: an input's spelling of its block, and its uarch,
+/// notion and detail packed into one word (with the spelling's kind).
+#[derive(PartialEq, Eq)]
+struct PlanKey<'a> {
+    input: InputKey<'a>,
+    rest: u32,
+}
+
+impl<'a> PlanKey<'a> {
+    fn new(item: &'a BatchItem) -> PlanKey<'a> {
+        let mode = item.mode.map_or(0, |m| m as u32 + 1);
+        PlanKey {
+            input: item.input.key(),
+            rest: item.uarch as u32 | mode << 8 | (item.detail as u32) << 16,
+        }
+    }
+}
+
+/// One run of bytes and one word: hashing the fields one by one costs
+/// a hasher call each, and planning a batch hashes every item.
+impl Hash for PlanKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (bytes, kind) = match self.input {
+            InputKey::Bytes(b) => (b, 0),
+            InputKey::Hex(h) => (h.as_bytes(), 1 << 31),
+        };
+        state.write(bytes);
+        state.write_u32(self.rest | kind);
+    }
 }
 
 impl BlockInput {
@@ -322,12 +359,24 @@ impl CacheBudget {
     }
 }
 
-/// One prepared work unit: canonical hex, resolved notion, and the
-/// shared annotation (or the structured reason there is none).
+/// One prepared work unit: canonical hex, resolved notion, the shared
+/// annotation (or the structured reason there is none), and the Brief
+/// rows the cache kept for the unit's predictors.
 struct Prepared {
     hex: Arc<str>,
     mode: Option<Mode>,
     annotated: Result<Arc<AnnotatedBlock>, PredictError>,
+    briefs: Briefs,
+}
+
+/// The notion a unit is predicted at: the item's fixed one, else loop
+/// iff the (non-empty) block ends in a branch.
+pub(crate) fn notion(fixed: Option<Mode>, ab: &AnnotatedBlock) -> Mode {
+    fixed.unwrap_or(if ab.block().ends_in_branch() {
+        Mode::Loop
+    } else {
+        Mode::Unrolled
+    })
 }
 
 impl Prepared {
@@ -338,21 +387,18 @@ impl Prepared {
             hex: item.input.hex().into(),
             mode: item.mode,
             annotated: Err(error),
+            briefs: Briefs::new(),
         }
     }
 
     /// A unit annotated as an `(annotation, hex)` pair, with the notion
     /// resolved from its (non-empty) block.
-    fn new(item: &BatchItem, (ab, hex): WithHex<AnnotatedBlock>) -> Prepared {
-        let auto = if ab.block().ends_in_branch() {
-            Mode::Loop
-        } else {
-            Mode::Unrolled
-        };
+    fn new(item: &BatchItem, ((ab, hex), briefs): (WithHex<AnnotatedBlock>, Briefs)) -> Prepared {
         Prepared {
             hex,
-            mode: Some(item.mode.unwrap_or(auto)),
+            mode: Some(notion(item.mode, &ab)),
             annotated: Ok(ab),
+            briefs,
         }
     }
 }
@@ -361,6 +407,10 @@ impl Prepared {
 /// representative item and preparation. Its block is held for the next
 /// unit with the same input; it drops on the worker.
 type Cursor = Option<(usize, Prepared)>;
+
+/// A worker's state along its chunk: the cursor and the chunk's own
+/// predictor keys.
+type Worker = (Cursor, Vec<Arc<str>>);
 
 /// The prediction engine: a predictor registry, a worker pool, and an
 /// optional annotation cache.
@@ -371,8 +421,9 @@ type Cursor = Option<(usize, Prepared)>;
 /// number of threads.
 ///
 /// The cache is for callers that reuse work across calls (the server);
-/// a one-shot caller (`facile --batch`) builds its engine
-/// [`Engine::without_cache`]. Rows are the same either way.
+/// it keeps each resident unit's Brief rows too, so a repeated Brief
+/// unit runs no model. A one-shot caller (`facile --batch`) builds its
+/// engine [`Engine::without_cache`]. Rows are the same either way.
 pub struct Engine {
     registry: PredictorRegistry,
     threads: usize,
@@ -473,9 +524,10 @@ impl Engine {
         facile_util::timing::set_enabled(enabled);
     }
 
-    /// Drop all cached annotations, if any. (The process-wide intern table
-    /// is left untouched: it is shared with other engines and is bounded
-    /// by the number of distinct instruction encodings, not blocks.)
+    /// Drop all cached annotations and Brief rows, if any. (The
+    /// process-wide intern table is left untouched: it is shared with
+    /// other engines and is bounded by the number of distinct instruction
+    /// encodings, not blocks.)
     pub fn clear_cache(&self) {
         if let Some(cache) = &self.cache {
             cache.clear();
@@ -590,7 +642,6 @@ impl Engine {
         // `item_unit[i]` is the work unit of item `i`; `units[u]` is the
         // representative item index.
         let (units, item_unit, unit_refs) = self.plan(items);
-        let keys: Vec<Arc<str>> = predictors.iter().map(|p| Arc::from(p.key())).collect();
         let np = predictors.len();
         // On large jobs a block's units (its uarchs, in plan order) are
         // dealt to one worker in a row, which then decodes the block once
@@ -598,11 +649,18 @@ impl Engine {
         let same_block = |u: usize| items[units[u]].input.key() == items[units[u - 1]].input.key();
         let joins = |k: usize| !k.is_multiple_of(np) || same_block(k / np);
         let n = units.len() * np;
-        let rows = parallel_map_with(n, self.threads, joins, |cur: &mut Cursor, k| {
+        // Each chunk spells the predictor keys its rows carry on its
+        // own: one shared `Arc` per key would be a reference count that
+        // every worker writes on every row.
+        let rows = parallel_map_with(n, self.threads, joins, |state: &mut Worker, k| {
+            let (cur, keys) = state;
+            if keys.is_empty() {
+                keys.extend(predictors.iter().map(|p| Arc::<str>::from(p.key())));
+            }
             let (i, j) = (units[k / np], k % np);
             let item = &items[i];
             if !matches!(cur, Some((h, _)) if *h == i) {
-                *cur = Some((i, self.prepare(items, i, cur.take())));
+                *cur = Some((i, self.prepare(items, i, predictors, cur.take())));
             }
             let Some((_, prep)) = cur else {
                 unreachable!("the unit was just prepared")
@@ -613,10 +671,7 @@ impl Engine {
                 uarch: item.uarch,
                 mode: prep.mode,
                 predictor: Arc::clone(&keys[j]),
-                prediction: match &prep.annotated {
-                    Ok(ab) => predict_contained(&*predictors[j], ab, prep.mode, item.detail),
-                    Err(e) => Err(e.clone()),
-                },
+                prediction: self.predict_row(prep, &predictors[j], j, item.detail),
             }
         });
         if units.len() == items.len() {
@@ -666,12 +721,9 @@ impl Engine {
         // the standard, randomly keyed hasher: FxHash collisions can be
         // solved for, and 32,768 colliding items would plan in quadratic
         // time (`tests/planner_linear_time.rs`).
-        let mut seen: HashMap<(InputKey<'_>, Uarch, i8, u8), u32> =
-            HashMap::with_capacity(items.len());
+        let mut seen: HashMap<PlanKey<'_>, u32> = HashMap::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {
-            let mode_tag = item.mode.map_or(-1i8, |m| m as i8);
-            let key = (item.input.key(), item.uarch, mode_tag, item.detail as u8);
-            let u = *seen.entry(key).or_insert_with(|| {
+            let u = *seen.entry(PlanKey::new(item)).or_insert_with(|| {
                 units.push(i);
                 unit_refs.push(0);
                 (units.len() - 1) as u32
@@ -687,11 +739,25 @@ impl Engine {
     /// Prepare the unit represented by item `i`, with the cache or
     /// without one, in the four steps of the module doc; `held` is the
     /// worker's previous unit, whose block is reused when the input is
-    /// the same. Panics are contained per unit: a decoder or annotator
+    /// the same. A Brief unit asks the cache for its `predictors`' kept
+    /// rows. Panics are contained per unit: a decoder or annotator
     /// blowing up on one weird block costs exactly that unit's rows,
     /// never the batch (or, in the server, the process).
-    fn prepare(&self, items: &[BatchItem], i: usize, held: Cursor) -> Prepared {
+    fn prepare(
+        &self,
+        items: &[BatchItem],
+        i: usize,
+        predictors: &[Arc<dyn Predictor>],
+        held: Cursor,
+    ) -> Prepared {
         let item = &items[i];
+        let wanted = match item.detail {
+            Detail::Brief => Wanted {
+                predictors,
+                mode: item.mode,
+            },
+            _ => Wanted::NOTHING,
+        };
         let held = held
             .filter(|(h, _)| items[*h].input.key() == item.input.key())
             .and_then(|(_, prep)| Some((Arc::clone(prep.annotated.ok()?.dataflow()), prep.hex)));
@@ -704,7 +770,7 @@ impl Engine {
                 return Err(PredictError::EmptyBlock);
             }
             let cache = self.cache.as_ref();
-            cache::get_or_annotate(cache, &bytes, item.uarch, || {
+            cache::get_or_annotate(cache, &bytes, item.uarch, wanted, || {
                 let block = match (&held, &item.input) {
                     (Some((dataflow, hex)), _) => {
                         return Ok((Arc::clone(dataflow), Arc::clone(hex)))
@@ -726,6 +792,33 @@ impl Engine {
             |annotated| Prepared::new(item, annotated),
         )
     }
+
+    /// The row of predictor `j` on a prepared unit: its kept Brief row
+    /// when the cache has one, else a prediction, which the cache then
+    /// keeps if it is an `Ok` Brief row of a memoizable predictor.
+    fn predict_row(
+        &self,
+        prep: &Prepared,
+        predictor: &Arc<dyn Predictor>,
+        j: usize,
+        detail: Detail,
+    ) -> Result<Prediction, PredictError> {
+        let ab = match &prep.annotated {
+            Ok(ab) => ab,
+            Err(e) => return Err(e.clone()),
+        };
+        let mode = prep.mode.expect("annotated units have a resolved mode");
+        let kept = prep.briefs.as_slice().get(j).copied().flatten();
+        let row = predict_contained(&**predictor, ab, mode, detail, kept);
+        if let (None, Some(cache), Ok(p)) = (kept, &self.cache, &row) {
+            if detail == Detail::Brief && predictor.memoizable() {
+                if let Some(brief) = Brief::of(p) {
+                    cache.memoize(ab, predictor, mode, brief);
+                }
+            }
+        }
+        row
+    }
 }
 
 /// Decode machine code behind the decode fault point (the only decode
@@ -742,14 +835,15 @@ fn decode(bytes: &[u8], input: impl FnOnce() -> String) -> Result<Arc<Block>, Pr
 
 /// One prediction of an annotated unit, behind the predict fault points
 /// and its own panic containment: a panicking predictor yields one
-/// `internal-panic` row.
+/// `internal-panic` row. A `kept` Brief row answers after the fault
+/// points, in place of the predictor.
 fn predict_contained(
     predictor: &dyn Predictor,
     ab: &AnnotatedBlock,
-    mode: Option<Mode>,
+    mode: Mode,
     detail: Detail,
+    kept: Option<Brief>,
 ) -> Result<Prediction, PredictError> {
-    let mode = mode.expect("annotated units have a resolved mode");
     catch_unwind(AssertUnwindSafe(|| {
         let bytes = ab.block().bytes();
         if let Some(delay) = facile_faults::slow_predict_delay(bytes) {
@@ -760,7 +854,10 @@ fn predict_contained(
             return Err(PredictError::Injected { point });
         }
         facile_faults::maybe_panic(Point::PredictPanic, bytes);
-        predictor.predict(&PredictRequest::new(ab, mode).with_detail(detail))
+        match kept {
+            Some(brief) => Ok(brief.prediction()),
+            None => predictor.predict(&PredictRequest::new(ab, mode).with_detail(detail)),
+        }
     }))
     .unwrap_or_else(|payload| {
         let payload = panic_payload(&*payload);
@@ -858,19 +955,22 @@ fn parallel_map_with<S: Default, U: Send>(
             (base, rest) = (base + len, tail);
         }
         let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let ci = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(chunk) = chunks.get(ci) else { break };
-                    let mut guard = chunk.lock();
-                    let (base, slice) = &mut *guard;
-                    let mut state = S::default();
-                    for (off, slot) in slice.iter_mut().enumerate() {
-                        *slot = Some(f(&mut state, *base + off));
-                    }
-                });
+        let work = || loop {
+            let ci = next.fetch_add(1, Ordering::Relaxed);
+            let Some(chunk) = chunks.get(ci) else { break };
+            let mut guard = chunk.lock();
+            let (base, slice) = &mut *guard;
+            let mut state = S::default();
+            for (off, slot) in slice.iter_mut().enumerate() {
+                *slot = Some(f(&mut state, *base + off));
             }
+        };
+        // The calling thread is one of the workers: it would only wait.
+        std::thread::scope(|s| {
+            for _ in 1..threads {
+                s.spawn(work);
+            }
+            work();
         });
     }
     out.into_iter().map(|s| s.expect("chunk filled")).collect()

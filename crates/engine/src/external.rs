@@ -535,6 +535,13 @@ impl Predictor for ExternalPredictor {
         &self.key
     }
 
+    /// Never: the tool's replies can change between calls (it crashes,
+    /// times out, or is fenced off by its circuit breaker), and its
+    /// successes are kept in its own result cache, under its own budget.
+    fn memoizable(&self) -> bool {
+        false
+    }
+
     fn name(&self) -> &str {
         &self.spec.name
     }

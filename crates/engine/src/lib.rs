@@ -4,8 +4,8 @@
 //! [`Predictor`] trait, a name-addressed [`PredictorRegistry`] with
 //! glob-style lookup, and a batched [`Engine`] that fans prediction work
 //! out over `blocks × uarchs × predictors` on a worker pool, optionally
-//! memoizing block annotation across calls in a `(block bytes,
-//! uarch)`-keyed [`AnnotationCache`].
+//! memoizing block annotations and their Brief predictions across calls
+//! in a `(block bytes, uarch)`-keyed [`AnnotationCache`].
 //!
 //! Where `facile-baselines` defines the *models* (Facile, the simulator,
 //! and the Table 2 competitors), this crate defines how they are *served*:

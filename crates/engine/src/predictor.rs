@@ -122,4 +122,16 @@ pub trait Predictor: Send + Sync {
     /// Predictors that cannot explain themselves ignore
     /// [`PredictRequest::detail`] and leave `explanation` empty.
     fn predict(&self, req: &PredictRequest<'_>) -> Result<Prediction, PredictError>;
+
+    /// Whether an engine with a cache may keep this predictor's `Ok`
+    /// [`Detail::Brief`] predictions beside the block's annotation and
+    /// answer repeats from there without calling
+    /// [`Predictor::predict`]. True by default: the built-in predictors'
+    /// answers are pure functions of the annotated block and notion. A
+    /// predictor whose answers can change between calls (an external
+    /// tool, with its own result cache and circuit breaker) returns
+    /// false.
+    fn memoizable(&self) -> bool {
+        true
+    }
 }

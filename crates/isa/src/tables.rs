@@ -12,10 +12,9 @@
 //! the runtime classifier exactly as before; [`static_table_stats`]
 //! counts both outcomes so benchmarks can report table coverage.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::desc::InstrDesc;
 use facile_uarch::Uarch;
+use facile_util::Counters;
 use facile_x86::Mnemonic;
 
 #[allow(clippy::all)]
@@ -74,18 +73,21 @@ pub const TABLE_HASH: u64 = generated::TABLE_HASH;
 /// Total number of `(mnemonic group, shape key)` rows in the tables.
 pub const N_FORM_KEYS: usize = generated::N_FORM_KEYS;
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static FALLBACKS: AtomicU64 = AtomicU64::new(0);
+/// Table hits and classifier fallbacks, in per-thread cells.
+static LOOKUPS: Counters<2> = Counters::new();
+const HITS: usize = 0;
+const FALLBACKS: usize = 1;
 
 /// Add one annotation's table lookups to the coverage counters: the
-/// annotator counts them locally and reports once per block, so the
-/// shared counters are not written once per instruction.
+/// annotator counts them locally and reports once per block into its
+/// thread's cells, so no counter is written once per instruction or
+/// shared between workers.
 pub fn record_lookups(hits: u64, fallbacks: u64) {
     if hits > 0 {
-        HITS.fetch_add(hits, Ordering::Relaxed);
+        LOOKUPS.add(HITS, hits);
     }
     if fallbacks > 0 {
-        FALLBACKS.fetch_add(fallbacks, Ordering::Relaxed);
+        LOOKUPS.add(FALLBACKS, fallbacks);
     }
 }
 
@@ -132,15 +134,14 @@ impl StaticTableStats {
 #[must_use]
 pub fn static_table_stats() -> StaticTableStats {
     StaticTableStats {
-        hits: HITS.load(Ordering::Relaxed),
-        fallbacks: FALLBACKS.load(Ordering::Relaxed),
+        hits: LOOKUPS.get(HITS),
+        fallbacks: LOOKUPS.get(FALLBACKS),
     }
 }
 
 /// Reset the coverage counters (benchmark harnesses).
 pub fn reset_static_table_stats() {
-    HITS.store(0, Ordering::Relaxed);
-    FALLBACKS.store(0, Ordering::Relaxed);
+    LOOKUPS.reset();
 }
 
 #[cfg(test)]

@@ -201,6 +201,52 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> Shard<K, V> {
             + value.heap_bytes()
     }
 
+    /// Apply `with` to the resident value for `key` in place and
+    /// re-account its bytes (the key is unchanged, so only the value's
+    /// heap contribution can move); an absent key hands `with` back.
+    fn update<Q, R, F>(&mut self, key: &Q, with: F) -> Result<R, F>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+        F: FnOnce(&mut V) -> R,
+    {
+        let Some(e) = self.map.get_mut(key) else {
+            return Err(with);
+        };
+        let before = e.value.heap_bytes();
+        let result = with(&mut e.value);
+        let after = e.value.heap_bytes();
+        e.referenced = true;
+        e.bytes = e.bytes + after - before;
+        if e.protected {
+            self.protected_bytes = self.protected_bytes + after - before;
+        }
+        self.bytes = self.bytes + after - before;
+        Ok(result)
+    }
+
+    /// Insert a vacant `key` on probation with `value` after applying
+    /// `with` to it.
+    fn insert_new<R>(&mut self, key: K, mut value: V, with: impl FnOnce(&mut V) -> R) -> R {
+        let result = with(&mut value);
+        let bytes = Self::entry_bytes(&key, &value);
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.probation.push_back((key.clone(), stamp));
+        self.map.insert(
+            key,
+            Entry {
+                value,
+                bytes,
+                stamp,
+                referenced: false,
+                protected: false,
+            },
+        );
+        self.bytes += bytes;
+        result
+    }
+
     /// Evict exactly one entry (probation first, then a clock scan of
     /// the protected segment). Returns `false` when the shard is empty.
     fn evict_one(&mut self, shard_cap: usize) -> bool {
@@ -326,7 +372,10 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> SlruCache<K, V> {
     {
         let mut shard = self.shards[self.shard_index(key)].lock();
         let e = shard.map.get_mut(key)?;
-        e.referenced = true;
+        // A hot entry's bit is already set: leave its line clean.
+        if !e.referenced {
+            e.referenced = true;
+        }
         Some(f(&e.value))
     }
 
@@ -352,41 +401,27 @@ impl<K: Hash + Eq + Clone + HeapSize, V: HeapSize> SlruCache<K, V> {
         let shard_cap = self.shard_cap();
         let mut guard = self.shards[self.shard_index(key)].lock();
         let shard = &mut *guard;
-        let result;
-        if let Some(e) = shard.map.get_mut(key) {
-            // The key is unchanged, so only the value's heap
-            // contribution can move.
-            let before = e.value.heap_bytes();
-            result = with(&mut e.value);
-            let after = e.value.heap_bytes();
-            e.referenced = true;
-            e.bytes = e.bytes + after - before;
-            if e.protected {
-                shard.protected_bytes = shard.protected_bytes + after - before;
-            }
-            shard.bytes = shard.bytes + after - before;
-        } else {
-            let owned_key = make_key();
-            let mut value = make();
-            result = with(&mut value);
-            let bytes = Shard::entry_bytes(&owned_key, &value);
-            let stamp = shard.next_stamp;
-            shard.next_stamp += 1;
-            shard.probation.push_back((owned_key.clone(), stamp));
-            shard.map.insert(
-                owned_key,
-                Entry {
-                    value,
-                    bytes,
-                    stamp,
-                    referenced: false,
-                    protected: false,
-                },
-            );
-            shard.bytes += bytes;
-        }
+        let result = match shard.update(key, with) {
+            Ok(result) => result,
+            Err(with) => shard.insert_new(make_key(), make(), with),
+        };
         shard.evict_to(shard_cap, shard_cap);
         result
+    }
+
+    /// Apply `with` to the resident value for `key` in place, as
+    /// [`SlruCache::get_or_insert_with`] does, but leave an absent key
+    /// absent. Returns `None` on a miss.
+    pub fn update<Q, R>(&self, key: &Q, with: impl FnOnce(&mut V) -> R) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let shard_cap = self.shard_cap();
+        let mut shard = self.shards[self.shard_index(key)].lock();
+        let result = shard.update(key, with).ok()?;
+        shard.evict_to(shard_cap, shard_cap);
+        Some(result)
     }
 
     /// Insert `value` for `key` if the key is absent. First writer wins
@@ -582,6 +617,30 @@ mod tests {
             },
         );
         assert_eq!(c.bytes(), before + 10);
+    }
+
+    #[test]
+    fn update_leaves_an_absent_key_absent() {
+        let c = cache(usize::MAX);
+        assert_eq!(c.update(&key(1)[..], |v| v.push(1)), None);
+        assert!(c.is_empty());
+        c.insert(key(1), Vec::new());
+        let before = c.bytes();
+        assert_eq!(c.update(&key(1)[..], |v| v.extend([0; 40])), Some(()));
+        assert_eq!(
+            c.bytes(),
+            before + c.read(&key(1)[..], Vec::capacity).unwrap()
+        );
+        // A bounded cache evicts back under its capacity after an update.
+        let c = cache(SHARDS * 256);
+        for i in 0..64 {
+            c.insert(key(i), Vec::new());
+        }
+        for i in 0..64 {
+            c.update(&key(i)[..], |v| v.extend([0; 200]));
+        }
+        assert!(c.bytes() <= SHARDS * 256, "bytes {} over cap", c.bytes());
+        assert!(c.evictions() > 0);
     }
 
     #[test]

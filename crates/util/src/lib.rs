@@ -4,6 +4,8 @@
 //! workspace's hot paths (the repository is built offline, so these are
 //! in-tree stand-ins for the usual `rustc-hash`/`smallvec` crates):
 //!
+//! * [`Counters`] — counters kept in per-thread cells and summed on
+//!   read, so hot paths that count do not share a cache line.
 //! * [`fxhash`] — a fast, deterministic, non-cryptographic hasher for
 //!   interning and sharding. Its low bits depend only on the key's low
 //!   bits, so keys that differ only in their high bytes all land in one
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod counter;
 pub mod fxhash;
 pub mod json;
 mod smallvec;
@@ -34,6 +37,7 @@ pub mod sync;
 pub mod timing;
 
 pub use cache::{HeapSize, SlruCache};
+pub use counter::Counters;
 pub use fxhash::{hash_bytes, FxBuildHasher, FxHashMap, FxHasher};
 pub use smallvec::SmallVec;
 pub use sync::{recover, PoisonlessMutex};

@@ -6,6 +6,7 @@ use crate::error::{DecodeError, EncodeError};
 use crate::inst::Inst;
 use crate::mnemonic::Mnemonic;
 use crate::operand::Operand;
+use std::cell::RefCell;
 use std::fmt;
 
 /// A basic block: a straight-line sequence of instructions together with
@@ -25,19 +26,57 @@ impl Block {
     /// # Errors
     /// Returns the first [`DecodeError`] encountered.
     pub fn decode(bytes: &[u8]) -> Result<Block, DecodeError> {
-        let mut insts = Vec::new();
-        let mut offsets = Vec::new();
-        let mut pos = 0;
-        while pos < bytes.len() {
-            let (inst, len) = decode_one(bytes, pos)?;
-            offsets.push(pos);
-            insts.push(inst);
-            pos += len;
+        Block::decode_owned(bytes.to_vec())
+    }
+
+    /// Decode `bytes` into a block that keeps them. The instructions and
+    /// their offsets are gathered in this thread's scratch, reserved
+    /// from the byte length (an instruction is at least one byte long),
+    /// so neither grows while decoding a block of up to `SCRATCH_KEEP`
+    /// bytes; each is then copied out once, at its exact length. A
+    /// longer block's scratch grows as it decodes, so its transient
+    /// memory follows its instruction count, not its byte length.
+    fn decode_owned(bytes: Vec<u8>) -> Result<Block, DecodeError> {
+        thread_local! {
+            static SCRATCH: RefCell<(Vec<Inst>, Vec<usize>)> =
+                const { RefCell::new((Vec::new(), Vec::new())) };
         }
-        Ok(Block {
-            insts,
-            bytes: bytes.to_vec(),
-            offsets,
+        SCRATCH.with(|scratch| {
+            let (insts, offsets) = &mut *scratch.borrow_mut();
+            insts.clear();
+            offsets.clear();
+            let room = bytes.len().min(SCRATCH_KEEP);
+            insts.reserve(room);
+            offsets.reserve(room);
+            let mut pos = 0;
+            let decoded = loop {
+                if pos == bytes.len() {
+                    break Ok(());
+                }
+                match decode_one(&bytes, pos) {
+                    Ok((inst, len)) => {
+                        offsets.push(pos);
+                        insts.push(inst);
+                        pos += len;
+                    }
+                    Err(e) => break Err(e),
+                }
+            };
+            let block = decoded.map(|()| {
+                let mut exact = Vec::with_capacity(insts.len());
+                exact.append(insts);
+                Block {
+                    insts: exact,
+                    offsets: offsets.as_slice().to_vec(),
+                    bytes,
+                }
+            });
+            insts.clear();
+            if insts.capacity() > SCRATCH_KEEP {
+                *insts = Vec::new();
+                *offsets = Vec::new();
+            }
+            block
         })
     }
 
@@ -150,9 +189,14 @@ impl Block {
             offset: 0,
             what: "malformed hex string",
         })?;
-        Block::decode(&bytes)
+        Block::decode_owned(bytes)
     }
 }
+
+/// Instructions a thread's decode scratch keeps room for between
+/// blocks; a longer block's scratch is freed after it is decoded, so
+/// one huge input does not pin its buffers for the thread's lifetime.
+const SCRATCH_KEEP: usize = 4096;
 
 /// Accounting: the three backing vectors plus each instruction's
 /// operand list. Used by the byte-bounded caches that store decoded

@@ -212,15 +212,13 @@ pub fn decode_one(bytes: &[u8], offset: usize) -> Result<(Inst, usize), DecodeEr
 
     // Filter candidates by prefix/VEX/extension-digit constraints.
     let modrm_peek = c.peek();
-    let mut matched: Vec<&Entry> = Vec::new();
-    for &i in candidates {
-        let e = &t.entries[i];
+    let matches = |e: &Entry| {
         if e.vex.is_some() != vex.is_some() {
-            continue;
+            return false;
         }
         if let (Some(ev), Some(v)) = (e.vex, vex) {
             if ev.pp != v.pp || (ev.l != 2 && ev.l != v.l) || (ev.w != 2 && ev.w != v.w) {
-                continue;
+                return false;
             }
         } else {
             let observed = match (pfx.rep, pfx.has66) {
@@ -234,30 +232,38 @@ pub fn decode_one(bytes: &[u8], offset: usize) -> Result<(Inst, usize), DecodeEr
                     && e.pfx == Pfx::N
                     && matches!(e.osz, Osz::B | Osz::V | Osz::Q | Osz::D64));
             if !ok {
-                continue;
+                return false;
             }
         }
         if e.ext != NO_EXT {
-            let Some(mb) = modrm_peek else { continue };
+            let Some(mb) = modrm_peek else { return false };
             if (mb >> 3) & 7 != e.ext {
-                continue;
+                return false;
             }
         }
-        if !e.is_opreg() && e.op != opcode {
-            continue;
-        }
-        matched.push(e);
-    }
+        e.is_opreg() || e.op == opcode
+    };
 
-    // REX.W disambiguation (cdq/cqo, movd/movq): prefer Q entries iff REX.W.
+    // REX.W disambiguation (cdq/cqo, movd/movq): with REX.W, the first
+    // matching Q entry, else the first match of any size; without it,
+    // the first matching entry that is not Q.
     let rexw = pfx.rex_w() || vex.is_some_and(|v| v.w == 1);
-    if rexw && matched.iter().any(|e| e.osz == Osz::Q) {
-        matched.retain(|e| e.osz == Osz::Q);
-    } else if !rexw {
-        matched.retain(|e| e.osz != Osz::Q);
+    let mut first_match = None;
+    let mut chosen = None;
+    for e in candidates
+        .iter()
+        .map(|&i| &t.entries[i])
+        .filter(|e| matches(e))
+    {
+        if (e.osz == Osz::Q) == rexw {
+            chosen = Some(e);
+            break;
+        }
+        first_match = first_match.or(Some(e));
     }
+    let chosen = if rexw { chosen.or(first_match) } else { chosen };
 
-    let Some(entry) = matched.first().copied() else {
+    let Some(entry) = chosen else {
         return Err(DecodeError::UnknownOpcode {
             offset,
             opcode: vec![opcode],

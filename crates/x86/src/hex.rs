@@ -13,18 +13,19 @@ pub fn encode(bytes: &[u8]) -> String {
     s
 }
 
-/// The bytes of a hex string, upper- or lowercase: `None` on odd length
-/// or a non-hex character. The empty string decodes to no bytes;
+/// The bytes of a hex string, upper- or lowercase, in one allocation of
+/// the exact size: `None` on odd length or a non-hex character. The empty string decodes to no bytes;
 /// callers that need a block reject that themselves.
 #[must_use]
 pub fn decode(hex: &str) -> Option<Vec<u8>> {
     if !hex.len().is_multiple_of(2) {
         return None;
     }
-    hex.as_bytes()
-        .chunks_exact(2)
-        .map(|pair| Some(nibble(pair[0])? << 4 | nibble(pair[1])?))
-        .collect()
+    let mut bytes = Vec::with_capacity(hex.len() / 2);
+    for pair in hex.as_bytes().chunks_exact(2) {
+        bytes.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
+    }
+    Some(bytes)
 }
 
 fn nibble(digit: u8) -> Option<u8> {
