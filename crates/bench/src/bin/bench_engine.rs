@@ -15,11 +15,9 @@
 //! and the row fan-out, not the model; the warm `Detail::Full` pass
 //! still runs the model on every block. A measurement repeats its pass
 //! until 200 ms have elapsed: a cold one clears the cache before each pass and
-//! reports the median pass, a warm one reports the best. Clearing the
-//! cache leaves the process-wide descriptor intern table as it is, so
-//! the intern table stays warm after the first pass: cold passes time
-//! decode, dataflow and annotation with warm descriptor lookups. The
-//! recorded cache counters come from untimed passes, one cold and one
+//! reports the median pass, a warm one reports the best. No descriptor
+//! memo outlives a cleared cache, so every cold pass times decode,
+//! dataflow and annotation in full. The recorded cache counters come from untimed passes, one cold and one
 //! warm on a fresh engine, so they are the same on every run.
 //!
 //! Host reporting is honest: `host_cpus` and `threads_parallel` are both
@@ -131,21 +129,16 @@ fn run(engine: &Engine, items: &[BatchItem], passes: Passes) -> (Measured, Vec<I
 /// The counters of one cold pass on a fresh single-thread engine plus
 /// exactly one warm pass, with the Howard solves they made. A timed
 /// measurement runs as many passes as fit in [`BUDGET`], so its engine's
-/// hit counts differ from run to run. The intern table and the solver
-/// counts are process-wide and keep counting across engines, so their
-/// counts are the ones these two passes made; the intern table's
-/// resident sizes are read as they stand.
+/// hit counts differ from run to run. The solver counts are
+/// process-wide and keep counting across engines, so their counts are
+/// the ones these two passes made.
 fn counted_passes(items: &[BatchItem]) -> (EngineStats, SolvePathCounts) {
     let engine = Engine::new(PredictorRegistry::with_builtins()).with_threads(1);
     facile_isa::reset_static_table_stats();
-    let (intern0, solves0) = (facile_isa::intern_stats(), solve_path_counts());
+    let solves0 = solve_path_counts();
     let _ = run(&engine, items, Passes::Once);
     let _ = run(&engine, items, Passes::Once);
-    let (mut stats, solves) = (engine.snapshot(), solve_path_counts());
-    stats.intern.hits -= intern0.hits;
-    stats.intern.misses -= intern0.misses;
-    stats.intern.core_hits -= intern0.core_hits;
-    stats.intern.core_misses -= intern0.core_misses;
+    let (stats, solves) = (engine.snapshot(), solve_path_counts());
     let solves = SolvePathCounts {
         acyclic: solves.acyclic - solves0.acyclic,
         howard: solves.howard - solves0.howard,
@@ -294,14 +287,12 @@ fn main() {
         .map(|(name, t)| format!("    {}", t.json_row("pass", name)))
         .collect();
     let tables = stats.static_tables;
-
-    let intern = stats.intern;
     let speedup_parallel = warm_parallel.blocks_per_sec / warm_single.blocks_per_sec;
     let speedup_warm = warm_parallel.blocks_per_sec / cold_parallel.blocks_per_sec;
 
     let note_json = note.map_or(String::new(), |n| format!("\n  \"note\": \"{n}\","));
     let json = format!(
-        "{{\n  \"benchmark\": \"engine_batch_throughput\",\n  \"predictors\": \"{SELECTOR}\",\n  \"uarch\": \"{uarch}\",\n  \"blocks\": {n},\n  \"rows\": {rows},\n  \"host_cpus\": {host_cpus},\n  \"threads_parallel\": {parallel_threads},{note_json}\n  \"single_thread\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"parallel\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"full_detail\": {{\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"multi_uarch\": {{\n    \"uarchs\": {n_uarchs},\n    \"items\": {sweep_n},\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1},\n    \"decode_hits\": {},\n    \"decode_misses\": {},\n    \"annotate_misses\": {},\n    \"annotation_bytes\": {sweep_bytes}\n  }},\n  \"parallel_speedup_warm\": {:.3},\n  \"warm_over_cold_speedup_parallel\": {:.3},\n  \"planner\": {{ \"items\": {}, \"deduped\": {} }},\n  \"annotation_cache\": {{ \"hits\": {}, \"misses\": {}, \"decode_hits\": {}, \"decode_misses\": {}, \"entries\": {}, \"blocks\": {}, \"bytes\": {}, \"evictions\": {} }},\n  \"intern_table\": {{ \"hits\": {}, \"misses\": {}, \"core_hits\": {}, \"core_misses\": {}, \"byte_entries\": {}, \"entries\": {}, \"bytes\": {} }},\n  \"solver_paths\": {{ \"acyclic\": {}, \"howard\": {} }},\n  \"static_tables\": {{ \"hits\": {}, \"fallbacks\": {}, \"coverage\": {:.4} }},\n  \"annotation_passes\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ],\n  \"deterministic_across_threads\": true,\n  \"determinism_check_threads\": {check_threads}\n}}\n",
+        "{{\n  \"benchmark\": \"engine_batch_throughput\",\n  \"predictors\": \"{SELECTOR}\",\n  \"uarch\": \"{uarch}\",\n  \"blocks\": {n},\n  \"rows\": {rows},\n  \"host_cpus\": {host_cpus},\n  \"threads_parallel\": {parallel_threads},{note_json}\n  \"single_thread\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"parallel\": {{\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"full_detail\": {{\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1}\n  }},\n  \"multi_uarch\": {{\n    \"uarchs\": {n_uarchs},\n    \"items\": {sweep_n},\n    \"cold_cache_secs\": {:.6},\n    \"cold_cache_blocks_per_sec\": {:.1},\n    \"warm_cache_secs\": {:.6},\n    \"warm_cache_blocks_per_sec\": {:.1},\n    \"decode_hits\": {},\n    \"decode_misses\": {},\n    \"annotate_misses\": {},\n    \"annotation_bytes\": {sweep_bytes}\n  }},\n  \"parallel_speedup_warm\": {:.3},\n  \"warm_over_cold_speedup_parallel\": {:.3},\n  \"planner\": {{ \"items\": {}, \"deduped\": {} }},\n  \"annotation_cache\": {{ \"hits\": {}, \"misses\": {}, \"decode_hits\": {}, \"decode_misses\": {}, \"entries\": {}, \"blocks\": {}, \"bytes\": {}, \"evictions\": {} }},\n  \"solver_paths\": {{ \"acyclic\": {}, \"howard\": {} }},\n  \"static_tables\": {{ \"hits\": {}, \"fallbacks\": {}, \"coverage\": {:.4} }},\n  \"annotation_passes\": [\n{}\n  ],\n  \"kernels\": [\n{}\n  ],\n  \"deterministic_across_threads\": true,\n  \"determinism_check_threads\": {check_threads}\n}}\n",
         cold_single.secs,
         cold_single.blocks_per_sec,
         warm_single.secs,
@@ -331,13 +322,6 @@ fn main() {
         stats.annotation.blocks,
         stats.annotation.bytes,
         stats.annotation.evictions,
-        intern.hits,
-        intern.misses,
-        intern.core_hits,
-        intern.core_misses,
-        intern.byte_entries,
-        intern.entries,
-        intern.bytes,
         solver.acyclic,
         solver.howard,
         tables.hits,

@@ -24,8 +24,8 @@ use facile_uarch::Uarch;
 
 /// One planner-enabled batch over the whole `uarchs × blocks` corpus
 /// (instead of a per-uarch loop): the engine's two-level cache decodes
-/// and interns each block's instruction cores once and only the
-/// per-uarch annotation differs, so the sweep reflects the shared
+/// each block and builds its dataflow once and only the per-uarch
+/// annotation differs, so the sweep reflects the shared
 /// decode path. Rows fold into one distribution per uarch (row order is
 /// deterministic: items are emitted uarch-major).
 fn distributions(

@@ -1,6 +1,6 @@
 //! A cache budget is not load: a daemon serving an external tool under
-//! a 1 MiB `--cache-budget-mb` keeps serving once its annotation,
-//! intern and external-result caches are full.
+//! a 1 MiB `--cache-budget-mb` keeps serving once its annotation and
+//! external-result caches are full.
 //!
 //! Each cache is capped at its share of the budget on insert, so full
 //! caches cost hit rate, never admission. The corpus fills the caches:

@@ -107,7 +107,7 @@ OPTIONS:
     --json, --csv      deprecated aliases for --format json / --format csv
     --threads <N>      batch worker threads (default: all cores)
     --stats            report run counters after the run (batch planner
-                       dedup, descriptor intern table, per-kernel
+                       dedup, static-table coverage, per-kernel
                        mean/p50/p99/max timing): a trailing JSON object
                        with --format json, stderr lines otherwise. A run
                        keeps no block cache, so its block_cache counters
@@ -349,18 +349,9 @@ fn emit_stats<W: Write + ?Sized>(
     match format {
         Format::Json => writeln!(out, "{{\"stats\":{}}}", t.to_json()),
         Format::Csv | Format::Human => {
-            let i = t.intern;
             eprintln!(
-                "stats: planner {} items / {} deduped; intern table {} hits / {} misses ({} core \
-                 hits / {} core misses, {} byte entries, {} descriptors)",
-                t.planner.items,
-                t.planner.deduped,
-                i.hits,
-                i.misses,
-                i.core_hits,
-                i.core_misses,
-                i.byte_entries,
-                i.entries
+                "stats: planner {} items / {} deduped",
+                t.planner.items, t.planner.deduped
             );
             let s = t.static_tables;
             eprintln!(

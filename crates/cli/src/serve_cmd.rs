@@ -40,10 +40,10 @@ OPTIONS:
                               80% / 95% of it the server sheds batch /
                               all prediction work; `health` reports the
                               tier
-    --cache-budget-mb <N>     total memory budget, split 55% / 30% / 15%
-                              among the annotation, intern, and
-                              external-result caches, each capped at its
-                              share (default: unbounded)
+    --cache-budget-mb <N>     total memory budget, split 85% / 15%
+                              between the annotation and external-result
+                              caches, each capped at its share (default:
+                              unbounded)
     --conn-max-items <N>      largest single request one connection may
                               send, in items (default 0 = unlimited)
     --conn-rps <N>            per-connection prediction requests per

@@ -61,6 +61,7 @@ use facile_isa::{AnnotatedBlock, Dataflow};
 use facile_uarch::Uarch;
 use facile_util::{Counters, HeapSize, SlruCache, SmallVec};
 use facile_x86::Block;
+use std::borrow::Cow;
 use std::sync::{Arc, Weak};
 
 /// A shared value with its block's canonical hex rendering.
@@ -261,9 +262,9 @@ impl ByteEntry {
     }
 }
 
-/// Accounted bytes of one resident annotation (its shared dataflow and
-/// interned descriptors count as pointers; the level-1 entry and the
-/// intern table own those).
+/// Accounted bytes of one resident annotation, its owned descriptors
+/// included (its shared dataflow counts as a pointer; the level-1 entry
+/// owns it).
 fn annotation_bytes(ab: &AnnotatedBlock) -> usize {
     std::mem::size_of::<AnnotatedBlock>() + ab.heap_bytes()
 }
@@ -318,8 +319,9 @@ impl AnnotationCache {
     /// distinct `(byte sequence, uarch)`: the one clone needed to own the
     /// level-1 entry happens only when the bytes were never seen.
     pub fn annotate(&self, block: &Block, uarch: Uarch) -> Arc<AnnotatedBlock> {
-        let decoded = || Ok(dataflow_of(Arc::new(block.clone())));
-        match get_or_annotate(Some(self), block.bytes(), uarch, Wanted::NOTHING, decoded) {
+        let bytes = Cow::Borrowed(block.bytes());
+        let decoded = |_| Ok(dataflow_of(Arc::new(block.clone())));
+        match get_or_annotate(Some(self), bytes, uarch, Wanted::NOTHING, decoded) {
             Ok(((ab, _), _)) => ab,
             Err(_) => unreachable!("a decoded block has nothing to decode"),
         }
@@ -368,13 +370,9 @@ impl AnnotationCache {
     /// return the resident pair. Bytes never seen (`fresh`) get their
     /// entry assembled here, outside the shard lock, and the insert only
     /// moves it in; an entry evicted since the probe, the rare case, is
-    /// re-assembled under the lock from the same dataflow and hex.
-    fn publish(
-        &self,
-        bytes: &[u8],
-        (ab, hex): WithHex<AnnotatedBlock>,
-        fresh: bool,
-    ) -> WithHex<AnnotatedBlock> {
+    /// re-assembled under the lock from the same dataflow and hex. The
+    /// entry is keyed by the block's own bytes.
+    fn publish(&self, (ab, hex): WithHex<AnnotatedBlock>, fresh: bool) -> WithHex<AnnotatedBlock> {
         let (ui, dataflow) = (ab.uarch() as usize, Arc::clone(ab.dataflow()));
         let ab_bytes = annotation_bytes(&ab);
         self.counts.add(MISSES, 1);
@@ -385,11 +383,12 @@ impl AnnotationCache {
         if let Some(entry) = &mut entry {
             entry.insert(ui, Arc::clone(&ab), ab_bytes);
         }
+        let bytes = dataflow.block().bytes();
         self.table.get_or_insert_with(
             bytes,
             || bytes.into(),
-            move || entry.unwrap_or_else(|| ByteEntry::new(dataflow, hex)),
-            move |e| (Arc::clone(e.insert(ui, ab, ab_bytes)), Arc::clone(&e.hex)),
+            || entry.unwrap_or_else(|| ByteEntry::new(Arc::clone(&dataflow), hex)),
+            |e| (Arc::clone(e.insert(ui, ab, ab_bytes)), Arc::clone(&e.hex)),
         )
     }
 
@@ -426,28 +425,29 @@ impl AnnotationCache {
 /// levels, and a level-2 hit is returned as it is, with the Brief rows
 /// `wanted` asks for. Otherwise the block is annotated outside any lock,
 /// from the resident dataflow or, for bytes the cache has not seen (or
-/// without a cache), from `dataflow()`, whose error is returned and not
-/// cached. A cache then publishes the annotation (first writer wins; a
-/// racing duplicate is deterministic and harmless), and a fresh
-/// annotation has no Brief rows yet.
-pub(crate) fn get_or_annotate(
+/// without a cache), from `dataflow(bytes)`, which takes the bytes over
+/// (a block decoded from owned bytes keeps them without a copy) and
+/// whose error is returned and not cached. A cache then publishes the
+/// annotation (first writer wins; a racing duplicate is deterministic and
+/// harmless), and a fresh annotation has no Brief rows yet.
+pub(crate) fn get_or_annotate<'b>(
     cache: Option<&AnnotationCache>,
-    bytes: &[u8],
+    bytes: Cow<'b, [u8]>,
     uarch: Uarch,
     wanted: Wanted<'_>,
-    dataflow: impl FnOnce() -> Result<WithHex<Dataflow>, PredictError>,
+    dataflow: impl FnOnce(Cow<'b, [u8]>) -> Result<WithHex<Dataflow>, PredictError>,
 ) -> Result<(WithHex<AnnotatedBlock>, Briefs), PredictError> {
-    let probe = cache.and_then(|c| c.probe(bytes, uarch as usize, wanted));
+    let probe = cache.and_then(|c| c.probe(&bytes, uarch as usize, wanted));
     let fresh = probe.is_none();
     let (dataflow, hex) = match probe {
         Some(Ok(hit)) => return Ok(hit),
         Some(Err(resident)) => resident,
-        None => dataflow()?,
+        None => dataflow(bytes)?,
     };
-    facile_faults::maybe_panic(Point::AnnotatePanic, bytes);
+    facile_faults::maybe_panic(Point::AnnotatePanic, dataflow.block().bytes());
     let ab = Arc::new(AnnotatedBlock::from_dataflow(dataflow, uarch));
     let annotated = match cache {
-        Some(cache) => cache.publish(bytes, (ab, hex), fresh),
+        Some(cache) => cache.publish((ab, hex), fresh),
         None => (ab, hex),
     };
     Ok((annotated, Briefs::new()))
@@ -537,9 +537,9 @@ mod tests {
         let annos: Vec<_> = Uarch::ALL
             .iter()
             .map(|&u| {
-                let shared = || Ok(dataflow_of(Arc::clone(&b)));
+                let shared = |_| Ok(dataflow_of(Arc::clone(&b)));
                 let ((ab, _), _) =
-                    get_or_annotate(Some(&cache), b.bytes(), u, Wanted::NOTHING, shared)
+                    get_or_annotate(Some(&cache), b.bytes().into(), u, Wanted::NOTHING, shared)
                         .expect("a decoded block annotates");
                 ab
             })
@@ -564,15 +564,21 @@ mod tests {
         let b = Block::assemble(&[(Mnemonic::Add, vec![RAX.into(), RCX.into()])]).unwrap();
         let decodes = std::cell::Cell::new(0);
         let get = |bytes: &[u8], uarch| {
-            get_or_annotate(Some(&cache), bytes, uarch, Wanted::NOTHING, || {
-                decodes.set(decodes.get() + 1);
-                Block::decode(bytes)
-                    .map(|b| dataflow_of(Arc::new(b)))
-                    .map_err(|source| PredictError::Decode {
-                        input: hex::encode(bytes),
-                        source,
-                    })
-            })
+            get_or_annotate(
+                Some(&cache),
+                bytes.into(),
+                uarch,
+                Wanted::NOTHING,
+                |bytes| {
+                    decodes.set(decodes.get() + 1);
+                    Block::decode(&*bytes)
+                        .map(|b| dataflow_of(Arc::new(b)))
+                        .map_err(|source| PredictError::Decode {
+                            input: hex::encode(&bytes),
+                            source,
+                        })
+                },
+            )
             .map(|(annotated, _)| annotated)
         };
         let (a1, hex) = get(b.bytes(), Uarch::Skl).expect("valid bytes");

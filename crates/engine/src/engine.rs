@@ -29,7 +29,7 @@ use crate::registry::PredictorRegistry;
 use facile_core::Mode;
 use facile_explain::Detail;
 use facile_faults::Point;
-use facile_isa::{AnnotatedBlock, InternStats};
+use facile_isa::AnnotatedBlock;
 use facile_uarch::Uarch;
 use facile_util::timing::Timing;
 use facile_util::PoisonlessMutex;
@@ -243,9 +243,9 @@ pub struct PlannerStats {
 
 /// Aggregate counters of the engine's memoization layers: the batch
 /// planner's dedup stage, the per-engine two-level block cache (decoded
-/// blocks + per-uarch annotations), the process-wide
-/// `(instruction bytes, uarch)` descriptor intern table, and — when
-/// [`Engine::set_kernel_timing`] is on — per-kernel wall-clock timing.
+/// blocks + per-uarch annotations), the static descriptor tables'
+/// coverage, and — when [`Engine::set_kernel_timing`] is on —
+/// per-kernel wall-clock timing.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineStats {
     /// Batch-planner dedup counters.
@@ -253,8 +253,6 @@ pub struct EngineStats {
     /// Block-level two-level cache counters (decode + annotate levels;
     /// all zero for an engine built [`Engine::without_cache`]).
     pub annotation: CacheStats,
-    /// Instruction-level descriptor intern table counters.
-    pub intern: InternStats,
     /// Generated-table coverage: annotations served from the compile-time
     /// static descriptor tables vs. the runtime-classifier fallback.
     pub static_tables: facile_isa::StaticTableStats,
@@ -288,8 +286,6 @@ impl EngineStats {
              \"block_cache\":{{\"decode_hits\":{},\"decode_misses\":{},\"annotate_hits\":{},\
              \"annotate_misses\":{},\"blocks\":{},\"annotations\":{},\"bytes\":{},\
              \"evictions\":{}}},\
-             \"intern_table\":{{\"hits\":{},\"misses\":{},\"core_hits\":{},\"core_misses\":{},\
-             \"byte_entries\":{},\"entries\":{},\"bytes\":{},\"evictions\":{}}},\
              \"static_tables\":{{\"hits\":{},\"fallbacks\":{},\"coverage\":{:.4}}},\
              \"kernels\":[{kernels}]}}",
             self.planner.items,
@@ -302,14 +298,6 @@ impl EngineStats {
             self.annotation.entries,
             self.annotation.bytes,
             self.annotation.evictions,
-            self.intern.hits,
-            self.intern.misses,
-            self.intern.core_hits,
-            self.intern.core_misses,
-            self.intern.byte_entries,
-            self.intern.entries,
-            self.intern.bytes,
-            self.intern.evictions,
             self.static_tables.hits,
             self.static_tables.fallbacks,
             self.static_tables.coverage(),
@@ -321,10 +309,9 @@ impl EngineStats {
 /// layers.
 ///
 /// The split reflects per-entry weight: the annotation cache dominates
-/// (whole decoded blocks plus per-uarch annotations, 55%), the intern
-/// table is bounded by distinct instruction encodings (30%), and the
+/// (whole decoded blocks plus per-uarch annotations, 85%), and the
 /// remaining 15% is reserved for auxiliary caches (the external-predictor
-/// result cache, when one is configured). The three shares sum to the
+/// result cache, when one is configured). The two shares sum to the
 /// total, and each cache enforces its own share at every insert, so the
 /// shares alone bound the accounted bytes: nothing re-checks their sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,13 +330,7 @@ impl CacheBudget {
     /// Byte cap for the engine's two-level annotation cache.
     #[must_use]
     pub fn annotation_capacity(&self) -> usize {
-        self.total / 100 * 55 + self.total % 100
-    }
-
-    /// Byte cap for the process-wide descriptor intern table.
-    #[must_use]
-    pub fn intern_capacity(&self) -> usize {
-        self.total / 100 * 30
+        self.total / 100 * 85 + self.total % 100
     }
 
     /// Byte cap reserved for auxiliary caches (external result cache).
@@ -492,8 +473,8 @@ impl Engine {
     }
 
     /// One consistent snapshot of every engine counter: batch-planner
-    /// dedup, the two-level annotation cache, the process-wide
-    /// descriptor intern table, and (when enabled) per-kernel timing.
+    /// dedup, the two-level annotation cache, the static descriptor
+    /// tables' coverage, and (when enabled) per-kernel timing.
     ///
     /// This is the *only* way counters leave the engine — the CLI's
     /// `--stats` output and the server's `stats` reply both render this
@@ -510,7 +491,6 @@ impl Engine {
                 .as_ref()
                 .map(AnnotationCache::stats)
                 .unwrap_or_default(),
-            intern: facile_isa::intern_stats(),
             static_tables: facile_isa::static_table_stats(),
             kernels: facile_core::timing::snapshot(),
         }
@@ -524,10 +504,7 @@ impl Engine {
         facile_util::timing::set_enabled(enabled);
     }
 
-    /// Drop all cached annotations and Brief rows, if any. (The
-    /// process-wide intern table is left untouched: it is shared with
-    /// other engines and is bounded by the number of distinct instruction
-    /// encodings, not blocks.)
+    /// Drop all cached annotations and Brief rows, if any.
     pub fn clear_cache(&self) {
         if let Some(cache) = &self.cache {
             cache.clear();
@@ -541,15 +518,14 @@ impl Engine {
         self.cache.as_ref()
     }
 
-    /// Bound the engine's caches by `budget`: caps the annotation cache
-    /// and the process-wide intern table at their shares. (An external
-    /// predictor's result cache takes the external share; its owner caps
-    /// it with [`crate::ExternalPredictor::set_cache_capacity`].)
+    /// Bound the engine's cache by `budget`: caps the annotation cache
+    /// at its share. (An external predictor's result cache takes the
+    /// external share; its owner caps it with
+    /// [`crate::ExternalPredictor::set_cache_capacity`].)
     pub fn apply_cache_budget(&self, budget: &CacheBudget) {
         if let Some(cache) = &self.cache {
             cache.set_capacity(budget.annotation_capacity());
         }
-        facile_isa::set_intern_capacity(budget.intern_capacity());
     }
 
     /// The worker count.
@@ -576,7 +552,7 @@ impl Engine {
     ///
     /// This runs through the same batch pass as
     /// [`Engine::predict_batch`], so single-block calls hit (and warm)
-    /// the same annotation cache and intern table as batch runs.
+    /// the same annotation cache as batch runs.
     ///
     /// # Errors
     /// Unknown key, undecodable/empty block, or a predictor failure.
@@ -770,15 +746,15 @@ impl Engine {
                 return Err(PredictError::EmptyBlock);
             }
             let cache = self.cache.as_ref();
-            cache::get_or_annotate(cache, &bytes, item.uarch, wanted, || {
+            cache::get_or_annotate(cache, bytes, item.uarch, wanted, |bytes| {
                 let block = match (&held, &item.input) {
                     (Some((dataflow, hex)), _) => {
                         return Ok((Arc::clone(dataflow), Arc::clone(hex)))
                     }
                     (None, BlockInput::Block(b)) => Arc::new(b.clone()),
                     (None, BlockInput::Shared(b)) => Arc::clone(b),
-                    (None, BlockInput::Hex(h)) => decode(&bytes, || h.trim().to_string())?,
-                    (None, BlockInput::Bytes(_)) => decode(&bytes, || hex::encode(&bytes))?,
+                    (None, BlockInput::Hex(h)) => decode(bytes, || h.trim().to_string())?,
+                    (None, BlockInput::Bytes(b)) => decode(bytes, || hex::encode(b))?,
                 };
                 Ok(cache::dataflow_of(block))
             })
@@ -822,9 +798,13 @@ impl Engine {
 }
 
 /// Decode machine code behind the decode fault point (the only decode
-/// site); `input` spells the block for the error.
-fn decode(bytes: &[u8], input: impl FnOnce() -> String) -> Result<Arc<Block>, PredictError> {
-    facile_faults::maybe_panic(Point::DecodePanic, bytes);
+/// site), handing owned bytes (a decoded hex input) to the block;
+/// `input` spells the block for the error.
+fn decode(
+    bytes: Cow<'_, [u8]>,
+    input: impl FnOnce() -> String,
+) -> Result<Arc<Block>, PredictError> {
+    facile_faults::maybe_panic(Point::DecodePanic, &bytes);
     Block::decode(bytes)
         .map(Arc::new)
         .map_err(|source| PredictError::Decode {

@@ -8,7 +8,7 @@
 //! variant on all nine microarchitectures. The result is a set of
 //! `static` tables keyed by `(mnemonic, shape key)`: the annotator's
 //! fast path indexes them directly instead of re-running the classifier
-//! and interning the descriptor.
+//! and allocating the descriptor.
 //!
 //! The probe enumeration itself lives in `src/probes.rs`, shared with
 //! the oracle tests that replay every probe against the classifier.

@@ -10,16 +10,14 @@
 //! µops and per-flow latencies). A nine-uarch sweep therefore builds the
 //! dataflow once and specialises it nine times, and a per-uarch
 //! annotation allocates a fixed number of times per block, however many
-//! instructions it has; only macro-fused pairs add a boxed pair
-//! descriptor each. [`AnnotatedInst`] is the borrowed view that joins an
-//! entry to its instruction.
+//! instructions it has; only macro-fused pairs and instructions outside
+//! the static tables add a boxed descriptor each. [`AnnotatedInst`] is
+//! the borrowed view that joins an entry to its instruction.
 
 use crate::classify::{describe, describe_fused_pair, describe_fused_pair_loading, macro_fuses};
 use crate::cols::{self, BlockColumns, SKIPPED_FLOW};
 use crate::dataflow::Dataflow;
 use crate::desc::InstrDesc;
-use crate::intern::InternedInst as Interned;
-use crate::intern::{interner, DescInterner, InternedInst};
 use crate::tables;
 use facile_uarch::{PortMask, Uarch};
 use facile_x86::{Block, Effects, Inst};
@@ -45,29 +43,23 @@ static FUSED_TAIL_DESC: InstrDesc = InstrDesc {
 
 /// Where an annotated instruction's descriptor comes from.
 ///
-/// No variant stores the instruction itself except an interned entry,
-/// which owns a copy in the intern table: the rest read it from the
-/// annotation's block. The variants are observationally identical (same
+/// No variant stores the instruction or its effects: every view reads
+/// the instruction from the annotation's block, and the few consumers of
+/// effects recompute them on demand (the hot kernels read the block's
+/// dataflow columns). The variants are observationally identical (same
 /// instruction, effects and descriptor through [`AnnotatedInst`]); they
 /// differ only in how the descriptor was obtained and so in what
 /// annotation paid for it.
 #[derive(Debug, Clone)]
 pub(crate) enum DescEntry {
-    /// A shared entry in the process-wide descriptor intern table: the
-    /// runtime-classified fallback for forms outside the static tables
-    /// and the uninterned reference path.
-    Interned(Arc<InternedInst>),
     /// Served from the build-time static tables: a `&'static` borrow,
-    /// with no classifier run, no interner hashing or locking and no
-    /// allocation. Effects are not stored: the hot kernels read the
-    /// block's dataflow columns, and the few remaining consumers
-    /// recompute them on demand.
+    /// with no classifier run and no allocation.
     Static(&'static InstrDesc),
-    /// A macro-fused pair head. Pair descriptors are trivial (a branch
-    /// µop plus an optional load), so they are built inline instead of
-    /// being interned by pair bytes. Boxed so this variant doesn't set
-    /// the size of every entry.
-    Pair(Box<InstrDesc>),
+    /// Built for this annotation: a macro-fused pair head's descriptor
+    /// (a branch µop plus an optional load), or the runtime classifier's
+    /// for a form outside the static tables and on the reference path.
+    /// Boxed so this variant doesn't set the size of every entry.
+    Owned(Box<InstrDesc>),
     /// The branch of a macro-fused pair: its µops belong to the pair
     /// head, so it has the empty descriptor and no lookup of its own.
     FusedTail,
@@ -77,21 +69,19 @@ impl DescEntry {
     /// The performance descriptor (the empty one for a fused tail).
     pub(crate) fn desc(&self) -> &InstrDesc {
         match self {
-            DescEntry::Interned(e) => &e.desc,
             DescEntry::Static(desc) => desc,
-            DescEntry::Pair(desc) => desc,
+            DescEntry::Owned(desc) => desc,
             DescEntry::FusedTail => &FUSED_TAIL_DESC,
         }
     }
 
-    /// Heap bytes this entry owns. Interned entries count as a pointer
-    /// (the intern table accounts for their storage); static entries
-    /// borrow their descriptor.
+    /// Heap bytes this entry owns (static entries borrow their
+    /// descriptor).
     fn heap_bytes(&self) -> usize {
         use facile_util::HeapSize;
         match self {
-            DescEntry::Pair(desc) => std::mem::size_of::<InstrDesc>() + desc.heap_bytes(),
-            DescEntry::Interned(_) | DescEntry::Static(_) | DescEntry::FusedTail => 0,
+            DescEntry::Owned(desc) => std::mem::size_of::<InstrDesc>() + desc.heap_bytes(),
+            DescEntry::Static(_) | DescEntry::FusedTail => 0,
         }
     }
 }
@@ -111,8 +101,8 @@ pub struct AnnotatedInst<'a> {
 }
 
 /// Equality is semantic — the observable instruction, effects, and
-/// descriptor — so a table-served annotation compares equal to an
-/// interned or reference-path annotation of the same instruction.
+/// descriptor — so a table-served annotation compares equal to a
+/// reference-path annotation of the same instruction.
 impl PartialEq for AnnotatedInst<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.start == other.start
@@ -141,19 +131,14 @@ impl<'a> AnnotatedInst<'a> {
 
     /// Architectural reads and writes of [`Self::inst`].
     ///
-    /// Returned by value: interned entries clone their stored effects
-    /// (a couple of inline small-vectors), the others derive them from
-    /// the instruction on demand. The per-prediction hot paths never
-    /// call this — they consume the block's dataflow through
-    /// [`AnnotatedBlock::columns`] instead — so the annotation doesn't
-    /// retain a per-instruction `Effects` just to answer occasional
-    /// queries (detail rendering, simulation).
+    /// Returned by value, derived from the instruction on demand. The
+    /// per-prediction hot paths never call this — they consume the
+    /// block's dataflow through [`AnnotatedBlock::columns`] instead — so
+    /// the annotation doesn't retain a per-instruction `Effects` just to
+    /// answer occasional queries (detail rendering, simulation).
     #[must_use]
     pub fn effects(&self) -> Effects {
-        match self.entry {
-            DescEntry::Interned(e) => e.effects().clone(),
-            _ => self.inst.effects(),
-        }
+        self.inst.effects()
     }
 
     /// End offset (exclusive) of this instruction.
@@ -244,11 +229,10 @@ impl<'a> Iterator for InstIter<'a> {
 
 impl ExactSizeIterator for InstIter<'_> {}
 
-/// Accounting: the entry list and the per-uarch columns. The shared
-/// [`Dataflow`] (with its block) and interned descriptors count as
-/// pointers — the annotation cache's level-1 entry owns the dataflow, and
-/// the intern table owns the interned descriptors, so a process-global
-/// budget never double counts them.
+/// Accounting: the entry list with its owned descriptors, and the
+/// per-uarch columns. The shared [`Dataflow`] (with its block) counts as
+/// a pointer — the annotation cache's level-1 entry owns it, so a
+/// process-global budget never double counts it.
 impl facile_util::HeapSize for AnnotatedBlock {
     fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<DescEntry>()
@@ -289,8 +273,8 @@ pub struct AnnotatedBlock {
 }
 
 impl AnnotatedBlock {
-    /// Annotate `block` for `uarch`: look up descriptors (through the
-    /// process-wide intern table) and apply macro fusion.
+    /// Annotate `block` for `uarch`: look up descriptors (in the static
+    /// tables, else the runtime classifier) and apply macro fusion.
     #[must_use]
     pub fn new(block: Block, uarch: Uarch) -> AnnotatedBlock {
         AnnotatedBlock::new_shared(Arc::new(block), uarch)
@@ -310,66 +294,51 @@ impl AnnotatedBlock {
     /// are computed.
     #[must_use]
     pub fn from_dataflow(dataflow: Arc<Dataflow>, uarch: Uarch) -> AnnotatedBlock {
-        AnnotatedBlock::build(dataflow, uarch, Some(interner()))
+        AnnotatedBlock::build(dataflow, uarch, true)
     }
 
-    /// Annotate without the intern table: every descriptor is classified
-    /// from scratch. This is the naive reference path; it produces results
-    /// identical to [`AnnotatedBlock::new`] and exists so tests can assert
-    /// exactly that.
+    /// Annotate without the static tables: every descriptor comes from
+    /// the runtime classifier. This is the naive reference path; it
+    /// produces results identical to [`AnnotatedBlock::new`] and exists
+    /// so tests can assert exactly that.
     #[must_use]
     pub fn new_uninterned(block: Block, uarch: Uarch) -> AnnotatedBlock {
         let dataflow = Arc::new(Dataflow::new(Arc::new(block)));
-        AnnotatedBlock::build(dataflow, uarch, None)
+        AnnotatedBlock::build(dataflow, uarch, false)
     }
 
-    fn build(
-        dataflow: Arc<Dataflow>,
-        uarch: Uarch,
-        table: Option<&DescInterner>,
-    ) -> AnnotatedBlock {
+    /// Annotate `dataflow` for `uarch`, serving descriptors from the
+    /// static tables when `static_tables` is set and classifying the
+    /// rest (all of them on the reference path) in place.
+    fn build(dataflow: Arc<Dataflow>, uarch: Uarch, static_tables: bool) -> AnnotatedBlock {
         let t_annotate = facile_util::timing::start();
         let cfg = uarch.config();
-        let block = dataflow.block();
-        let raw = block.insts();
+        let raw = dataflow.block().insts();
         // Table coverage, reported once per annotation.
         let (mut hits, mut fallbacks) = (0, 0);
         let mut single = |i: usize| -> DescEntry {
-            let Some(t) = table else {
-                // The uninterned reference path stays entirely on the
-                // runtime classifier — it is the oracle the static
-                // tables are tested against.
-                let entry = Interned::uninterned(raw[i].clone(), describe(&raw[i], cfg));
-                return DescEntry::Interned(Arc::new(entry));
-            };
-            // Fast path: serve the descriptor from the build-time static
-            // tables, skipping the classifier and the interner.
-            if let Some(desc) = tables::lookup_uncounted(raw[i].mnemonic, dataflow.shape(i), uarch)
-            {
-                hits += 1;
-                return DescEntry::Static(desc);
+            if static_tables {
+                let shape = dataflow.shape(i);
+                if let Some(desc) = tables::lookup_uncounted(raw[i].mnemonic, shape, uarch) {
+                    hits += 1;
+                    return DescEntry::Static(desc);
+                }
+                fallbacks += 1;
             }
-            fallbacks += 1;
-            let start = block.offset(i);
-            let end = start + raw[i].len as usize;
-            DescEntry::Interned(t.single(&block.bytes()[start..end], &raw[i], cfg))
+            DescEntry::Owned(Box::new(describe(&raw[i], cfg)))
         };
         let mut entries: Vec<DescEntry> = Vec::with_capacity(raw.len());
         let mut i = 0;
         while i < raw.len() {
             if i + 1 < raw.len() && macro_fuses(&raw[i], &raw[i + 1], cfg) {
-                let pair = if table.is_some() {
-                    // Pair descriptors are a branch µop plus an optional
-                    // load: cheaper to rebuild than to intern.
-                    DescEntry::Pair(Box::new(describe_fused_pair_loading(
-                        dataflow.loads(i),
-                        cfg,
-                    )))
+                // The reference path derives the pair's load fact from
+                // the producer's effects, not from the dataflow.
+                let pair = if static_tables {
+                    describe_fused_pair_loading(dataflow.loads(i), cfg)
                 } else {
-                    let desc = describe_fused_pair(&raw[i], &raw[i + 1], cfg);
-                    DescEntry::Interned(Arc::new(Interned::uninterned(raw[i].clone(), desc)))
+                    describe_fused_pair(&raw[i], &raw[i + 1], cfg)
                 };
-                entries.extend([pair, DescEntry::FusedTail]);
+                entries.extend([DescEntry::Owned(Box::new(pair)), DescEntry::FusedTail]);
                 i += 2;
             } else {
                 entries.push(single(i));
@@ -428,12 +397,7 @@ impl AnnotatedBlock {
         AnnotatedInst {
             start: self.block().offset(i),
             fused_with_prev: matches!(entry, DescEntry::FusedTail),
-            // An interned entry answers with its own copy, so the
-            // equivalence checks compare what the intern table holds.
-            inst: match entry {
-                DescEntry::Interned(e) => e.inst(),
-                _ => &self.block().insts()[i],
-            },
+            inst: &self.block().insts()[i],
             entry,
         }
     }

@@ -249,8 +249,8 @@ pub fn describe(inst: &Inst, cfg: &UarchConfig) -> InstrDesc {
 }
 
 /// [`describe`] with the architectural effects already computed, so
-/// callers that interned the effects (the two-level descriptor table
-/// classifies one instruction on up to nine microarchitectures) don't
+/// callers that classify one instruction on several microarchitectures
+/// (the build-time table generator classifies each on all nine) don't
 /// recompute them per microarchitecture.
 #[must_use]
 pub fn describe_with_effects(inst: &Inst, effects: &Effects, cfg: &UarchConfig) -> InstrDesc {

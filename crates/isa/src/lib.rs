@@ -40,7 +40,6 @@ pub mod cols;
 pub mod dataflow;
 pub mod desc;
 pub mod form;
-pub mod intern;
 pub mod probes;
 pub mod tables;
 pub mod vocab;
@@ -50,5 +49,22 @@ pub use classify::{describe, describe_fused_pair, macro_fuses};
 pub use cols::{BlockColumns, SKIPPED_FLOW};
 pub use dataflow::{ColValue, Dataflow, FlowCol};
 pub use desc::{InstrDesc, Uop, UopKind};
-pub use intern::{intern_stats, set_intern_capacity, DescInterner, InternStats, InternedInst};
 pub use tables::{reset_static_table_stats, static_table_stats, StaticTableStats, TABLE_HASH};
+
+/// What [`intern_stats`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct InternStats {
+    /// Always 0: there is no descriptor intern table.
+    pub entries: usize,
+}
+
+/// A stub kept so the `perfbench/` benchmark, which records this count
+/// as its `isa.intern_entries` metric, still builds. There is no
+/// descriptor intern table: a form outside the static tables is
+/// classified where it is annotated, so the count is always 0. The
+/// benchmark's next update drops this call together with that metric
+/// (ROADMAP item 12), and this stub with it.
+#[must_use]
+pub fn intern_stats() -> InternStats {
+    InternStats::default()
+}

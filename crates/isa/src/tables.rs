@@ -4,13 +4,14 @@
 //! classifies a representative of each `(mnemonic, shape key)` on all
 //! nine microarchitectures with the runtime classifier, and emits the
 //! result as `static` data. [`lookup_uncounted`] turns annotation's cold path
-//! from "run the classifier, build a descriptor, intern it" into "index
-//! a table": a binary search over a handful of shape keys, returning a
-//! `&'static InstrDesc` that needs no interning and no allocation.
+//! from "run the classifier, box a descriptor" into "index a table": a
+//! binary search over a handful of shape keys, returning a
+//! `&'static InstrDesc` that needs no allocation.
 //!
-//! Forms outside the tables (or outside the keyable space entirely) use
-//! the runtime classifier exactly as before; [`static_table_stats`]
-//! counts both outcomes so benchmarks can report table coverage.
+//! Forms outside the tables (or outside the keyable space entirely) run
+//! the runtime classifier where they are annotated, once per
+//! annotation; [`static_table_stats`] counts both outcomes so benchmarks
+//! can report table coverage.
 
 use crate::desc::InstrDesc;
 use facile_uarch::Uarch;

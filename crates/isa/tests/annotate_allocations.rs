@@ -3,7 +3,8 @@
 //! the decoded block instead of cloning each `Inst` (whose operands are
 //! a heap vector), and the kernel columns are assembled in per-thread
 //! scratch and copied out once each. Annotating a built dataflow for
-//! one more uarch allocates only the per-uarch columns.
+//! one more uarch allocates only the per-uarch columns, plus one boxed
+//! descriptor per instruction outside the static tables.
 
 use facile_isa::form::shape_key;
 use facile_isa::{AnnotatedBlock, Dataflow};
@@ -136,4 +137,50 @@ fn annotating_a_shared_dataflow_allocates_only_per_uarch_columns() {
         n_small < 6,
         "a per-uarch annotation allocates {n_small} times"
     );
+}
+
+/// Allocations one table-missed instruction adds to a per-uarch
+/// annotation: its boxed descriptor, and nothing the classifier
+/// allocates (the effects and the descriptor's µops stay inline).
+const PER_TABLE_MISS: u64 = 1;
+
+/// A table-missed instruction is classified where it is annotated, at a
+/// fixed cost: annotating a dataflow with `k` absolute-displacement
+/// loads `mov eax, [disp32]` (a form the static tables do not key)
+/// appended to the table-served block allocates `k` × the per-miss
+/// count more than the block without them.
+#[test]
+fn a_table_missed_instruction_allocates_a_fixed_number_of_times() {
+    let with_misses = |k: u32| {
+        let mut bytes = block(8).bytes().to_vec();
+        for i in 0..k {
+            bytes.extend([0x8b, 0x04, 0x25]);
+            bytes.extend((0x1000 + 8 * i).to_le_bytes());
+        }
+        let block = Block::decode(bytes).expect("loads decode");
+        for inst in &block.insts()[8..] {
+            let key = shape_key(inst, &inst.effects());
+            assert!(
+                facile_isa::tables::lookup_uncounted(inst.mnemonic, key, Uarch::Skl).is_none(),
+                "{inst} is table-served"
+            );
+        }
+        Arc::new(Dataflow::new(Arc::new(block)))
+    };
+    let annotate = |df: &Arc<Dataflow>| {
+        let ab = AnnotatedBlock::from_dataflow(Arc::clone(df), Uarch::Skl);
+        assert_eq!(ab.fused_insts().count(), df.block().num_insts());
+        drop(ab);
+    };
+    let dataflows: Vec<_> = (0..4).map(with_misses).collect();
+    annotate(&dataflows[3]);
+    let base = allocations(|| annotate(&dataflows[0]));
+    for (k, df) in dataflows.iter().enumerate().skip(1) {
+        let n = allocations(|| annotate(df));
+        assert_eq!(
+            n - base,
+            k as u64 * PER_TABLE_MISS,
+            "{k} table misses: {n} allocations against {base} without them"
+        );
+    }
 }

@@ -6,7 +6,9 @@
 //! spaces the stores 2^16 bytes apart, so the displacements differ only
 //! in their high bits: an unseeded multiplicative hash such as FxHash,
 //! whose low bits depend only on the key's low bits, puts them all in
-//! one bucket and gives about 100×.
+//! one bucket and gives about 100×. The third shape is the runtime
+//! classifier's: 4,096 absolute-displacement loads, a form the static
+//! tables miss, take at most 24× as long as 512 of them.
 
 use facile_isa::AnnotatedBlock;
 use facile_uarch::Uarch;
@@ -61,4 +63,34 @@ fn distinct_stores_annotate_in_linear_time() {
 #[test]
 fn stores_with_colliding_low_bits_annotate_in_linear_time() {
     assert_linear(|i| (i << 16) as i32, "mov [rax+(i<<16)], rbx");
+}
+
+/// `n` loads `mov eax, [disp32]`, each from its own address.
+fn absolute_loads(n: u32) -> Arc<Block> {
+    let bytes: Vec<u8> = (0..n)
+        .flat_map(|i| {
+            let [a, b, c, d] = (8 * i).to_le_bytes();
+            [0x8b, 0x04, 0x25, a, b, c, d]
+        })
+        .collect();
+    Arc::new(Block::decode(bytes).expect("loads decode"))
+}
+
+#[test]
+fn table_missed_loads_annotate_in_linear_time() {
+    let (small, large) = (absolute_loads(512), absolute_loads(4096));
+    let before = facile_isa::static_table_stats().fallbacks;
+    annotate(&small);
+    assert!(
+        facile_isa::static_table_stats().fallbacks - before >= 512,
+        "the loads are table-served"
+    );
+    // The small block is timed eight times over.
+    assert_ratio(
+        Clock::Thread,
+        "mov eax, [disp32]: 4096 loads vs 512",
+        24.0,
+        (8, |_| annotate(&small)),
+        (1, |_| annotate(&large)),
+    );
 }

@@ -91,8 +91,8 @@ pub struct ServerConfig {
     /// (each reachable under its `ext:<name>` key in request selectors;
     /// no two may share a name).
     pub external: Vec<ExternalSpec>,
-    /// Total memory budget shared by the annotation, intern-table, and
-    /// external-result caches. `None` = unbounded (the legacy behavior).
+    /// Total memory budget shared by the annotation and external-result
+    /// caches. `None` = unbounded (the legacy behavior).
     pub cache_budget: Option<CacheBudget>,
     /// Largest number of batch items one request may carry
     /// (`0` = unlimited): a per-connection fairness cap, checked before
@@ -297,7 +297,7 @@ impl Shared {
         if let Some(b) = &self.cfg.cache_budget {
             s.push_str(&format!(
                 ",\"budget\":{{\"bytes\":{},\"total\":{}}}",
-                engine.annotation.bytes + engine.intern.bytes + ext_bytes.iter().sum::<usize>(),
+                engine.annotation.bytes + ext_bytes.iter().sum::<usize>(),
                 b.total
             ));
         }

@@ -243,14 +243,7 @@ fn cache_budget_bounds_memory() {
         (cache_bytes as usize) <= budget_mb << 20,
         "cache bytes {cache_bytes} above the {budget_mb} MiB budget"
     );
-    // The budget's bytes are the three caches' bytes of the same reply.
-    let intern_bytes = v
-        .get("stats")
-        .and_then(|s| s.get("engine"))
-        .and_then(|e| e.get("intern_table"))
-        .and_then(|c| c.get("bytes"))
-        .and_then(|b| b.as_f64())
-        .expect("intern_table bytes");
+    // The budget's bytes are the two caches' bytes of the same reply.
     let external_bytes: f64 = match &srv.get("external").expect("external").kind {
         facile_server::json::Kind::Arr(items) => items
             .iter()
@@ -262,11 +255,7 @@ fn cache_budget_bounds_memory() {
             .sum(),
         _ => panic!("external is not an array: {stats}"),
     };
-    assert_eq!(
-        accounted,
-        cache_bytes + intern_bytes + external_bytes,
-        "{stats}"
-    );
+    assert_eq!(accounted, cache_bytes + external_bytes, "{stats}");
 
     server.stop();
 }

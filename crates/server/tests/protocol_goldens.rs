@@ -2,7 +2,7 @@
 //! exact reply bytes against a live in-process server, so any protocol
 //! change is a deliberate golden update, never an accident.
 //!
-//! The `stats` reply is the one exception: the intern table is
+//! The `stats` reply is the one exception: the static-table counters are
 //! process-wide and the engine counters move with parallel test
 //! execution, so its reply is shape-checked rather than byte-pinned.
 
@@ -131,13 +131,7 @@ fn stats_reply_shape() {
     }
     assert!(srv.get("rows").and_then(|x| x.as_f64()).expect("rows") >= 1.0);
     let engine = stats.get("engine").expect("engine counters");
-    for key in [
-        "planner",
-        "block_cache",
-        "intern_table",
-        "static_tables",
-        "kernels",
-    ] {
+    for key in ["planner", "block_cache", "static_tables", "kernels"] {
         assert!(engine.get(key).is_some(), "engine stats missing {key}");
     }
     server.stop();

@@ -1,10 +1,10 @@
 //! A fast, deterministic hasher (the FxHash algorithm used by rustc).
 //!
 //! The default [`std::collections::HashMap`] hasher (SipHash-1-3) costs
-//! tens of nanoseconds per short key; in the annotation/intern hot path
-//! that is a measurable fraction of a whole prediction. FxHash is a
+//! tens of nanoseconds per short key; in the annotation hot path that is
+//! a measurable fraction of a whole prediction. FxHash is a
 //! multiply-rotate mix that is 5-10× faster on the small keys these
-//! tables use (instruction bytes, packed node ids) and — unlike the std
+//! tables use (block bytes, packed node ids) and — unlike the std
 //! default — has no per-process random seed, so shard assignment and any
 //! iteration-adjacent behavior is reproducible across runs.
 

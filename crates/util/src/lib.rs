@@ -10,8 +10,8 @@
 //!   interning and sharding. Its low bits depend only on the key's low
 //!   bits, so keys that differ only in their high bytes all land in one
 //!   bucket. Tables keyed by caller-controlled bytes (the [`SlruCache`]
-//!   shard maps behind the annotation, intern and external result
-//!   caches) therefore use the standard, randomly keyed hasher, and
+//!   shard maps behind the annotation and external result caches)
+//!   therefore use the standard, randomly keyed hasher, and
 //!   FxHash only picks their shard.
 //! * [`SmallVec`] — an inline-first vector for `Copy` element types,
 //!   written entirely in safe Rust: the first `N` elements live on the

@@ -6,6 +6,7 @@ use crate::error::{DecodeError, EncodeError};
 use crate::inst::Inst;
 use crate::mnemonic::Mnemonic;
 use crate::operand::Operand;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt;
 
@@ -21,12 +22,13 @@ pub struct Block {
 }
 
 impl Block {
-    /// Decode a block from machine code.
+    /// Decode a block from machine code. The block keeps owned bytes
+    /// (a `Vec<u8>`) as they are and copies borrowed ones once.
     ///
     /// # Errors
     /// Returns the first [`DecodeError`] encountered.
-    pub fn decode(bytes: &[u8]) -> Result<Block, DecodeError> {
-        Block::decode_owned(bytes.to_vec())
+    pub fn decode<'a>(bytes: impl Into<Cow<'a, [u8]>>) -> Result<Block, DecodeError> {
+        Block::decode_owned(bytes.into().into_owned())
     }
 
     /// Decode `bytes` into a block that keeps them. The instructions and
