@@ -1,9 +1,11 @@
 //! End-to-end annotation equivalence over generated corpora: the
-//! table-served interned path (`AnnotatedBlock::new`) and the pure
-//! runtime-classifier path (`new_uninterned`) must agree instruction by
-//! instruction — descriptors, effects, and the precomputed kernel
-//! columns — on every microarchitecture, for table hits and fallbacks
-//! alike.
+//! table-served path (`AnnotatedBlock::new`: the build-time descriptor
+//! tables, with the runtime classifier for forms they miss) and the pure
+//! runtime-classifier path (`new_uninterned`, which skips the tables)
+//! must agree instruction by instruction — descriptors, effects, and the
+//! precomputed kernel columns — on every microarchitecture, for table
+//! hits and fallbacks alike. In the names below, "interned" means the
+//! table-served path.
 
 use facile_bhive::{generate_suite, BlockStream};
 use facile_isa::AnnotatedBlock;

@@ -6,10 +6,19 @@
 //! to `facile --batch --format json` by construction), CSV rows are the
 //! reply's carried strings under the same header line `facile --batch
 //! --format csv` prints.
+//!
+//! Each reply is read into one reused buffer and validated with
+//! [`json::skim`], which checks every byte as `json::parse` would but
+//! builds no value: `ok`, `id` and `code` are read from the top-level
+//! spans, `error` is decoded only when the request was rejected, JSON
+//! rows are written straight from their spans, and CSV rows are decoded
+//! into one reused buffer. Requests are escaped straight into one reused
+//! buffer too.
 
 use facile_engine::render::csv_header;
+use facile_explain::json_escape_into;
 use facile_uarch::Uarch;
-use facile_util::json::{self, Kind, Value};
+use facile_util::json::{self, Skim};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
@@ -237,27 +246,25 @@ fn parse(args: Vec<String>) -> Result<Option<Options>, String> {
     }))
 }
 
-/// A JSON string literal for a request field (blocks may carry
+/// Append a JSON string literal to a request (blocks may carry
 /// arbitrary bytes from malformed input lines; the server turns those
 /// into error rows, not protocol errors).
-fn jstr(s: &str) -> String {
-    format!("\"{}\"", facile_explain::json_escape(s))
+fn push_jstr(req: &mut String, s: &str) {
+    req.push('"');
+    json_escape_into(req, s);
+    req.push('"');
 }
 
-fn batch_request(o: &Options, blocks: &[String]) -> String {
-    let mut req = String::with_capacity(64 + blocks.len() * 20);
+/// Write a `batch` request for `blocks`, the comma-separated string
+/// literals of one chunk's blocks.
+fn batch_request(o: &Options, blocks: &str, req: &mut String) {
     req.push_str("{\"op\":\"batch\",\"blocks\":[");
-    for (i, b) in blocks.iter().enumerate() {
-        if i > 0 {
-            req.push(',');
-        }
-        req.push_str(&jstr(b));
-    }
+    req.push_str(blocks);
     req.push_str("],\"uarch\":");
     if o.all_uarchs {
         req.push_str("\"all\"");
     } else {
-        req.push_str(&jstr(&o.uarch.to_string()));
+        push_jstr(req, &o.uarch.to_string());
     }
     if let Some(m) = o.mode {
         req.push_str(",\"mode\":\"");
@@ -269,16 +276,16 @@ fn batch_request(o: &Options, blocks: &[String]) -> String {
     }
     if let Some(p) = &o.predictors {
         req.push_str(",\"predictors\":");
-        req.push_str(&jstr(p));
+        push_jstr(req, p);
     }
     if o.csv {
         req.push_str(",\"format\":\"csv\"");
     }
     if let Some(d) = o.deadline_ms {
-        req.push_str(&format!(",\"deadline_ms\":{d}"));
+        req.push_str(",\"deadline_ms\":");
+        req.push_str(&d.to_string());
     }
     req.push('}');
-    req
 }
 
 /// Why the client gave up, split by exit code: an unreachable endpoint
@@ -400,6 +407,10 @@ struct Client<'a> {
     conn: Option<Conn>,
     /// Requests issued so far; names the next request id (`q<seq>`).
     seq: u64,
+    /// The request line in flight, reused across requests.
+    req: String,
+    /// The last reply line, reused across replies.
+    reply: String,
 }
 
 impl<'a> Client<'a> {
@@ -408,27 +419,35 @@ impl<'a> Client<'a> {
             o,
             conn: None,
             seq: 0,
+            req: String::new(),
+            reply: String::new(),
         }
     }
 
-    /// Send `body` (a request object without an id) and return the
-    /// verified reply, retrying per the options. With retries enabled,
-    /// requests are tagged `"id":"q<n>"` and the echoed id is checked.
-    fn call(&mut self, body: &str) -> Result<(String, Value), ClientError> {
+    /// Send the request object `body` writes (without an id) and return
+    /// the verified reply with its skim, retrying per the options. With
+    /// retries enabled, requests are tagged `"id":"q<n>"` and the echoed
+    /// id is checked.
+    fn call(&mut self, body: impl FnOnce(&mut String)) -> Result<(&str, Skim), ClientError> {
         self.seq += 1;
         let id = (self.o.retries > 0).then(|| format!("q{}", self.seq));
-        // The request line with its newline, so it goes out in one write
-        // (with `TCP_NODELAY`, two writes would be two segments).
-        let req = match &id {
+        self.req.clear();
+        body(&mut self.req);
+        if let Some(i) = &id {
             // Every request body is a JSON object; splice the id in
             // before the closing brace.
-            Some(i) => format!("{},\"id\":\"{i}\"}}\n", &body[..body.len() - 1]),
-            None => format!("{body}\n"),
-        };
+            self.req.pop();
+            self.req.push_str(",\"id\":\"");
+            self.req.push_str(i);
+            self.req.push_str("\"}");
+        }
+        // The request line with its newline, so it goes out in one write
+        // (with `TCP_NODELAY`, two writes would be two segments).
+        self.req.push('\n');
         let mut attempt = 0u32;
         loop {
-            match self.try_once(&req, id.as_deref()) {
-                Ok(ok) => return Ok(ok),
+            match self.try_once(id.as_deref()) {
+                Ok(skim) => return Ok((&self.reply, skim)),
                 Err(Attempt::Fatal(e)) => return Err(e),
                 Err(Attempt::Retry(e)) => {
                     if attempt >= self.o.retries {
@@ -443,84 +462,90 @@ impl<'a> Client<'a> {
         }
     }
 
-    fn try_once(&mut self, req: &str, id: Option<&str>) -> Result<(String, Value), Attempt> {
+    fn try_once(&mut self, id: Option<&str>) -> Result<Skim, Attempt> {
         if self.conn.is_none() {
             self.conn = Some(connect(self.o).map_err(Attempt::Retry)?);
         }
         let conn = self.conn.as_mut().expect("connected above");
-        let exchanged = (|| -> Result<String, String> {
+        let reply = &mut self.reply;
+        reply.clear();
+        let exchanged = (|| -> Result<(), String> {
             conn.tx
-                .write_all(req.as_bytes())
+                .write_all(self.req.as_bytes())
                 .map_err(|e| e.to_string())?;
             conn.tx.flush().map_err(|e| e.to_string())?;
-            let mut reply = String::new();
-            let n = conn.rx.read_line(&mut reply).map_err(|e| e.to_string())?;
+            let n = conn.rx.read_line(reply).map_err(|e| e.to_string())?;
             if n == 0 {
                 return Err("server closed the connection".into());
             }
             reply.truncate(reply.trim_end_matches(['\n', '\r']).len());
-            Ok(reply)
+            Ok(())
         })();
-        let reply = match exchanged {
-            Ok(reply) => reply,
-            Err(cause) => {
-                // Mid-stream disconnect: this connection is dead (or
-                // desynced); a retry starts from a fresh one.
-                self.conn = None;
-                return Err(Attempt::Retry(ClientError::Other(format!(
-                    "connection lost mid-request: {cause}"
+        if let Err(cause) = exchanged {
+            // Mid-stream disconnect: this connection is dead (or
+            // desynced); a retry starts from a fresh one.
+            self.conn = None;
+            return Err(Attempt::Retry(ClientError::Other(format!(
+                "connection lost mid-request: {cause}"
+            ))));
+        }
+        let reply = self.reply.as_str();
+        let v = json::skim(reply)
+            .map_err(|e| Attempt::Fatal(ClientError::Other(format!("unparseable reply: {e}"))))?;
+        if v.get(reply, "ok").map(|m| m.raw(reply)) == Some("true") {
+            if id.is_some() && v.get(reply, "id").and_then(|m| m.as_str(reply)).as_deref() != id {
+                // One request is in flight, so its id is the only
+                // one a reply may carry; anything else means the
+                // stream is not speaking our protocol.
+                return Err(Attempt::Fatal(ClientError::Other(format!(
+                    "reply id does not match the request in flight: {reply}"
                 ))));
             }
-        };
-        let v = json::parse(&reply)
-            .map_err(|e| Attempt::Fatal(ClientError::Other(format!("unparseable reply: {e}"))))?;
-        match v.get("ok").map(|k| &k.kind) {
-            Some(Kind::Bool(true)) => {
-                if id.is_some() && v.get("id").and_then(Value::as_str) != id {
-                    // One request is in flight, so its id is the only
-                    // one a reply may carry; anything else means the
-                    // stream is not speaking our protocol.
-                    return Err(Attempt::Fatal(ClientError::Other(format!(
-                        "reply id does not match the request in flight: {reply}"
-                    ))));
-                }
-                Ok((reply, v))
-            }
-            _ => {
-                let code = v.get("code").and_then(Value::as_str).unwrap_or("unknown");
-                let msg = v
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .map_or_else(|| reply.clone(), str::to_string);
-                let err =
-                    ClientError::Other(format!("server rejected the request ({code}): {msg}"));
-                if code == "overloaded" || code == "deadline-exceeded" {
-                    // Admission pressure and queue-deadline expiry are
-                    // transient; back off and resend (the request was
-                    // rejected or dropped, never executed).
-                    Err(Attempt::Retry(err))
-                } else {
-                    Err(Attempt::Fatal(err))
-                }
-            }
+            return Ok(v);
+        }
+        let code = v.get(reply, "code").and_then(|m| m.as_str(reply));
+        let code = code.as_deref().unwrap_or("unknown");
+        let msg = v
+            .get(reply, "error")
+            .and_then(|m| m.as_str(reply))
+            .unwrap_or_else(|| reply.into());
+        let err = ClientError::Other(format!("server rejected the request ({code}): {msg}"));
+        if code == "overloaded" || code == "deadline-exceeded" {
+            // Admission pressure and queue-deadline expiry are
+            // transient; back off and resend (the request was
+            // rejected or dropped, never executed).
+            Err(Attempt::Retry(err))
+        } else {
+            Err(Attempt::Fatal(err))
         }
     }
 }
 
 /// Print a prediction reply's rows: JSON rows verbatim off the wire,
-/// CSV rows as the carried strings.
-fn print_rows(reply: &str, v: &Value, csv: bool, out: &mut dyn Write) -> Result<(), String> {
+/// CSV rows as the carried strings, each decoded into `row`.
+fn print_rows(
+    reply: &str,
+    v: &Skim,
+    csv: bool,
+    row: &mut String,
+    out: &mut dyn Write,
+) -> Result<(), String> {
     let rows = v
-        .get("rows")
-        .and_then(Value::as_arr)
+        .get(reply, "rows")
+        .and_then(|m| v.elements(m))
         .ok_or("reply has no rows")?;
-    for r in rows {
-        if csv {
-            let s = r.as_str().ok_or("CSV reply row is not a string")?;
-            writeln!(out, "{s}").map_err(|e| e.to_string())?;
+    for &(start, end) in rows {
+        let text = if csv {
+            row.clear();
+            json::unescape_into(&reply[start..end], row)
+                .map_err(|_| "CSV reply row is not a string")?;
+            row.as_str()
         } else {
-            writeln!(out, "{}", r.raw(reply)).map_err(|e| e.to_string())?;
-        }
+            &reply[start..end]
+        };
+        out.write_all(text.as_bytes())
+            .and_then(|()| out.write_all(b"\n"))
+            .map_err(|e| e.to_string())?;
     }
     Ok(())
 }
@@ -528,31 +553,47 @@ fn print_rows(reply: &str, v: &Value, csv: bool, out: &mut dyn Write) -> Result<
 fn drive(o: &Options) -> Result<(), ClientError> {
     let mut client = Client::new(o);
     let local = |e: String| ClientError::Other(e);
+    let io = |e: std::io::Error| ClientError::Other(e.to_string());
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
 
     if let Some(op) = &o.op {
-        let (reply, v) = client.call(&format!("{{\"op\":{}}}", jstr(op)))?;
+        let (reply, v) = client.call(|req| {
+            req.push_str("{\"op\":");
+            push_jstr(req, op);
+            req.push('}');
+        })?;
         // stats: print the payload object alone; ping/health: the
         // whole reply.
-        let payload = v.get("stats").map_or(reply.as_str(), |s| s.raw(&reply));
-        writeln!(&mut out, "{payload}").map_err(|e| local(e.to_string()))?;
-        return out.flush().map_err(|e| local(e.to_string()));
+        let payload = v.get(reply, "stats").map_or(reply, |s| s.raw(reply));
+        writeln!(&mut out, "{payload}").map_err(io)?;
+        return out.flush().map_err(io);
     }
 
     if o.csv {
-        writeln!(&mut out, "{}", csv_header(o.explain)).map_err(|e| local(e.to_string()))?;
+        writeln!(&mut out, "{}", csv_header(o.explain)).map_err(io)?;
     }
+    let mut row = String::new();
+    // The escaped string literals of the chunk being gathered, comma
+    // separated, and how many there are.
+    let mut blocks = String::new();
+    let mut n = 0;
+    let mut flush = |client: &mut Client, blocks: &mut String, out: &mut dyn Write| {
+        let (reply, v) = client.call(|req| batch_request(o, blocks, req))?;
+        print_rows(reply, &v, o.csv, &mut row, out).map_err(local)?;
+        blocks.clear();
+        Ok::<(), ClientError>(())
+    };
     if let Some(hex) = &o.hex {
-        let (reply, v) = client.call(&batch_request(o, std::slice::from_ref(hex)))?;
-        print_rows(&reply, &v, o.csv, &mut out).map_err(local)?;
-        return out.flush().map_err(|e| local(e.to_string()));
+        push_jstr(&mut blocks, hex);
+        flush(&mut client, &mut blocks, &mut out)?;
+        return out.flush().map_err(io);
     }
 
     // Batch mode: stream input lines in chunks, one request per chunk.
     // Rows arrive in request order, so output order matches the input
     // (and `facile --batch`) regardless of chunk size.
-    let input: Box<dyn BufRead> = match o.batch.as_ref().expect("batch mode") {
+    let mut input: Box<dyn BufRead> = match o.batch.as_ref().expect("batch mode") {
         Some(path) => {
             Box::new(BufReader::new(std::fs::File::open(path).map_err(|e| {
                 ClientError::Other(format!("cannot open {path}: {e}"))
@@ -560,24 +601,25 @@ fn drive(o: &Options) -> Result<(), ClientError> {
         }
         None => Box::new(BufReader::new(std::io::stdin())),
     };
-    let mut blocks: Vec<String> = Vec::with_capacity(o.chunk);
-    for line in input.lines() {
-        let line = line.map_err(|e| local(e.to_string()))?;
-        let Some(hex) = facile_bhive::csv::hex_field(&line) else {
-            continue;
-        };
-        blocks.push(hex.to_string());
-        if blocks.len() >= o.chunk {
-            let (reply, v) = client.call(&batch_request(o, &blocks))?;
-            print_rows(&reply, &v, o.csv, &mut out).map_err(local)?;
-            blocks.clear();
+    let mut line = String::new();
+    while input.read_line(&mut line).map_err(io)? > 0 {
+        if let Some(hex) = facile_bhive::csv::hex_field(&line) {
+            if n > 0 {
+                blocks.push(',');
+            }
+            push_jstr(&mut blocks, hex);
+            n += 1;
+            if n >= o.chunk {
+                flush(&mut client, &mut blocks, &mut out)?;
+                n = 0;
+            }
         }
+        line.clear();
     }
-    if !blocks.is_empty() {
-        let (reply, v) = client.call(&batch_request(o, &blocks))?;
-        print_rows(&reply, &v, o.csv, &mut out).map_err(local)?;
+    if n > 0 {
+        flush(&mut client, &mut blocks, &mut out)?;
     }
-    out.flush().map_err(|e| local(e.to_string()))
+    out.flush().map_err(io)
 }
 
 pub fn main(args: Vec<String>) -> ExitCode {

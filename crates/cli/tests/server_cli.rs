@@ -457,3 +457,70 @@ fn client_retries_through_injected_connection_drops() {
         "{server_stderr}"
     );
 }
+
+/// Malformed input lines become error rows, and those rows carry the
+/// awkward bytes back: quotes, backslashes, commas, tabs, control and
+/// non-ASCII characters inside JSON strings and quoted CSV fields. The
+/// client must print them exactly as `facile --batch` does, in both
+/// formats, with and without explanations.
+#[test]
+fn served_error_rows_are_byte_identical_to_cli_batch() {
+    const LINES: &str = "4801c8\n\
+        ab\"cd\n\
+        48\\\\01c8\n\
+        \"\\u0041\",1\n\
+        \\ud83d\n\
+        é48\n\
+        😀4801\n\
+        480\n\
+        0fffff\n\
+        c4\n\
+        48\t01c8\n\
+        48\u{1}01\n\
+        \x20 4801c8 , 2.5\r\n\
+        # comment\n\
+        \n\
+        90\n";
+    let socket = temp_path("malformed.sock");
+    let input_file = temp_path("malformed.blocks");
+    std::fs::write(&input_file, LINES).expect("input file writes");
+    let server = spawn_server(&socket, &[]);
+    let sock = socket.to_str().expect("utf8 path");
+    let file = input_file.to_str().expect("utf8 path");
+
+    for (format, explain) in [
+        ("json", false),
+        ("csv", false),
+        ("json", true),
+        ("csv", true),
+    ] {
+        let mut cli = vec!["--batch", "--predictors", "facile", "--format", format];
+        let mut client = vec![
+            "client", "--socket", sock, "--batch", file, "--format", format, "--chunk", "5",
+        ];
+        if explain {
+            cli.push("--explain");
+            client.push("--explain");
+        }
+        let direct = run_facile(&cli, LINES);
+        assert!(
+            direct.contains("bad-hex") && direct.contains("decode-error"),
+            "the input gives both kinds of error row: {direct}"
+        );
+        let served = run_facile(&client, "");
+        assert_eq!(
+            served, direct,
+            "served {format} rows (explain {explain}) diverge"
+        );
+        // Tagged requests: the client checks each reply's echoed id.
+        client.extend(["--retries", "1"]);
+        let served = run_facile(&client, "");
+        assert_eq!(
+            served, direct,
+            "tagged {format} rows (explain {explain}) diverge"
+        );
+    }
+
+    terminate(server);
+    std::fs::remove_file(&input_file).ok();
+}

@@ -1,14 +1,15 @@
 //! Property tests for the zero-allocation prediction pipeline.
 //!
 //! The batch hot path stacks several optimizations on top of the naive
-//! per-prediction implementation: the process-wide descriptor intern
-//! table, the scratch-arena analysis kernels, the brief (chain-free)
-//! Facile path, and the chunked parallel map. None of them may change a
-//! single output bit. These tests pit the optimized pipeline against the
-//! naive reference path (`AnnotatedBlock::new_uninterned` + the full
-//! `Facile::predict`) across random blocks × all microarchitectures ×
-//! every builtin predictor, and pin down determinism of the parallel map
-//! across thread counts.
+//! per-prediction implementation: the build-time descriptor tables, the
+//! scratch-arena analysis kernels, the brief (chain-free) Facile path,
+//! and the chunked parallel map. None of them may change a single output
+//! bit. These tests pit the optimized pipeline against the naive
+//! reference path (`AnnotatedBlock::new_uninterned`, which classifies
+//! every instruction with the runtime classifier and skips the tables, +
+//! the full `Facile::predict`) across random blocks × all
+//! microarchitectures × every builtin predictor, and pin down
+//! determinism of the parallel map across thread counts.
 
 use facile_core::Mode;
 use facile_engine::{parallel_map_indexed, BatchItem, Engine, PredictRequest, PredictorRegistry};
@@ -45,8 +46,8 @@ fn analytic_registry() -> PredictorRegistry {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The engine pipeline (interned annotations, scratch arenas, brief
-    /// predict) must be *bit*-identical to the naive reference path on
+    /// The engine pipeline (table-served annotations, scratch arenas,
+    /// brief predict) must be *bit*-identical to the naive reference path on
     /// every `(block, mode) × uarch × predictor` combination.
     #[test]
     fn engine_rows_match_naive_reference(bench in any_block(), uarch in any_uarch()) {
@@ -64,7 +65,7 @@ proptest! {
             prop_assert_eq!(rows.len(), predictors.len());
 
             // Naive reference: classify every instruction from scratch and
-            // run each predictor on the uninterned annotation.
+            // run each predictor on the table-free annotation.
             let naive = AnnotatedBlock::new_uninterned(block.clone(), uarch);
             for (row, p) in rows.iter().zip(&predictors) {
                 let reference = p.predict(&PredictRequest::new(&naive, mode));

@@ -14,15 +14,25 @@
 //! (e.g. a prediction row) *verbatim* — byte-identical to how it
 //! appeared on the wire — without re-serializing it.
 //!
+//! A reader that only needs those spans calls [`skim`] instead: it runs
+//! the same parser over the line, so it accepts and rejects exactly what
+//! [`parse`] does (same error byte, same reason), but builds nothing. It
+//! returns the top-level object's key and value spans and the element
+//! spans of its array members; [`unescape`] and [`unescape_into`] decode
+//! a string literal found at one of them. `facile client` reads each
+//! reply this way and writes the rows straight from their spans.
+//!
 //! Parsing takes time linear in the line length, whatever the line
 //! holds: every byte is looked at a bounded number of times, and string
 //! content is copied in runs between escapes rather than re-decoded per
 //! character. The ratio tests below pin this (a 512 KiB line may take
 //! at most 16× as long as a 64 KiB one), because the server reads
 //! request lines of up to `max_line_bytes` from untrusted clients and
-//! `facile client` parses reply lines of any size.
+//! `facile client` skims reply lines of any size.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
 /// Maximum nesting depth accepted (arrays/objects). Protocol messages
 /// are nearly flat; the cap exists so a hostile `[[[[…` line errors out
@@ -131,38 +141,163 @@ impl std::error::Error for ParseError {}
 /// # Errors
 /// A [`ParseError`] locating the first malformed byte.
 pub fn parse(src: &str) -> Result<Value, ParseError> {
-    Parser::new(src).document()
+    Parser::<false>::new(src).document()
 }
 
-struct Parser<'a> {
+/// What [`skim`] returns: the spans of a validated line's top level,
+/// read through [`Skim::get`] and [`Skim::elements`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Skim {
+    /// The members of a top-level object in source order, duplicates
+    /// kept; empty when the line holds any other value.
+    members: Vec<Member>,
+    /// The element spans of every array-valued member, one run per
+    /// member (each member's range indexes it).
+    elements: Vec<(usize, usize)>,
+}
+
+/// One member of a skimmed top-level object.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Member {
+    /// Byte range of the key's string literal, quotes included.
+    key: (usize, usize),
+    /// Byte range of the value.
+    value: (usize, usize),
+    /// Where the value's element spans sit in the skim's list, if it
+    /// is an array.
+    elements: Option<Range<usize>>,
+}
+
+impl Member {
+    /// The verbatim source text of the value.
+    #[must_use]
+    pub fn raw<'a>(&self, src: &'a str) -> &'a str {
+        &src[self.value.0..self.value.1]
+    }
+
+    /// The value's string content, if it is a string (borrowed from
+    /// `src` when it holds no escape).
+    #[must_use]
+    pub fn as_str<'a>(&self, src: &'a str) -> Option<Cow<'a, str>> {
+        unescape(self.raw(src)).ok()
+    }
+}
+
+impl Skim {
+    /// The first member whose key, escapes resolved, is `key` (as
+    /// [`Value::get`] finds it).
+    #[must_use]
+    pub fn get(&self, src: &str, key: &str) -> Option<&Member> {
+        self.members.iter().find(|m| {
+            let lit = &src[m.key.0..m.key.1];
+            if lit.contains('\\') {
+                unescape(lit).is_ok_and(|k| k == key)
+            } else {
+                lit[1..lit.len() - 1] == *key
+            }
+        })
+    }
+
+    /// The element spans of `member`'s value, if it is an array.
+    #[must_use]
+    pub fn elements(&self, member: &Member) -> Option<&[(usize, usize)]> {
+        member.elements.clone().map(|r| &self.elements[r])
+    }
+}
+
+/// Validate one complete JSON value exactly as [`parse`] does and return
+/// its top-level spans, building no value below them.
+///
+/// # Errors
+/// The [`ParseError`] that [`parse`] returns for the same line.
+pub fn skim(src: &str) -> Result<Skim, ParseError> {
+    let mut p = Parser::<true>::new(src);
+    p.document()?;
+    Ok(p.skim)
+}
+
+/// The content of the JSON string literal `lit` (quotes included),
+/// borrowed from it when it holds no escape.
+///
+/// # Errors
+/// A [`ParseError`] when `lit` is not exactly one well-formed string
+/// literal.
+pub fn unescape(lit: &str) -> Result<Cow<'_, str>, ParseError> {
+    if lit.contains('\\') {
+        let mut out = String::new();
+        unescape_into(lit, &mut out)?;
+        return Ok(Cow::Owned(out));
+    }
+    let mut p = Parser::<true>::new(lit);
+    p.string_into(None)?;
+    p.at_end()?;
+    Ok(Cow::Borrowed(&lit[1..lit.len() - 1]))
+}
+
+/// Append the content of the JSON string literal `lit` (quotes
+/// included) to `out`, so a caller decoding many strings can reuse one
+/// buffer.
+///
+/// # Errors
+/// A [`ParseError`] when `lit` is not exactly one well-formed string
+/// literal; `out` is then left as it was.
+pub fn unescape_into(lit: &str, out: &mut String) -> Result<(), ParseError> {
+    let len = out.len();
+    let mut p = Parser::<true>::new(lit);
+    let read = p.string_into(Some(out)).and_then(|()| p.at_end());
+    if read.is_err() {
+        out.truncate(len);
+    }
+    read
+}
+
+/// The one JSON grammar. `SKIM` picks at compile time whether it builds
+/// values ([`parse`]) or only validates and records the top level's
+/// spans ([`skim`]), so `parse` pays no branch for the skim.
+struct Parser<'a, const SKIM: bool> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// With `SKIM` ([`skim`]), the top level's spans, recorded in place
+    /// of building any value; empty for [`parse`].
+    skim: Skim,
+    /// Whether the document is an object, so a skim records the
+    /// elements of the arrays one level down (its member values).
+    top_object: bool,
     /// Decode string content one character at a time, as the parser
     /// once did: the reference the run-copying decoder is tested against.
     #[cfg(test)]
     per_char: bool,
 }
 
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Parser<'a> {
+impl<'a, const SKIM: bool> Parser<'a, SKIM> {
+    fn new(src: &'a str) -> Self {
         Parser {
             src,
             bytes: src.as_bytes(),
             pos: 0,
+            skim: Skim::default(),
+            top_object: false,
             #[cfg(test)]
             per_char: false,
         }
     }
 
-    fn document(mut self) -> Result<Value, ParseError> {
+    fn document(&mut self) -> Result<Value, ParseError> {
         self.skip_ws();
+        self.top_object = self.peek() == Some(b'{');
         let v = self.value(0)?;
         self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing characters after value"));
-        }
+        self.at_end()?;
         Ok(v)
+    }
+
+    fn at_end(&self) -> Result<(), ParseError> {
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after value"))
+        }
     }
 
     fn err(&self, reason: &'static str) -> ParseError {
@@ -219,7 +354,12 @@ impl<'a> Parser<'a> {
                 } else {
                     loop {
                         self.skip_ws();
-                        items.push(self.value(depth + 1)?);
+                        let item = self.value(depth + 1)?;
+                        if !SKIM {
+                            items.push(item);
+                        } else if depth == 1 && self.top_object {
+                            self.skim.elements.push(item.span);
+                        }
                         self.skip_ws();
                         match self.peek() {
                             Some(b',') => self.pos += 1,
@@ -242,11 +382,25 @@ impl<'a> Parser<'a> {
                 } else {
                     loop {
                         self.skip_ws();
+                        let key_start = self.pos;
                         let key = self.string()?;
+                        let key_span = (key_start, self.pos);
                         self.skip_ws();
                         self.expect(b':', "expected ':'")?;
                         self.skip_ws();
-                        members.push((key, self.value(depth + 1)?));
+                        let first = self.skim.elements.len();
+                        let value = self.value(depth + 1)?;
+                        if !SKIM {
+                            members.push((key, value));
+                        } else if depth == 0 {
+                            let elements = matches!(value.kind, Kind::Arr(_))
+                                .then(|| first..self.skim.elements.len());
+                            self.skim.members.push(Member {
+                                key: key_span,
+                                value: value.span,
+                                elements,
+                            });
+                        }
                         self.skip_ws();
                         match self.peek() {
                             Some(b',') => self.pos += 1,
@@ -321,58 +475,51 @@ impl<'a> Parser<'a> {
         Ok(Kind::Num(n))
     }
 
+    /// A string literal's content; empty (and unallocated) when
+    /// skimming.
     fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
+        self.string_into((!SKIM).then_some(&mut out))?;
+        Ok(out)
+    }
+
+    /// Read a string literal, appending its content to `out` if given;
+    /// without one it is only validated.
+    fn string_into(&mut self, mut out: Option<&mut String>) -> Result<(), ParseError> {
+        self.expect(b'"', "expected '\"'")?;
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match self.peek() {
                         Some(b'u') => {
                             self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("invalid low surrogate"));
-                                    }
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(c)
-                                        .ok_or_else(|| self.err("invalid codepoint"))?
-                                } else {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                            } else if (0xDC00..0xE000).contains(&cp) {
-                                return Err(self.err("unpaired surrogate"));
-                            } else {
-                                char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?
-                            };
-                            out.push(c);
-                            // hex4 leaves pos after the last digit; the
-                            // shared increment below is skipped.
-                            continue;
+                            self.unicode_escape()?
                         }
-                        _ => return Err(self.err("invalid escape")),
+                        escape => {
+                            let c = match escape {
+                                Some(b'"') => '"',
+                                Some(b'\\') => '\\',
+                                Some(b'/') => '/',
+                                Some(b'b') => '\u{8}',
+                                Some(b'f') => '\u{c}',
+                                Some(b'n') => '\n',
+                                Some(b'r') => '\r',
+                                Some(b't') => '\t',
+                                _ => return Err(self.err("invalid escape")),
+                            };
+                            self.pos += 1;
+                            c
+                        }
+                    };
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
                     }
-                    self.pos += 1;
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 #[cfg(test)]
@@ -382,7 +529,9 @@ impl<'a> Parser<'a> {
                     let s = std::str::from_utf8(&self.bytes[self.pos..])
                         .expect("input came from a &str");
                     let c = s.chars().next().expect("non-empty");
-                    out.push(c);
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
+                    }
                     self.pos += c.len_utf8();
                 }
                 Some(_) => {
@@ -393,10 +542,34 @@ impl<'a> Parser<'a> {
                         .iter()
                         .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                         .map_or(self.bytes.len(), |n| self.pos + n);
-                    out.push_str(&self.src[self.pos..run]);
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push_str(&self.src[self.pos..run]);
+                    }
                     self.pos = run;
                 }
             }
+        }
+    }
+
+    /// The character a `\u` escape names, read from just after the
+    /// `u`: a high surrogate must be followed by an escaped low one.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let cp = self.hex4()?;
+        if (0xD800..0xDC00).contains(&cp) {
+            if !self.bytes[self.pos..].starts_with(b"\\u") {
+                return Err(self.err("unpaired surrogate"));
+            }
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&lo) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+            char::from_u32(c).ok_or_else(|| self.err("invalid codepoint"))
+        } else if (0xDC00..0xE000).contains(&cp) {
+            Err(self.err("unpaired surrogate"))
+        } else {
+            char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))
         }
     }
 
@@ -427,7 +600,7 @@ mod tests {
 
     /// The reference: the same parser with per-character string copying.
     fn parse_per_char(src: &str) -> Result<Value, ParseError> {
-        let mut p = Parser::new(src);
+        let mut p = Parser::<false>::new(src);
         p.per_char = true;
         p.document()
     }
@@ -493,24 +666,193 @@ mod tests {
         }
     }
 
-    /// A linear parser takes 8× as long on a line 8× longer; the bound
+    /// Append one generated JSON value to `out`, steered by `choices`:
+    /// literals, numbers (`1e999` among them), strings of every
+    /// [`fragment`] kind, and arrays and objects down to `depth` 0.
+    fn value_from(choices: &mut impl Iterator<Item = (u8, u32)>, depth: u8, out: &mut String) {
+        const NUMBERS: [&str; 8] = ["0", "-1.5", "12e-3", "1E+2", "1e999", "-0", "3.25", "7"];
+        let Some((k, n)) = choices.next() else {
+            out.push_str("null");
+            return;
+        };
+        let string = |out: &mut String, n: u32| {
+            out.push('"');
+            out.push_str(&fragment((n % 8) as u8, n / 8));
+            out.push('"');
+        };
+        match k {
+            0 => out.push_str(["null", "true", "false"][n as usize % 3]),
+            1 => out.push_str(NUMBERS[n as usize % NUMBERS.len()]),
+            2 | 3 => string(out, n),
+            4 | 5 if depth > 0 => {
+                out.push('[');
+                for i in 0..n % 4 {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    value_from(choices, depth - 1, out);
+                }
+                out.push(']');
+            }
+            6 | 7 if depth > 0 => {
+                out.push('{');
+                for i in 0..n % 4 {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    // Keys repeat, and some are spelled with escapes.
+                    match (n >> (2 + i)) % 4 {
+                        0 => out.push_str("\"rows\""),
+                        1 => out.push_str("\"\\u006fk\""),
+                        _ => string(out, n.rotate_left(i)),
+                    }
+                    out.push_str(" : ");
+                    value_from(choices, depth - 1, out);
+                }
+                out.push('}');
+            }
+            _ => out.push('1'),
+        }
+    }
+
+    /// `skim` agrees with `parse` on `line`: the same error, or, for an
+    /// object, the same members, each with its key, value span and (for
+    /// arrays) element spans.
+    fn assert_skim_matches_parse(line: &str) {
+        match (parse(line), skim(line)) {
+            (Err(p), Err(s)) => assert_eq!(p, s, "line {line:?}"),
+            (Ok(v), Ok(s)) => {
+                let members = match &v.kind {
+                    Kind::Obj(members) => members.as_slice(),
+                    _ => &[],
+                };
+                assert_eq!(members.len(), s.members.len(), "line {line:?}");
+                for ((key, value), m) in members.iter().zip(&s.members) {
+                    let lit = &line[m.key.0..m.key.1];
+                    assert_eq!(unescape(lit).as_deref(), Ok(key.as_str()), "line {line:?}");
+                    assert_eq!(line[m.key.1..m.value.0].trim(), ":", "line {line:?}");
+                    assert_eq!(value.span, m.value, "line {line:?}");
+                    let elements: Option<Vec<_>> =
+                        value.as_arr().map(|a| a.iter().map(|e| e.span).collect());
+                    assert_eq!(elements.as_deref(), s.elements(m), "line {line:?}");
+                    assert_eq!(m.as_str(line).as_deref(), value.as_str(), "line {line:?}");
+                    let first = s.get(line, key).expect("every key is found");
+                    assert_eq!(Some(&first.value), v.get(key).map(|f| &f.span));
+                }
+            }
+            (p, s) => panic!("line {line:?}: parse gave {p:?}, skim gave {s:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `skim` and `parse` agree on generated documents, reply-shaped
+        /// lines and values nested 63 to 66 deep, before and after byte
+        /// mutations: truncation, an inserted or replaced byte from the
+        /// grammar's own, and a deleted byte.
+        #[test]
+        fn skim_agrees_with_parse(
+            choices in proptest::collection::vec((0u8..9, 0u32..1_000_000), 0..40),
+            layout in 0u8..3,
+            mutations in proptest::collection::vec((0u8..4, 0usize..2_000, 0usize..16), 0..3),
+        ) {
+            const BYTES: &[u8; 16] = b"\"\\{}[],:0e-u \x01ab";
+            let mut choices = choices.into_iter();
+            let mut line = String::new();
+            match layout {
+                0 => value_from(&mut choices, 4, &mut line),
+                1 => {
+                    line.push_str("{\"ok\":true,\"id\":\"q7\",\"rows\":[");
+                    for i in 0..3 {
+                        if i > 0 {
+                            line.push(',');
+                        }
+                        value_from(&mut choices, 3, &mut line);
+                    }
+                    line.push_str("],\"code\":\"overloaded\"}");
+                }
+                _ => {
+                    let depth = 63 + choices.len() % 4;
+                    line.push_str(&"[".repeat(depth));
+                    value_from(&mut choices, 1, &mut line);
+                    line.push_str(&"]".repeat(depth));
+                }
+            }
+            assert_skim_matches_parse(&line);
+            let mut bytes = line.into_bytes();
+            for (op, at, b) in mutations {
+                let at = at % (bytes.len() + 1);
+                match op {
+                    0 => bytes.truncate(at),
+                    1 => bytes.insert(at, BYTES[b]),
+                    2 if at < bytes.len() => bytes[at] = BYTES[b],
+                    _ if at < bytes.len() => drop(bytes.remove(at)),
+                    _ => bytes.push(BYTES[b]),
+                }
+            }
+            // A mutation may split a multi-byte character; such a line
+            // never reaches a reader, which takes `&str`.
+            if let Ok(line) = String::from_utf8(bytes) {
+                assert_skim_matches_parse(&line);
+            }
+        }
+    }
+
+    #[test]
+    fn skim_reads_a_reply_without_building_it() {
+        let src = r#" {"ok":true, "id":"q\u0031", "rows":[{"a":[1]}, "x\"y"], "rows":5} "#;
+        let s = skim(src).unwrap();
+        assert_eq!(s.get(src, "ok").map(|m| m.raw(src)), Some("true"));
+        assert_eq!(
+            s.get(src, "id").and_then(|m| m.as_str(src)).as_deref(),
+            Some("q1")
+        );
+        let rows = s.get(src, "rows").expect("the first rows member");
+        let rows: Vec<&str> = s
+            .elements(rows)
+            .unwrap()
+            .iter()
+            .map(|&(a, b)| &src[a..b])
+            .collect();
+        assert_eq!(rows, [r#"{"a":[1]}"#, r#""x\"y""#]);
+        let mut buf = String::from(">");
+        unescape_into(rows[1], &mut buf).unwrap();
+        assert_eq!(buf, ">x\"y");
+        assert!(unescape_into(rows[0], &mut buf).is_err());
+        assert_eq!(buf, ">x\"y", "a failed decode leaves the buffer as it was");
+        assert!(matches!(unescape("\"plain\""), Ok(Cow::Borrowed("plain"))));
+        assert!(unescape("\"a\" ").is_err());
+        assert_eq!(skim("[[1]]").unwrap().members, []);
+        assert_eq!(skim("1e999"), Err(parse("1e999").unwrap_err()));
+    }
+
+    /// A linear reader takes 8× as long on a line 8× longer; the bound
     /// leaves 2× for noise, where a quadratic one would take 64×. The
     /// small line is timed eight times over.
-    fn assert_linear(small: &str, large: &str) {
-        let parses = |line: &str| assert!(parse(line).is_ok(), "line parses");
+    fn assert_linear(small: &str, large: &str, reads: fn(&str) -> bool) {
+        let reads = |line: &str| assert!(reads(line), "line reads");
         assert_ratio(
             Clock::Thread,
             &format!("{} B vs {} B", large.len(), small.len()),
             16.0,
-            (8, |_| parses(small)),
-            (1, |_| parses(large)),
+            (8, |_| reads(small)),
+            (1, |_| reads(large)),
         );
+    }
+
+    fn parses(line: &str) -> bool {
+        parse(line).is_ok()
+    }
+
+    fn skims(line: &str) -> bool {
+        skim(line).is_ok()
     }
 
     #[test]
     fn one_string_line_parses_in_linear_time() {
         let line = |bytes: usize| format!("\"{}\"", "abcdé€".repeat(bytes / 9));
-        assert_linear(&line(64 << 10), &line(512 << 10));
+        assert_linear(&line(64 << 10), &line(512 << 10), parses);
     }
 
     #[test]
@@ -533,7 +875,34 @@ mod tests {
             "{}",
             small.len()
         );
-        assert_linear(&small, &large);
+        assert_linear(&small, &large, parses);
+    }
+
+    /// The reply-line ratio check, on the reader `facile client` uses.
+    #[test]
+    fn reply_line_of_rows_skims_in_linear_time() {
+        let reply = |rows: usize| {
+            let row = format!(
+                "{{\"block\":\"4801c8480fafd0\",\"status\":\"ok\",\"cycles\":1.25,\
+                 \"bounds\":{{\"ports\":1.0,\"dec\":0.75}},\"explanation\":\"{}\"}}",
+                "port 1 \\\"imul\\\" \\u00b5op\\n".repeat(15)
+            );
+            let rows = vec![row.as_str(); rows];
+            format!(
+                "{{\"ok\":true,\"id\":\"q1\",\"rows\":[{}]}}",
+                rows.join(",")
+            )
+        };
+        let (small, large) = (reply(128), reply(1024));
+        assert!(
+            (60 << 10..70 << 10).contains(&small.len()),
+            "{}",
+            small.len()
+        );
+        let s = skim(&large).expect("reply skims");
+        let rows = s.get(&large, "rows").expect("rows member");
+        assert_eq!(s.elements(rows).map(<[_]>::len), Some(1024));
+        assert_linear(&small, &large, skims);
     }
 
     #[test]
